@@ -11,6 +11,10 @@
 //! * `warm`: the same workflows through a prewarmed [`EnsembleService`] —
 //!   shared broker, leased pilots, zero per-workflow bootstrap/teardown.
 //!
+//! * `idle`: process CPU milliseconds per wall second of a default service
+//!   (2 warm pilots, 4 workers) that receives no submissions — the
+//!   ROADMAP's "idle service CPU ≈ 0", gated at [`IDLE_CPU_GATE_MS_PER_S`].
+//!
 //! Usage: `service_throughput [--quick] [--workflows N] [--burst N]
 //! [--tasks N] [--db-ms N] [--out PATH]`
 
@@ -24,6 +28,41 @@ use std::io::Write;
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(300);
+
+/// How long the idle service is observed.
+const IDLE_WINDOW: Duration = Duration::from_secs(2);
+
+/// An idle service may burn at most this much CPU per wall second: every
+/// thread it owns parks on an event, so only the kernel's own bookkeeping
+/// (one `USER_HZ` tick over the window) is tolerated.
+const IDLE_CPU_GATE_MS_PER_S: f64 = 5.0;
+
+/// User plus system CPU time of this process (all threads), milliseconds,
+/// from `/proc/self/stat`. `USER_HZ` is 100 on every Linux ABI the toolchain
+/// targets, so one tick is 10 ms; 0 where `/proc` is unavailable.
+fn process_cpu_ms() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // The command name (field 2) may hold spaces; fields count from its ')'.
+    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let ticks: f64 = after
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .filter_map(|f| f.parse::<f64>().ok())
+        .sum();
+    ticks * 10.0
+}
+
+/// CPU milliseconds per wall second of a default service left alone for
+/// [`IDLE_WINDOW`].
+fn idle_cpu_ms_per_s(db_ms: u64) -> f64 {
+    let service = EnsembleService::start(ServiceConfig::new(resource(1_000_000_000, db_ms)));
+    let (cpu0, t0) = (process_cpu_ms(), Instant::now());
+    std::thread::sleep(IDLE_WINDOW);
+    let rate = (process_cpu_ms() - cpu0) / t0.elapsed().as_secs_f64();
+    service.shutdown();
+    rate
+}
 
 /// Short workflow: 1 pipeline × 1 stage × `tasks` sleep tasks.
 fn short_workflow(label: &str, tasks: usize) -> Workflow {
@@ -178,9 +217,18 @@ fn main() {
         stats.pool
     );
 
+    let idle_ms_per_s = idle_cpu_ms_per_s(db_ms);
+    println!(
+        "idle : {idle_ms_per_s:.1} CPU ms per wall second over {:.0} s \
+         (gate {IDLE_CPU_GATE_MS_PER_S} ms/s)",
+        IDLE_WINDOW.as_secs_f64()
+    );
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         concat!(
             "{{\n",
+            "  \"host\": {{\"cores\": {}, \"broker_shards\": {}}},\n",
             "  \"workflows_sequential\": {},\n",
             "  \"workflows_burst\": {},\n",
             "  \"tasks_per_workflow\": {},\n",
@@ -191,9 +239,12 @@ fn main() {
             "  \"speedup_p50\": {:.3},\n",
             "  \"speedup_mean\": {:.3},\n",
             "  \"warm_lease_hits\": {},\n",
-            "  \"pool\": {{\"cold_boots\": {}, \"warm_hits\": {}, \"returned\": {}, \"discarded\": {}}}\n",
+            "  \"pool\": {{\"cold_boots\": {}, \"warm_hits\": {}, \"returned\": {}, \"discarded\": {}}},\n",
+            "  \"idle\": {{\"warm_pilots\": 2, \"workers\": 4, \"window_s\": {:.1}, \"cpu_ms_per_s\": {:.2}, \"gate_ms_per_s\": {:.1}}}\n",
             "}}\n"
         ),
+        cores,
+        cores.min(8),
         n_seq,
         n_burst,
         tasks,
@@ -216,6 +267,9 @@ fn main() {
         stats.pool.warm_hits,
         stats.pool.returned,
         stats.pool.discarded,
+        IDLE_WINDOW.as_secs_f64(),
+        idle_ms_per_s,
+        IDLE_CPU_GATE_MS_PER_S,
     );
     let mut f = std::fs::File::create(&out).expect("create output file");
     f.write_all(json.as_bytes()).expect("write output");
@@ -225,5 +279,10 @@ fn main() {
         speedup_p50 >= 2.0,
         "warm-pilot reuse must cut p50 turnaround >=2x for short workflows \
          (got {speedup_p50:.2}x)"
+    );
+    assert!(
+        idle_ms_per_s <= IDLE_CPU_GATE_MS_PER_S,
+        "an idle service must park, not poll: {idle_ms_per_s:.1} CPU ms/s \
+         exceeds the {IDLE_CPU_GATE_MS_PER_S} ms/s gate"
     );
 }

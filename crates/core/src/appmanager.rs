@@ -17,6 +17,7 @@ use crate::synchronizer;
 use crate::wfprocessor;
 use crate::workflow::Workflow;
 use crate::{EntkError, EntkResult};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use entk_mq::{Broker, BrokerConfig, QueueConfig};
 use entk_observe::{components, Recorder};
 use hpc_sim::{Platform, PlatformId};
@@ -270,8 +271,8 @@ pub struct AppManagerConfig {
     /// operation and one sync round-trip per batch instead of per task.
     /// Disable to fall back to the paper's per-task data path.
     pub batched: bool,
-    /// ExecManager tuning: poll intervals and the maximum batch size used
-    /// by every batched component loop.
+    /// ExecManager tuning: the maximum batch size used by every batched
+    /// component loop.
     pub exec_manager: ExecManagerConfig,
     /// Wire-side trace hops stamped before the run started (gateway receive,
     /// parse, admission, journal append). Every per-task timeline is seeded
@@ -313,7 +314,7 @@ impl AppManagerConfig {
         self
     }
 
-    /// Builder: ExecManager poll/batch tuning.
+    /// Builder: ExecManager batch tuning.
     pub fn with_exec_manager(mut self, cfg: ExecManagerConfig) -> Self {
         self.exec_manager = cfg;
         self
@@ -419,8 +420,15 @@ pub(crate) struct Ctx {
     pub recorder: Recorder,
     /// Transactional state journal.
     pub store: Option<StateStore>,
-    /// Global run flag; components exit when cleared.
+    /// Global run flag; components exit when cleared (see [`Ctx::stop`]).
     pub running: AtomicBool,
+    /// The stop channel's only sender; nothing is ever sent. [`Ctx::stop`]
+    /// drops it, which disconnects `stopped`.
+    stop_tx: Mutex<Option<Sender<()>>>,
+    /// Disconnects when the run stops: what the Heartbeat's interval, the
+    /// chaos timer and (through `Select`, next to the RTS callback channel)
+    /// the RTS Callback block on.
+    pub stopped: Receiver<()>,
     /// Default task retry budget.
     pub default_retries: Option<u32>,
     /// Fatal error raised by a component (stops the run).
@@ -434,8 +442,8 @@ pub(crate) struct Ctx {
     pub strategy: ExecutionStrategy,
     /// Batched data path toggle (see [`AppManagerConfig::batched`]).
     pub batched: bool,
-    /// ExecManager poll/batch tuning, also used by the batched WFProcessor
-    /// and Synchronizer loops.
+    /// ExecManager batch tuning, also used by the batched WFProcessor and
+    /// Synchronizer loops.
     pub exec: ExecManagerConfig,
     /// One lock per subcomponent serializing the publish→ack window on that
     /// component's ack queue: two RTS Callback threads (multi-pool runs)
@@ -472,6 +480,7 @@ impl Ctx {
         base_trace: Option<entk_observe::TraceCtx>,
         trace_store: Option<Arc<entk_observe::TraceStore>>,
     ) -> Arc<Self> {
+        let (stop_tx, stopped) = bounded(0);
         Arc::new(Ctx {
             broker,
             ns,
@@ -481,6 +490,8 @@ impl Ctx {
             recorder,
             store,
             running: AtomicBool::new(true),
+            stop_tx: Mutex::new(Some(stop_tx)),
+            stopped,
             default_retries,
             fatal: Mutex::new(None),
             in_flight: std::sync::atomic::AtomicUsize::new(0),
@@ -508,6 +519,7 @@ impl Ctx {
         let broker = Broker::new();
         let ns = QueueNamespace::root();
         declare_queues(&broker, &ns).expect("fresh broker");
+        let (stop_tx, stopped) = bounded(0);
         Arc::new(Ctx {
             broker,
             ns,
@@ -517,6 +529,8 @@ impl Ctx {
             recorder: Recorder::disabled(),
             store: None,
             running: AtomicBool::new(true),
+            stop_tx: Mutex::new(Some(stop_tx)),
+            stopped,
             default_retries: retries,
             fatal: Mutex::new(None),
             in_flight: std::sync::atomic::AtomicUsize::new(0),
@@ -698,14 +712,30 @@ impl Ctx {
             {
                 return applied;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2)); // sleep-ok: failpoint
         }
+    }
+
+    /// Wake whoever parks on the run's signal (the AppManager's wait loop,
+    /// Enqueue). The Synchronizer calls it when a transition changed what
+    /// they wait for; `CancelToken::cancel` notifies the same signal.
+    pub(crate) fn wake(&self) {
+        self.cancel.signal().notify();
+    }
+
+    /// Stop the run: clear the run flag and wake everything parked on the
+    /// signal or on `stopped`. Threads blocked inside a queue wake when
+    /// tear-down closes the session's queues.
+    pub(crate) fn stop(&self) {
+        self.running.store(false, Ordering::Release);
+        self.stop_tx.lock().take();
+        self.wake();
     }
 
     /// Record a fatal condition and stop the run.
     pub(crate) fn fail_fatal(&self, reason: String) {
         *self.fatal.lock() = Some(reason);
-        self.running.store(false, Ordering::Release);
+        self.stop();
     }
 }
 
@@ -975,8 +1005,8 @@ impl AppManager {
         );
 
         // Spawn Synchronizer and WFProcessor.
+        let synchronizer = synchronizer::spawn(Arc::clone(&ctx));
         let mut handles = vec![
-            synchronizer::spawn(Arc::clone(&ctx)),
             wfprocessor::spawn_enqueue(Arc::clone(&ctx)),
             wfprocessor::spawn_dequeue(Arc::clone(&ctx)),
         ];
@@ -988,6 +1018,7 @@ impl AppManager {
         let rmgr_start = Instant::now();
         let rmgr_span = recorder.span(components::AMGR, "rmgr_acquire");
         let mut slots = Vec::with_capacity(1 + self.config.extra_resources.len());
+        let leased = lease.is_some();
         let mut lease = lease;
         for resource in
             std::iter::once(&self.config.resource).chain(self.config.extra_resources.iter())
@@ -1035,14 +1066,10 @@ impl AppManager {
                 std::thread::Builder::new()
                     .name("entk-chaos".into())
                     .spawn(move || {
-                        let deadline = Instant::now() + delay;
-                        while Instant::now() < deadline {
-                            if !ctx_chaos.running.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
+                        // Timed out = the run is still going after `delay`.
+                        if ctx_chaos.stopped.recv_timeout(delay) == Err(RecvTimeoutError::Timeout) {
+                            slot.slot.read().0.kill();
                         }
-                        slot.slot.read().0.kill();
                     })
                     .expect("spawn chaos thread"),
             );
@@ -1073,35 +1100,32 @@ impl AppManager {
                 timed_out = true;
                 break;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            // Until one of the conditions above changes: the Synchronizer
+            // notifies when a stage settles, `Ctx::stop` and
+            // `CancelToken::cancel` when they are called.
+            ctx.cancel.signal().wait_until(Some(deadline), || {
+                ctx.workflow.lock().is_complete()
+                    || !ctx.running.load(Ordering::Acquire)
+                    || (!canceled && ctx.cancel.is_canceled())
+            });
         }
 
         // ---- Tear-down (measured as EnTK Tear-Down Overhead) ------------
         let teardown_start = Instant::now();
         let teardown_span = recorder.span(components::AMGR, "teardown");
-        ctx.running.store(false, Ordering::Release);
+        // Wake every component instead of outwaiting it: `stop` covers the
+        // signal and the stop channel, deleting a queue covers whoever is
+        // blocked fetching from it (the fetch fails with `BrokerClosed`, on
+        // which every loop breaks). The requesters go first, so that a sync
+        // round-trip one of them is in the middle of still gets its ack;
+        // the Synchronizer serves until its own queues go.
+        ctx.stop();
+        for name in [ctx.ns.pending(), ctx.ns.done()] {
+            let _ = ctx.broker.delete_queue(name);
+        }
         for h in handles {
             let _ = h.join();
         }
-        let mut records = Vec::new();
-        let mut rts_teardown = Duration::ZERO;
-        let mut leased_any = false;
-        for slot in &pools.pools {
-            leased_any |= slot.is_leased();
-            records.extend(slot.all_records());
-            rts_teardown += slot.final_teardown();
-        }
-        if leased_any {
-            // A leased RTS accumulates unit records across every session it
-            // served; keep only this workflow's units (task uid == unit tag,
-            // and uids are process-global unique).
-            let wf = ctx.workflow.lock();
-            records.retain(|r| wf.task(&r.tag).is_some());
-        }
-        ctx.profiler.set_rts_teardown(rts_teardown);
-        // Wall time summed across pools and incarnations; back-dated
-        // duration event rather than a live span.
-        recorder.record_duration(components::AMGR, "rts_teardown", "", "", rts_teardown);
         if shared_broker {
             // The broker belongs to the service and keeps serving other
             // sessions; remove only this session's queues.
@@ -1111,6 +1135,24 @@ impl AppManager {
         } else {
             ctx.broker.close();
         }
+        let _ = synchronizer.join();
+        let mut records = Vec::new();
+        let mut rts_teardown = Duration::ZERO;
+        for slot in &pools.pools {
+            records.extend(slot.take_records());
+            rts_teardown += slot.final_teardown();
+        }
+        if leased {
+            // A leased RTS may still hold stragglers of an earlier, canceled
+            // session that ended since; keep only this workflow's units (task
+            // uid == unit tag, and uids are process-global unique).
+            let wf = ctx.workflow.lock();
+            records.retain(|r| wf.task(&r.tag).is_some());
+        }
+        ctx.profiler.set_rts_teardown(rts_teardown);
+        // Wall time summed across pools and incarnations; back-dated
+        // duration event rather than a live span.
+        recorder.record_duration(components::AMGR, "rts_teardown", "", "", rts_teardown);
         drop(teardown_span);
         ctx.profiler.set_teardown(teardown_start.elapsed());
         recorder.record(components::AMGR, "run_end", "", "");
@@ -1324,6 +1366,60 @@ mod tests {
         assert_eq!(workflow.task(&sched[0]).unwrap().name, "b");
     }
 
+    /// A component blocked inside a sync round-trip when tear-down deletes
+    /// the session's queues must bail with every request refused, not hang:
+    /// there is no Synchronizer here, so only the deletion can end the wait.
+    #[test]
+    fn sync_round_trip_bails_when_teardown_deletes_its_ack_queue() {
+        let workflow = wf(&["a", "b", "c"]);
+        let uids: Vec<String> = workflow.schedulable_tasks();
+        let broker = Broker::new();
+        let ns = QueueNamespace::session("bail");
+        declare_queues(&broker, &ns).unwrap();
+        let ctx = Ctx::new(
+            broker,
+            ns,
+            CancelToken::new(),
+            workflow,
+            None,
+            None,
+            ExecutionStrategy::Eager,
+            Recorder::disabled(),
+            true,
+            ExecManagerConfig::default(),
+            None,
+            None,
+        );
+        for batched in [true, false] {
+            let (ctx2, uids2) = (Arc::clone(&ctx), uids.clone());
+            let requester = std::thread::spawn(move || {
+                if batched {
+                    ctx2.sync_tasks(component::ENQUEUE, &uids2, TaskState::Scheduling)
+                } else {
+                    vec![ctx2.sync_task(component::ENQUEUE, &uids2[0], TaskState::Scheduling)]
+                }
+            });
+            // The requests are published: the requester now waits for acks.
+            let sync_queue = ctx.ns.sync_shard(component::ENQUEUE).to_string();
+            let want = if batched { uids.len() } else { 1 };
+            while ctx.broker.depth(&sync_queue).unwrap() < want {
+                std::thread::yield_now();
+            }
+            ctx.stop();
+            ctx.broker
+                .delete_queue(&ctx.ns.ack(component::ENQUEUE))
+                .unwrap();
+            let applied = requester.join().expect("requester returned");
+            assert!(applied.iter().all(|ok| !ok), "{applied:?}");
+            // Restore what the next round needs.
+            ctx.broker.purge(&sync_queue).unwrap();
+            ctx.broker
+                .declare_queue(&ctx.ns.ack(component::ENQUEUE), QueueConfig::default())
+                .unwrap();
+        }
+        assert_eq!(ctx.workflow.lock().count_in(TaskState::Described), 3);
+    }
+
     #[test]
     fn end_to_end_local_backend() {
         use std::sync::atomic::AtomicUsize;
@@ -1372,9 +1468,6 @@ mod tests {
         assert!(AppManagerConfig::new(ResourceDescription::local(1)).batched);
         let cfg = ExecManagerConfig::default();
         assert_eq!(cfg.max_batch, 256);
-        assert_eq!(cfg.pending_timeout, Duration::from_millis(20));
-        assert_eq!(cfg.callback_timeout, Duration::from_millis(20));
-        assert_eq!(cfg.cancel_poll, Duration::from_millis(2));
         assert_eq!(cfg.reconnect_sleep, Duration::from_millis(10));
     }
 

@@ -16,9 +16,9 @@
 //!   CI failure) while work remains.
 
 use crate::appmanager::Ctx;
-use crate::messages::{self, component, AttemptOutcome};
+use crate::messages::{self, component, AttemptOutcome, UNTIL_CLOSED};
 use crate::states::TaskState;
-use crossbeam::channel::RecvTimeoutError;
+use crossbeam::channel::{RecvTimeoutError, Select, TryRecvError};
 use entk_mq::Message;
 use entk_observe::{components as obs, hops};
 use parking_lot::{Mutex, RwLock};
@@ -31,20 +31,14 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// ExecManager tuning: poll intervals of the Emgr and RTS Callback loops
-/// plus the maximum batch size used by every batched component loop
-/// (Enqueue, Emgr, Callback, Dequeue, Synchronizer). The defaults are the
-/// values the loops previously hard-coded.
+/// ExecManager tuning: the maximum batch size used by every batched
+/// component loop (Enqueue, Emgr, Callback, Dequeue, Synchronizer) and the
+/// one interval left — no loop polls; each blocks on its queue, its channel
+/// or the run's stop signal (DESIGN.md §3k).
 #[derive(Debug, Clone)]
 pub struct ExecManagerConfig {
-    /// How long the Emgr sleeps between polls while the run is canceled.
-    pub cancel_poll: Duration,
-    /// Blocking timeout of one Pending-queue fetch.
-    pub pending_timeout: Duration,
-    /// Blocking timeout of one RTS callback-channel receive.
-    pub callback_timeout: Duration,
-    /// How long the RTS Callback sleeps when its channel is disconnected
-    /// (RTS died), waiting for the Heartbeat to install a new incarnation.
+    /// How long the RTS Callback waits when its channel is disconnected
+    /// (RTS died) before looking for the incarnation the Heartbeat installs.
     pub reconnect_sleep: Duration,
     /// Maximum tasks moved per batched operation.
     pub max_batch: usize,
@@ -60,9 +54,6 @@ pub struct ExecManagerConfig {
 impl Default for ExecManagerConfig {
     fn default() -> Self {
         ExecManagerConfig {
-            cancel_poll: Duration::from_millis(2),
-            pending_timeout: Duration::from_millis(20),
-            callback_timeout: Duration::from_millis(20),
             reconnect_sleep: Duration::from_millis(10),
             max_batch: 256,
             batch_knob: None,
@@ -163,15 +154,12 @@ impl RtsSlot {
         }
     }
 
-    /// Whether the slot is (still) backed by a pool lease.
-    pub(crate) fn is_leased(&self) -> bool {
-        self.lease.lock().is_some()
-    }
-
-    /// All unit records across incarnations (archived + current).
-    pub(crate) fn all_records(&self) -> Vec<UnitRecord> {
-        let mut records = self.archived.lock().clone();
-        records.extend(self.slot.read().0.records());
+    /// All unit records across incarnations (archived + current), taken
+    /// out of the RTS: a leased runtime goes back to its pool holding
+    /// nothing of this session that has ended.
+    pub(crate) fn take_records(&self) -> Vec<UnitRecord> {
+        let mut records = std::mem::take(&mut *self.archived.lock());
+        records.extend(self.slot.read().0.take_records());
         records
     }
 
@@ -289,8 +277,7 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         // stale once the cancel sweep settles their tasks and are dropped on
         // session teardown.
         if ctx.cancel.is_canceled() {
-            std::thread::sleep(cfg.cancel_poll);
-            continue;
+            break;
         }
         // Read the (possibly tuner-driven) batch limit per iteration.
         let max_batch = cfg.batch_limit();
@@ -298,16 +285,13 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         let batch = if ctx.batched {
             match ctx
                 .broker
-                .get_batch(ctx.ns.pending(), max_batch, cfg.pending_timeout)
+                .get_batch(ctx.ns.pending(), max_batch, UNTIL_CLOSED)
             {
                 Ok(b) => b,
                 Err(_) => break,
             }
         } else {
-            match ctx
-                .broker
-                .get_timeout(ctx.ns.pending(), cfg.pending_timeout)
-            {
+            match ctx.broker.get_timeout(ctx.ns.pending(), UNTIL_CLOSED) {
                 Ok(Some(d)) => {
                     let mut b = vec![d];
                     while b.len() < max_batch {
@@ -496,7 +480,8 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             let guard = pools.pools[0].slot.read();
             guard.0.kill();
             drop(guard);
-            std::thread::sleep(action.delay().unwrap_or(Duration::from_millis(150)));
+            let linger = action.delay().unwrap_or(Duration::from_millis(150));
+            std::thread::sleep(linger); // sleep-ok: failpoint
         }
         if ctx.batched {
             // The Emgr is the Pending queue's only consumer, so everything
@@ -547,7 +532,7 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
     let cfg = ctx.exec.clone();
     while ctx.running.load(Ordering::Acquire) {
         let rts = slot.slot.read().0.clone();
-        match rts.callbacks().recv_timeout(cfg.callback_timeout) {
+        match rts.callbacks().try_recv() {
             Ok(cb) if ctx.batched => {
                 // Coalesce whatever other completions are already waiting,
                 // then sync the whole batch with one round-trip and notify
@@ -600,10 +585,20 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                 drop(span);
                 ctx.profiler.add_management(t0.elapsed());
             }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                // The RTS died; wait for the Heartbeat to install a new one.
-                std::thread::sleep(cfg.reconnect_sleep);
+            Err(TryRecvError::Empty) => {
+                // Block until a callback is queued, the RTS died (its channel
+                // disconnects; the Heartbeat tears the corpse down before it
+                // swaps in a replacement) or the run stopped (`stopped`
+                // disconnects), then look again.
+                let mut sel = Select::new();
+                sel.recv(rts.callbacks());
+                sel.recv(&ctx.stopped);
+                sel.ready();
+            }
+            Err(TryRecvError::Disconnected) => {
+                // The RTS died; give the Heartbeat time to install a new one
+                // (cut short when the run stops).
+                let _ = ctx.stopped.recv_timeout(cfg.reconnect_sleep);
             }
         }
     }
@@ -648,8 +643,8 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
     let metrics = ctx.recorder.metrics_arc();
     let checks = metrics.counter(&format!("heartbeat.checks.{}", slot.name));
     let last_check = metrics.gauge(&format!("heartbeat.last_check_ms.{}", slot.name));
-    while ctx.running.load(Ordering::Acquire) {
-        std::thread::sleep(interval);
+    // One check per interval for as long as the stop channel stays connected.
+    while ctx.stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
         checks.incr();
         last_check.set((ctx.recorder.now_ns() / 1_000_000) as i64);
         if ctx.workflow.lock().is_complete() {

@@ -23,6 +23,12 @@ pub const DONE: &str = "entk-done";
 /// different shards.
 pub const SYNC: &str = "entk-sync";
 
+/// Fetch timeout of a component loop that owns its queue's consumer side:
+/// long enough never to fire, because the wait ends when a message arrives
+/// or when tear-down closes the queue (the fetch then fails with
+/// `BrokerClosed`), not on a timer.
+pub(crate) const UNTIL_CLOSED: std::time::Duration = std::time::Duration::from_secs(86_400 * 365);
+
 /// Acknowledgement queue for a subcomponent.
 pub fn ack_queue(component: &str) -> String {
     format!("entk-ack-{component}")

@@ -14,13 +14,13 @@
 //! requester.
 
 use crate::appmanager::Ctx;
-use crate::messages::{self, parse_sync};
+use crate::messages::{self, parse_sync, UNTIL_CLOSED};
 use crate::states::{PipelineState, StageState, TaskState};
 use crate::uid::Kind;
 use entk_mq::Message;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Spawn the Synchronizer: one drainer thread per sync-queue shard. The
 /// sync plane is sharded per requesting component
@@ -69,15 +69,14 @@ pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
 /// one component's requests by construction; the grouping also tolerates
 /// custom components routed onto a shared fallback name.)
 fn run_batched(ctx: Arc<Ctx>, sync_queue: &str) {
-    while ctx.running.load(Ordering::Acquire) {
+    // Until the shard closes, not until the run flag clears: tear-down joins
+    // the requesters first, and their last round-trips need a live drainer.
+    loop {
         let max_batch = ctx.exec.batch_limit();
-        let batch = match ctx
-            .broker
-            .get_batch(sync_queue, max_batch, Duration::from_millis(20))
-        {
+        let batch = match ctx.broker.get_batch(sync_queue, max_batch, UNTIL_CLOSED) {
             Ok(b) if !b.is_empty() => b,
             Ok(_) => continue,
-            Err(_) => break, // broker closed: shutting down
+            Err(_) => break, // queue closed: shutting down
         };
         let t0 = Instant::now();
         let span = ctx
@@ -117,14 +116,11 @@ fn run_batched(ctx: Arc<Ctx>, sync_queue: &str) {
 }
 
 fn run(ctx: Arc<Ctx>, sync_queue: &str) {
-    while ctx.running.load(Ordering::Acquire) {
-        let delivery = match ctx
-            .broker
-            .get_timeout(sync_queue, Duration::from_millis(20))
-        {
+    loop {
+        let delivery = match ctx.broker.get_timeout(sync_queue, UNTIL_CLOSED) {
             Ok(Some(d)) => d,
             Ok(None) => continue,
-            Err(_) => break, // broker closed: shutting down
+            Err(_) => break, // queue closed: shutting down
         };
         let t0 = Instant::now();
         let Some(req) = parse_sync(&delivery.message) else {
@@ -208,8 +204,9 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
         _ => {}
     }
 
-    // Derive stage/pipeline consequences.
-    match state {
+    // Derive stage/pipeline consequences; the value is whether the
+    // transition changed something a parked thread waits for.
+    let wake = match state {
         TaskState::Scheduling => {
             let pipeline = &mut wf.pipelines_mut()[loc.pipeline];
             if pipeline.state() == PipelineState::Described {
@@ -228,6 +225,7 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
                 }
                 _ => {}
             }
+            false
         }
         TaskState::Scheduled => {
             let pipeline = &mut wf.pipelines_mut()[loc.pipeline];
@@ -242,22 +240,35 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
                     ctx.journal("stage", &uid, "", "scheduled");
                 }
             }
+            false
         }
         TaskState::Done | TaskState::Failed | TaskState::Canceled => {
-            settle_stage(ctx, &mut wf, loc.pipeline, loc.stage);
+            // A settled stage advances its pipeline or ends it: Enqueue has
+            // new tasks to tag or the AppManager a finished run to collect.
+            // Under a concurrency cap every settled task frees a slot the
+            // throttled Enqueue is parked for.
+            let settled = settle_stage(ctx, &mut wf, loc.pipeline, loc.stage);
+            settled || ctx.concurrency_cap.load(Ordering::Relaxed) != usize::MAX
         }
-        _ => {}
+        // Back in the pool: Enqueue must tag it again.
+        TaskState::Described => true,
+        _ => false,
+    };
+    drop(wf);
+    if wake {
+        ctx.wake();
     }
     true
 }
 
 /// When all tasks of a stage are terminal, settle the stage and possibly the
-/// pipeline; runs `post_exec` hooks on success.
-fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usize) {
+/// pipeline; runs `post_exec` hooks on success. Returns whether the stage
+/// settled.
+fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usize) -> bool {
     let (stage_done, any_failed, any_canceled) = {
         let stage = &wf.pipelines()[p].stages()[s];
         if stage.state().is_terminal() {
-            return;
+            return false;
         }
         let mut any_failed = false;
         let mut any_canceled = false;
@@ -276,7 +287,7 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
         (all_terminal, any_failed, any_canceled)
     };
     if !stage_done {
-        return;
+        return false;
     }
 
     let next_stage_state = if any_failed {
@@ -293,7 +304,7 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
     {
         let stage = &mut pipeline.stages_mut()[s];
         if stage.advance(next_stage_state).is_err() {
-            return;
+            return false;
         }
     }
     ctx.journal("stage", &stage_uid, "", next_stage_state.name());
@@ -329,6 +340,7 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
         }
         _ => unreachable!("settle states are terminal"),
     }
+    true
 }
 
 /// A failed/canceled pipeline poisons every pipeline depending on it: those

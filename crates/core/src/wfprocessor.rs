@@ -7,13 +7,13 @@
 //! requirements (§II-A), resubmits failed tasks within their retry budget.
 
 use crate::appmanager::{Ctx, ExecutionStrategy};
-use crate::messages::{self, component, AttemptOutcome};
+use crate::messages::{self, component, AttemptOutcome, UNTIL_CLOSED};
 use crate::states::TaskState;
 use entk_mq::Message;
 use entk_observe::{components as obs, hops, TraceCtx};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Spawn the Enqueue thread.
 pub(crate) fn spawn_enqueue(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
@@ -31,18 +31,29 @@ pub(crate) fn spawn_dequeue(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
         .expect("spawn dequeue")
 }
 
+/// Whether Enqueue should stop tagging: the run ended or was canceled.
+fn standing_down(ctx: &Ctx) -> bool {
+    !ctx.running.load(Ordering::Acquire) || ctx.cancel.is_canceled()
+}
+
 fn enqueue_loop(ctx: Arc<Ctx>) {
-    while ctx.running.load(Ordering::Acquire) {
-        // Cooperative cancellation: stop tagging new work; the AppManager's
-        // cancel sweep settles everything already in flight.
-        if ctx.cancel.is_canceled() {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        }
-        let ready = ctx.workflow.lock().schedulable_tasks();
-        if ready.is_empty() {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
+    loop {
+        // Park until there are tasks to tag: the Synchronizer notifies when
+        // a stage advances or a task rejoins the pool, `Ctx::stop` and
+        // `CancelToken::cancel` when they are called.
+        let mut ready = Vec::new();
+        ctx.cancel.signal().wait_until(None, || {
+            if standing_down(&ctx) {
+                return true;
+            }
+            ready = ctx.workflow.lock().schedulable_tasks();
+            !ready.is_empty()
+        });
+        if standing_down(&ctx) {
+            // Cooperative cancellation: stop tagging new work; the
+            // AppManager's cancel sweep settles everything already in
+            // flight.
+            return;
         }
         let t0 = Instant::now();
         let span = ctx
@@ -72,16 +83,18 @@ fn enqueue_batched(ctx: &Ctx, ready: &[String]) -> bool {
     let max_batch = ctx.exec.batch_limit();
     let mut idx = 0;
     while idx < ready.len() {
-        if !ctx.running.load(Ordering::Acquire) || ctx.cancel.is_canceled() {
+        // Throttle: wait for a free slot under the concurrency cap (every
+        // task that settles under a cap notifies).
+        let mut free = 0;
+        ctx.cancel.signal().wait_until(None, || {
+            free = ctx
+                .concurrency_cap
+                .load(Ordering::Relaxed)
+                .saturating_sub(ctx.in_flight.load(Ordering::Relaxed));
+            free > 0 || standing_down(ctx)
+        });
+        if standing_down(ctx) {
             return false;
-        }
-        let free = ctx
-            .concurrency_cap
-            .load(Ordering::Relaxed)
-            .saturating_sub(ctx.in_flight.load(Ordering::Relaxed));
-        if free == 0 {
-            std::thread::sleep(Duration::from_micros(200));
-            continue;
         }
         let chunk = &ready[idx..(idx + free.min(max_batch)).min(ready.len())];
         idx += chunk.len();
@@ -110,16 +123,15 @@ fn enqueue_batched(ctx: &Ctx, ready: &[String]) -> bool {
 /// task. Returns whether the loop should keep running.
 fn enqueue_per_task(ctx: &Ctx, ready: &[String]) -> bool {
     for uid in ready {
-        if !ctx.running.load(Ordering::Acquire) || ctx.cancel.is_canceled() {
-            return false;
-        }
         // Execution-strategy throttle: hold the task back while the
-        // in-flight count sits at the concurrency cap.
-        while ctx.in_flight.load(Ordering::Relaxed) >= ctx.concurrency_cap.load(Ordering::Relaxed) {
-            if !ctx.running.load(Ordering::Acquire) || ctx.cancel.is_canceled() {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        // in-flight count sits at the concurrency cap (every task that
+        // settles under a cap notifies).
+        ctx.cancel.signal().wait_until(None, || {
+            ctx.in_flight.load(Ordering::Relaxed) < ctx.concurrency_cap.load(Ordering::Relaxed)
+                || standing_down(ctx)
+        });
+        if standing_down(ctx) {
+            return false;
         }
         // Tag for execution, then make visible to the Emgr. `Scheduled`
         // is synchronized *before* the publish so the Emgr can never see
@@ -160,15 +172,11 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
     while ctx.running.load(Ordering::Acquire) {
         if ctx.batched {
             let max_batch = ctx.exec.batch_limit();
-            let batch =
-                match ctx
-                    .broker
-                    .get_batch(ctx.ns.done(), max_batch, Duration::from_millis(20))
-                {
-                    Ok(b) if !b.is_empty() => b,
-                    Ok(_) => continue,
-                    Err(_) => break,
-                };
+            let batch = match ctx.broker.get_batch(ctx.ns.done(), max_batch, UNTIL_CLOSED) {
+                Ok(b) if !b.is_empty() => b,
+                Ok(_) => continue,
+                Err(_) => break,
+            };
             let t0 = Instant::now();
             let span = ctx
                 .recorder
@@ -185,10 +193,7 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
             drop(span);
             ctx.profiler.add_management(t0.elapsed());
         } else {
-            let delivery = match ctx
-                .broker
-                .get_timeout(ctx.ns.done(), Duration::from_millis(20))
-            {
+            let delivery = match ctx.broker.get_timeout(ctx.ns.done(), UNTIL_CLOSED) {
                 Ok(Some(d)) => d,
                 Ok(None) => continue,
                 Err(_) => break,

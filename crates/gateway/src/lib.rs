@@ -1,8 +1,8 @@
 //! # entk-gateway — the wire-facing durable gateway
 //!
-//! The service crate's [`Request`](entk_service::Request) protocol is an
-//! RPC boundary in disguise: everything crossing it is owned data. This
-//! crate makes the disguise real — a [`Gateway`] binds a TCP listener
+//! The service crate's client boundary is an RPC boundary in disguise:
+//! everything crossing it is owned data. This crate makes the disguise
+//! real — a [`Gateway`] binds a TCP listener
 //! (reusing `entk-observe`'s HTTP stack) and maps a small JSON protocol
 //! onto a [`ServiceClient`](entk_service::ServiceClient):
 //!
@@ -15,7 +15,7 @@
 //!
 //! Admission verdicts surface with their native HTTP shapes: a saturated
 //! service answers `429` with a `Retry-After` header derived from the
-//! EWMA turnaround estimate, a draining or dead service answers `503`, a
+//! EWMA turnaround estimate, a draining (or stopped) service answers `503`, a
 //! structurally invalid spec answers `400`, and a refused journal append
 //! answers `500` (the submission was NOT accepted — retry is safe).
 //!

@@ -270,7 +270,6 @@ fn submit(gw: &GatewayState, req: &HttpRequest) -> HttpResponse {
             m.counter("gateway.rejected.draining").incr();
             HttpResponse::error_json(503, "service draining; no new submissions")
         }
-        Err(SubmitError::Disconnected) => HttpResponse::error_json(503, "service unavailable"),
         Err(SubmitError::Invalid(detail)) => {
             HttpResponse::error_json(400, &format!("invalid workflow spec: {detail}"))
         }

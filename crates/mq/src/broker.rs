@@ -16,6 +16,7 @@ use crate::journal::{Journal, JournalRecord, Replay};
 use crate::message::{Delivery, Message};
 use crate::queue::{QueueConfig, QueueHandle};
 use crate::stats::{BrokerStats, QueueStats};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use entk_observe::{components, Recorder};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -170,8 +171,10 @@ struct BrokerInner {
     recorder: Option<Recorder>,
     /// Depth-sampler thread, joined on `close` so repeated broker
     /// start/close in one process can never leave two samplers writing the
-    /// same gauges (the thread itself only holds a `Weak` to this struct).
-    sampler: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// same gauges (the thread itself only holds a `Weak` to this struct),
+    /// with the only sender of its stop channel: nothing is ever sent,
+    /// dropping the sender ends the sampler's wait at once.
+    sampler: parking_lot::Mutex<Option<(Sender<()>, std::thread::JoinHandle<()>)>>,
 }
 
 impl BrokerInner {
@@ -232,14 +235,16 @@ impl Broker {
             sampler: parking_lot::Mutex::new(None),
         });
         if let Some(recorder) = config.recorder {
+            let (stop_tx, stop_rx) = bounded(0);
             let handle = spawn_depth_sampler(
                 Arc::downgrade(&inner),
                 recorder,
                 config
                     .depth_sample_interval
                     .unwrap_or(DEFAULT_DEPTH_SAMPLE_INTERVAL),
+                stop_rx,
             );
-            *inner.sampler.lock() = Some(handle);
+            *inner.sampler.lock() = Some((stop_tx, handle));
         }
         Ok(Broker { inner })
     }
@@ -660,9 +665,9 @@ impl Broker {
     }
 
     /// Shut the broker down: all queues close and every blocked consumer is
-    /// woken with `BrokerClosed`. The depth sampler is joined before
-    /// returning (it sleeps in small slices, so the join is prompt), so no
-    /// stale sampler can keep writing gauges after close. Idempotent.
+    /// woken with `BrokerClosed`. The depth sampler is woken and joined
+    /// before returning, so no stale sampler can keep writing gauges after
+    /// close. Idempotent.
     pub fn close(&self) {
         if self.inner.closed.swap(true, Ordering::AcqRel) {
             return;
@@ -672,7 +677,8 @@ impl Broker {
                 handle.close();
             }
         }
-        if let Some(h) = self.inner.sampler.lock().take() {
+        if let Some((stop, h)) = self.inner.sampler.lock().take() {
+            drop(stop);
             let _ = h.join();
         }
         if let Some(rec) = &self.inner.recorder {
@@ -701,35 +707,22 @@ impl Default for Broker {
 /// `mq.queue.<queue>.unacked`, and `mq.queue.<queue>.dequeue_rate`
 /// (deliveries per second over the last interval) gauges. Holds only a
 /// [`Weak`] to the broker so it never keeps it alive; it exits when the
-/// broker closes or is dropped. Sleeps in small slices so
-/// [`Broker::close`] can join it promptly instead of waiting a full period.
+/// broker closes or is dropped — either way `stop` disconnects, which ends
+/// the wait for the next sample at once.
 fn spawn_depth_sampler(
     inner: Weak<BrokerInner>,
     recorder: Recorder,
     interval: Duration,
+    stop: Receiver<()>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("mq-depth-sampler".into())
         .spawn(move || {
             let interval = interval.max(Duration::from_millis(1));
-            let slice = interval.min(Duration::from_millis(20));
             // Per-queue delivered counter at the previous sample, with the
             // sample instant, for the dequeue-rate derivative.
             let mut last: HashMap<String, (u64, std::time::Instant)> = HashMap::new();
-            'outer: loop {
-                let mut elapsed = Duration::ZERO;
-                while elapsed < interval {
-                    std::thread::sleep(slice);
-                    elapsed += slice;
-                    match inner.upgrade() {
-                        None => break 'outer,
-                        Some(i) => {
-                            if i.closed.load(Ordering::Acquire) {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
+            while stop.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
                 let Some(inner) = inner.upgrade() else {
                     break;
                 };
@@ -770,6 +763,15 @@ fn spawn_depth_sampler(
                     metrics
                         .gauge(&format!("mq.queue.{name}.dequeue_rate"))
                         .set(rate);
+                    // Deleted since the snapshot: its gauges went with it and
+                    // the sets above brought them back. A queue is closed
+                    // before its gauges are dropped, so either this check
+                    // sees the close or the drop comes after the sets. (A
+                    // broker shutting down closes its queues too, after it
+                    // raised its own flag; their last samples stay.)
+                    if handle.is_closed() && !inner.closed.load(Ordering::Acquire) {
+                        metrics.remove_gauges_with_prefix(&format!("mq.queue.{name}."));
+                    }
                     last.insert(name.clone(), (stats.delivered, now));
                 }
                 // Drop rate state for queues that no longer exist.

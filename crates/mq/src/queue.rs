@@ -594,6 +594,11 @@ impl QueueHandle {
         self.ready_cond.notify_all();
     }
 
+    /// Whether the queue was closed (deleted, or its broker shut down).
+    pub(crate) fn is_closed(&self) -> bool {
+        self.state.lock().closed
+    }
+
     /// Number of ready (deliverable) messages.
     pub(crate) fn depth(&self) -> usize {
         self.state.lock().ready.len()

@@ -6,7 +6,8 @@
 //! sees current values, not just monotone totals.
 //!
 //! [`HttpServer`] is deliberately small — HTTP/1.0, one request per
-//! connection, no keep-alive — but it is hardened against misbehaving
+//! connection, no keep-alive, a blocking accept loop that [`HttpServer::stop`]
+//! unblocks by connecting to itself — but it is hardened against misbehaving
 //! clients: request heads and bodies are capped ([`HttpServerConfig::
 //! max_request_bytes`], overflow ⇒ `413 Payload Too Large`), reads carry a
 //! deadline ([`HttpServerConfig::read_timeout`], expiry ⇒ `408 Request
@@ -238,7 +239,6 @@ impl HttpServer {
         config: HttpServerConfig,
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -246,8 +246,12 @@ impl HttpServer {
         let handle = std::thread::Builder::new()
             .name(config.thread_name.clone())
             .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
+                loop {
+                    let accepted = listener.accept();
+                    if stop2.load(Ordering::Acquire) {
+                        break; // woken by `stop`'s connection to itself
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             if active.load(Ordering::Relaxed) >= config.max_connections {
                                 respond(stream, &HttpResponse::error_json(503, "overloaded"));
@@ -267,10 +271,11 @@ impl HttpServer {
                                     active.fetch_sub(1, Ordering::Relaxed);
                                 });
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
+                        Err(_) => {
+                            // Out of descriptors or the like: back off
+                            // instead of spinning on the error.
+                            std::thread::sleep(Duration::from_millis(5)); // sleep-ok: accept-backoff
                         }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
                 }
             })
@@ -290,10 +295,20 @@ impl HttpServer {
     /// Stop the accept loop and join it. In-flight connection threads finish
     /// on their own (bounded by the read timeout).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        let Some(h) = self.handle.take() else { return };
+        self.stop.store(true, Ordering::Release);
+        // The loop is blocked in `accept`: hand it a connection. If this one
+        // cannot be made, the backlog is full and the loop is about to wake
+        // on its own.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = h.join();
     }
 }
 
@@ -552,7 +567,7 @@ impl Sampler {
                 let slice = interval.min(Duration::from_millis(20));
                 let mut elapsed = Duration::ZERO;
                 while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(slice);
+                    std::thread::sleep(slice); // sleep-ok: sampler
                     elapsed += slice;
                     if elapsed >= interval {
                         elapsed = Duration::ZERO;
@@ -736,6 +751,43 @@ mod tests {
         let addr = srv.local_addr();
         srv.stop();
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+        srv.stop(); // idempotent
+    }
+
+    /// The accept loop blocks instead of polling: stopping a server nobody
+    /// talks to must not wait for anything, and an exchange must not pay a
+    /// poll interval (the 5 ms poll made 100 of them take ≥ 500 ms).
+    #[test]
+    fn accept_blocks_and_stop_wakes_it() {
+        let (mut srv, _m) = server();
+        let addr = srv.local_addr();
+        let t0 = std::time::Instant::now();
+        for _ in 0..100 {
+            let (head, body) = get(addr, "/healthz");
+            assert!(head.contains("200 OK") && body == "ok\n", "{head}");
+        }
+        let exchanges = t0.elapsed();
+        assert!(
+            exchanges < Duration::from_millis(250),
+            "100 fresh-connection exchanges took {exchanges:?}"
+        );
+        let t0 = std::time::Instant::now();
+        srv.stop();
+        let stop = t0.elapsed();
+        assert!(stop < Duration::from_millis(200), "stop took {stop:?}");
+    }
+
+    #[test]
+    fn unspecified_bind_address_still_stops() {
+        let handler: Handler = Arc::new(|_req: &HttpRequest| HttpResponse::ok_text("ok\n"));
+        let mut srv = HttpServer::start(
+            "0.0.0.0:0".parse().unwrap(),
+            handler,
+            HttpServerConfig::default(),
+        )
+        .expect("bind");
+        assert!(srv.local_addr().ip().is_unspecified());
+        srv.stop();
     }
 
     #[test]

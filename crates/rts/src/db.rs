@@ -231,6 +231,29 @@ impl DocDb {
         }
     }
 
+    /// Drop the documents of units a departing session takes with it, and
+    /// whatever of them still sits in an agent queue. Session close-out is
+    /// housekeeping nobody waits on, so unlike the unit-path operations it
+    /// charges no latency and counts no round trip.
+    pub fn remove_units(&self, units: &[UnitId]) {
+        if units.is_empty() {
+            return;
+        }
+        let mut st = self.store.lock();
+        for unit in units {
+            st.docs.remove(unit);
+        }
+        let gone: std::collections::HashSet<&UnitId> = units.iter().collect();
+        for queue in st.queues.values_mut() {
+            queue.retain(|unit| !gone.contains(unit));
+        }
+    }
+
+    /// Unit documents currently held.
+    pub fn unit_docs(&self) -> usize {
+        self.store.lock().docs.len()
+    }
+
     /// PilotManager: register a pilot document. In RP every pilot is
     /// synchronized through MongoDB like units are; this is a large share of
     /// the bootstrap cost a warm pilot pool amortizes away.
@@ -366,6 +389,23 @@ mod tests {
         let term = db.terminal_units();
         assert_eq!(term.len(), 1);
         assert_eq!(term[0].unit, UnitId(1));
+    }
+
+    #[test]
+    fn remove_units_drops_documents_and_queue_entries() {
+        let db = DocDb::new(DbConfig::default());
+        db.insert_units(
+            0,
+            (1..=4)
+                .map(|i| (UnitId(i), format!("t{i}"), None))
+                .collect(),
+        );
+        let ops = db.op_count();
+        db.remove_units(&[UnitId(1), UnitId(3), UnitId(99)]);
+        assert_eq!(db.op_count(), ops, "close-out is not a charged round trip");
+        assert_eq!(db.unit_docs(), 2);
+        assert!(db.get(UnitId(1)).is_none() && db.get(UnitId(2)).is_some());
+        assert_eq!(db.pull_units(0, 10), vec![UnitId(2), UnitId(4)]);
     }
 
     #[test]

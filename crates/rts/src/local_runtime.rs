@@ -167,6 +167,20 @@ impl LocalRuntime {
     pub fn records(&self) -> Vec<UnitRecord> {
         self.state.lock().records.values().cloned().collect()
     }
+
+    /// Every unit record, with the units that have ended forgotten (see
+    /// `SimRuntime::take_records`).
+    pub fn take_records(&self) -> Vec<UnitRecord> {
+        let mut st = self.state.lock();
+        let records = st.records.values().cloned().collect();
+        st.records.retain(|_, r| r.outcome.is_none());
+        records
+    }
+
+    /// Unit records this runtime holds.
+    pub fn resident_units(&self) -> usize {
+        self.state.lock().records.len()
+    }
 }
 
 impl Drop for LocalRuntime {

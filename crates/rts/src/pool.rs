@@ -192,6 +192,14 @@ impl PilotPool {
             .fold((0, 0), |(rt, d), (a, b)| (rt + a, d + b))
     }
 
+    /// Per-unit entries the idle runtimes still hold (see
+    /// [`RuntimeSystem::resident_units`]): what finished sessions left
+    /// behind, so 0 unless a canceled session's units are still running.
+    pub fn resident_units(&self) -> usize {
+        let idle = self.inner.idle.lock();
+        idle.iter().map(|(rts, _)| rts.resident_units()).sum()
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> PoolStats {
         PoolStats {

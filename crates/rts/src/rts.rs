@@ -234,6 +234,26 @@ impl RuntimeSystem {
         }
     }
 
+    /// Per-unit timeline records, handing over the units that have ended:
+    /// the runtime forgets them. A session calls this once when it leaves,
+    /// so a runtime leased from a warm pool holds only units in flight and
+    /// its memory does not grow with the workflows it has served.
+    pub fn take_records(&self) -> Vec<UnitRecord> {
+        match &self.backend {
+            Backend::Sim(rt) => rt.take_records(),
+            Backend::Local(rt) => rt.take_records(),
+        }
+    }
+
+    /// Per-unit entries held anywhere in the runtime (unit table, DB
+    /// documents, simulator tasks); 0 once every session has left.
+    pub fn resident_units(&self) -> usize {
+        match &self.backend {
+            Backend::Sim(rt) => rt.resident_units(),
+            Backend::Local(rt) => rt.resident_units(),
+        }
+    }
+
     /// Aggregate profile over all units.
     pub fn profile(&self) -> RtsProfile {
         RtsProfile::from_records(&self.records())

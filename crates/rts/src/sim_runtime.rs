@@ -172,12 +172,20 @@ impl SimRuntime {
     /// PilotManager: submit a pilot as a batch job on the CI.
     pub fn submit_pilot(&self, desc: &PilotDescription) -> PilotId {
         assert!(self.is_alive(), "RTS is down");
+        // The lock spans the submission: the engine may emit JobActive and
+        // JobReady before `submit_job` returns, and a dispatcher that handled
+        // them before the job was indexed would drop them — the pilot would
+        // never turn Ready. The dispatcher needs this lock, so it waits.
+        let mut st = self.state.lock();
         let job = self.commander.submit_job(JobDescription {
             nodes: desc.nodes,
             walltime: hpc_sim::SimDuration::from_secs(desc.walltime_secs),
             bootstrap: hpc_sim::SimDuration::from_secs_f64(desc.bootstrap_secs),
         });
-        let mut st = self.state.lock();
+        // Failpoint `rts.pilot.job_submitted`: the submitter stalls between
+        // the engine's reply and its own bookkeeping, which is when the
+        // job's first events arrive.
+        let _ = entk_fail::hit_sleep("rts.pilot.job_submitted");
         let id = PilotId(st.next_pilot);
         st.next_pilot += 1;
         st.pilots.insert(
@@ -419,6 +427,40 @@ impl SimRuntime {
             .values()
             .map(|u| u.record.clone())
             .collect()
+    }
+
+    /// Every unit record, with the units that have ended forgotten: their
+    /// entries and DB documents are dropped (the simulator forgets a task
+    /// when it ends), so a runtime that goes back to a warm pool carries
+    /// nothing of the session that leaves. Units still in flight stay, and
+    /// are reported again by the next call.
+    pub fn take_records(&self) -> Vec<UnitRecord> {
+        let mut st = self.state.lock();
+        let mut records = Vec::with_capacity(st.units.len());
+        let mut ended = Vec::new();
+        for (id, unit) in std::mem::take(&mut st.units) {
+            if unit.state.is_terminal() {
+                ended.push(id);
+                records.push(unit.record);
+            } else {
+                records.push(unit.record.clone());
+                st.units.insert(id, unit);
+            }
+        }
+        drop(st);
+        self.db.remove_units(&ended);
+        records
+    }
+
+    /// Per-unit entries this runtime holds: units, their DB documents and
+    /// the simulator's tasks. What a finished session must not leave behind.
+    pub fn resident_units(&self) -> usize {
+        let sim_tasks = if self.is_alive() {
+            self.commander.live_tasks()
+        } else {
+            0
+        };
+        self.state.lock().units.len() + self.db.unit_docs() + sim_tasks
     }
 }
 
@@ -845,6 +887,92 @@ mod tests {
         let rt = runtime();
         let p = ready_pilot(&rt);
         assert_eq!(rt.pilot_state(p), Some(PilotState::Ready));
+    }
+
+    /// Regression (lost wake-up): the engine can emit JobActive/JobReady
+    /// before `submit_job` returns; a dispatcher that handled them before
+    /// the job was indexed dropped them and the pilot never turned Ready.
+    /// A cold start makes the race likeliest, so repeat it often.
+    #[test]
+    fn cold_pilot_always_becomes_ready() {
+        for i in 0..300 {
+            let rts = crate::RuntimeSystem::start(crate::RtsConfig::sim(PlatformId::TestRig));
+            let p = rts.submit_pilot(&PilotDescription::test_rig());
+            assert!(
+                rts.wait_pilot_ready(p, Duration::from_secs(2)),
+                "cold start {i}: pilot never became ready"
+            );
+        }
+    }
+
+    /// The same race, forced: the submitter stalls right after the engine
+    /// accepted the job, so JobActive and JobReady are on the event stream
+    /// long before the job is indexed.
+    #[test]
+    fn pilot_events_that_beat_the_job_index_are_not_lost() {
+        let _guard = entk_fail::scenario();
+        entk_fail::arm_once(
+            "rts.pilot.job_submitted",
+            entk_fail::InjectedAction::Delay(50),
+        );
+        let rt = runtime();
+        let p = rt.submit_pilot(&PilotDescription::test_rig());
+        assert_eq!(entk_fail::fires("rts.pilot.job_submitted"), 1);
+        assert!(rt.wait_pilot_ready(p, Duration::from_secs(2)));
+    }
+
+    /// A session that leaves takes its ended units with it: the unit table,
+    /// the DB and the simulator hold nothing of them afterwards, and a
+    /// runtime serving session after session never holds more than one
+    /// session's units.
+    #[test]
+    fn take_records_leaves_nothing_of_ended_units() {
+        const UNITS: usize = 16;
+        let rt = runtime();
+        let p = ready_pilot(&rt);
+        for session in 0..20 {
+            let descs = (0..UNITS)
+                .map(|i| {
+                    UnitDescription::new(format!("s{session}u{i}"), Executable::Sleep { secs: 1.0 })
+                })
+                .collect();
+            rt.submit_units(p, descs).unwrap();
+            assert!(
+                rt.records().len() <= UNITS,
+                "records outgrew the units in flight"
+            );
+            drain_until_terminal(&rt, UNITS);
+            let records = rt.take_records();
+            assert_eq!(records.len(), UNITS);
+            assert!(records
+                .iter()
+                .all(|r| r.tag.starts_with(&format!("s{session}u"))
+                    && r.outcome == Some(UnitOutcome::Done)));
+            assert!(rt.records().is_empty());
+            assert_eq!(rt.db().unit_docs(), 0);
+            assert_eq!(rt.db().queued_for(p.0), 0);
+            assert_eq!(rt.resident_units(), 0, "session {session} left residue");
+        }
+    }
+
+    /// Units still in flight stay behind and are reported again.
+    #[test]
+    fn take_records_keeps_units_in_flight() {
+        let rt = runtime();
+        let p = ready_pilot(&rt);
+        rt.submit_units(
+            p,
+            vec![
+                UnitDescription::new("quick", Executable::Sleep { secs: 1.0 }),
+                UnitDescription::new("slow", Executable::Sleep { secs: 1e6 }),
+            ],
+        )
+        .unwrap();
+        drain_until_terminal(&rt, 1);
+        assert_eq!(rt.take_records().len(), 2);
+        let left = rt.take_records();
+        assert_eq!(left.len(), 1);
+        assert_eq!((left[0].tag.as_str(), &left[0].outcome), ("slow", &None));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper positions EnTK as a library an application instantiates, runs,
 //! and tears down. This crate grows it into a *service*: a long-lived
 //! [`EnsembleService`] owning one shared message broker and a warm pilot
-//! pool, accepting concurrent workflow submissions from many tenants over a
-//! channel-based wire protocol (submit / status / result / cancel).
+//! pool, accepting concurrent workflow submissions from many tenants through
+//! cloneable client handles (submit / status / result / cancel).
 //!
 //! What the service adds over one-shot [`entk_core::AppManager`] runs:
 //!
@@ -39,8 +39,8 @@ pub use journal::{
     JournaledSub, ServiceJournal, ServiceRecord, ServiceReplay, SettledInfo, SettledState,
 };
 pub use protocol::{
-    Request, ServiceStats, SessionInfo, SubmissionId, SubmissionOutcome, SubmissionResult,
-    SubmissionStatus, SubmitError,
+    ServiceStats, SessionInfo, SubmissionId, SubmissionOutcome, SubmissionResult, SubmissionStatus,
+    SubmitError,
 };
 pub use service::{EnsembleService, ServiceClient, ServiceConfig};
 pub use spec::{ExecSpec, PipelineSpec, SpecError, StageSpec, TaskSpec, WorkflowSpec};

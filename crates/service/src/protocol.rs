@@ -1,18 +1,16 @@
-//! Wire protocol between service clients and the [`EnsembleService`]
-//! control thread.
+//! The values that cross the boundary between service clients and the
+//! [`EnsembleService`].
 //!
 //! Clients hold a cloneable [`ServiceClient`](crate::service::ServiceClient)
-//! whose methods serialize into [`Request`] values sent over a crossbeam
-//! channel; each request carries its own reply channel. This mirrors an RPC
-//! boundary — everything crossing it is owned data, so the service could be
-//! fronted by a real socket transport without changing the state machine.
+//! whose methods run on the caller's thread against the service's state.
+//! Everything crossing the boundary is owned data — ids, statuses, results,
+//! counters — which is what lets the gateway front the same state machine
+//! with a real socket transport.
 //!
 //! [`EnsembleService`]: crate::service::EnsembleService
 
 use crate::journal::SettledInfo;
-use crate::spec::WorkflowSpec;
-use crossbeam::channel::Sender;
-use entk_core::{EntkError, RunReport, Workflow};
+use entk_core::{EntkError, RunReport};
 use rp_rts::PoolStats;
 use std::fmt;
 use std::time::Duration;
@@ -38,8 +36,6 @@ pub enum SubmitError {
     },
     /// The service is draining for shutdown and accepts no new work.
     Draining,
-    /// The service control thread is gone (service dropped or crashed).
-    Disconnected,
     /// The submitted workflow spec was structurally invalid.
     Invalid(String),
     /// The durability journal refused the submission record; the submission
@@ -55,7 +51,6 @@ impl fmt::Display for SubmitError {
                 write!(f, "service saturated; retry after {retry_after:?}")
             }
             SubmitError::Draining => write!(f, "service draining; no new submissions"),
-            SubmitError::Disconnected => write!(f, "service disconnected"),
             SubmitError::Invalid(detail) => write!(f, "invalid workflow spec: {detail}"),
             SubmitError::Journal(detail) => write!(f, "journal refused submission: {detail}"),
         }
@@ -170,6 +165,11 @@ pub struct ServiceStats {
     pub warm_pilots: usize,
     /// Pilot-pool lifetime counters (cold boots, warm hits, …).
     pub pool: PoolStats,
+    /// Per-unit entries (unit records, DB documents, simulator tasks) the
+    /// idle warm pilots' runtimes still hold. A finished session takes its
+    /// units with it, so this is 0 unless a canceled run's units are still
+    /// executing.
+    pub resident_units: usize,
 }
 
 /// One row of the session listing (`GET /v1/sessions` on the gateway).
@@ -188,69 +188,6 @@ pub struct SessionInfo {
     ///
     /// [`EnsembleService::recover`]: crate::service::EnsembleService::recover
     pub durable: bool,
-}
-
-/// One message on the client→service control channel.
-///
-/// Every variant carries a reply sender: the protocol is strictly
-/// request/response and the control thread never blocks on a client.
-#[derive(Debug)]
-pub enum Request {
-    /// Submit a workflow on behalf of a tenant.
-    Submit {
-        /// Tenant name (fair-share accounting key).
-        tenant: String,
-        /// The workflow to run.
-        workflow: Box<Workflow>,
-        /// The wire spec the workflow was built from, when it arrived over
-        /// the gateway. Its presence makes the submission durable: the spec
-        /// JSON is journaled so recovery can re-materialize and re-drive it.
-        /// In-process submissions (`None`) may carry closures and are not
-        /// journaled.
-        spec: Option<Box<WorkflowSpec>>,
-        /// Wire-carried fair-share weight override for this tenant
-        /// (`None` keeps the tenant's configured weight).
-        weight: Option<u32>,
-        /// Wire-side trace hops (gateway receive/parse) the submission
-        /// arrived with; the service stamps admission/journal hops onto it
-        /// and seeds every per-task timeline from the result.
-        trace: Option<Box<entk_observe::TraceCtx>>,
-        /// Admission verdict.
-        reply: Sender<Result<SubmissionId, SubmitError>>,
-    },
-    /// List every known submission (the gateway's session listing).
-    List {
-        /// Snapshot destination.
-        reply: Sender<Vec<SessionInfo>>,
-    },
-    /// Query a submission's lifecycle state.
-    Status {
-        /// Which submission.
-        id: SubmissionId,
-        /// `None` if the id is unknown.
-        reply: Sender<Option<SubmissionStatus>>,
-    },
-    /// Take a terminal submission's result (at most once).
-    TakeResult {
-        /// Which submission.
-        id: SubmissionId,
-        /// `None` if unknown, not yet terminal, or already taken.
-        reply: Sender<Option<SubmissionResult>>,
-    },
-    /// Cooperatively cancel a queued or running submission.
-    Cancel {
-        /// Which submission.
-        id: SubmissionId,
-        /// Whether a cancellation was initiated (false if unknown/terminal).
-        reply: Sender<bool>,
-    },
-    /// Sample service counters.
-    Stats {
-        /// Snapshot destination.
-        reply: Sender<ServiceStats>,
-    },
-    /// Stop admitting new submissions (begin drain).
-    Drain,
 }
 
 #[cfg(test)]

@@ -9,21 +9,22 @@
 //! bootstrapped runtime that returns to the pool afterwards instead of being
 //! torn down.
 //!
-//! Threading model: a control thread owns all protocol handling (admission,
-//! status, cancel, stats) over a crossbeam request channel; `max_active`
+//! Threading model: every client call (admission, status, cancel, stats)
+//! runs on the caller's thread under the one state mutex; `max_active`
 //! worker threads pull dispatched submissions from the shared fair-share
-//! queue under a mutex + condvar. The vendored crossbeam has no `select!`,
-//! so workers coordinate exclusively through the condvar.
+//! queue under the same mutex. Nothing polls: idle workers park on the
+//! `work_ready` condvar until a submission is admitted, and clients in
+//! [`ServiceClient::wait`] and the drain in [`EnsembleService::shutdown`]
+//! park on the `settled` condvar until a submission settles.
 
 use crate::admission::AdmissionPolicy;
 use crate::fairshare::FairShare;
 use crate::journal::{self, ServiceJournal, ServiceRecord, SettledState};
 use crate::protocol::{
-    Request, ServiceStats, SessionInfo, SubmissionId, SubmissionOutcome, SubmissionResult,
-    SubmissionStatus, SubmitError,
+    ServiceStats, SessionInfo, SubmissionId, SubmissionOutcome, SubmissionResult, SubmissionStatus,
+    SubmitError,
 };
 use crate::spec::WorkflowSpec;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use entk_control::{
     Actuation, BatchTuner, BatchTunerConfig, ControlAction, ControlObservation, Controller,
     PoolPrescaler, PrescalerConfig, TailGuard, TailGuardConfig,
@@ -49,13 +50,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long the control thread blocks on the request channel before
-/// rechecking its stop flag.
-const CONTROL_POLL: Duration = Duration::from_millis(25);
-
-/// How long an idle worker parks on the condvar before rechecking stop.
-const WORKER_PARK: Duration = Duration::from_millis(50);
 
 /// The watchdog scans at this multiple of the sampler interval, so a dead
 /// main sampler is observable as a flat tick counter across several scans.
@@ -336,8 +330,11 @@ struct ControlPlane {
 
 struct Inner {
     state: Mutex<State>,
+    /// Workers park here; notified on admission and on stop.
     work_ready: Condvar,
-    stop_control: AtomicBool,
+    /// Clients waiting for a result and the drain park here; notified
+    /// whenever a submission settles.
+    settled: Condvar,
     recorder: Recorder,
     pool: PilotPool,
     broker: Broker,
@@ -399,19 +396,15 @@ impl Inner {
     }
 }
 
-/// Cloneable client handle speaking the [`Request`] protocol.
+/// Cloneable client handle. Every call runs on the caller's thread under
+/// the service's state mutex; a handle that outlives its service keeps
+/// answering reads and refuses submissions as draining.
 #[derive(Clone)]
 pub struct ServiceClient {
-    tx: Sender<Request>,
+    inner: Arc<Inner>,
 }
 
 impl ServiceClient {
-    fn call<R>(&self, make: impl FnOnce(Sender<R>) -> Request) -> Option<R> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx.send(make(reply_tx)).ok()?;
-        reply_rx.recv().ok()
-    }
-
     /// Submit a workflow for a tenant. Returns the submission handle, or an
     /// admission/drain rejection. In-process submissions may carry closures
     /// and are therefore NOT journaled; use [`ServiceClient::submit_spec`]
@@ -421,16 +414,14 @@ impl ServiceClient {
         tenant: impl Into<String>,
         workflow: Workflow,
     ) -> Result<SubmissionId, SubmitError> {
-        let tenant = tenant.into();
-        self.call(|reply| Request::Submit {
-            tenant,
-            workflow: Box::new(workflow),
-            spec: None,
-            weight: None,
-            trace: None,
-            reply,
-        })
-        .unwrap_or(Err(SubmitError::Disconnected))
+        admit(
+            &self.inner,
+            tenant.into(),
+            Box::new(workflow),
+            None,
+            None,
+            None,
+        )
     }
 
     /// Submit a wire-serializable workflow spec for a tenant — the durable
@@ -464,70 +455,66 @@ impl ServiceClient {
         workflow
             .validate()
             .map_err(|e| SubmitError::Invalid(e.to_string()))?;
-        let tenant = tenant.into();
-        self.call(|reply| Request::Submit {
-            tenant,
-            workflow: Box::new(workflow),
-            spec: Some(Box::new(spec)),
+        admit(
+            &self.inner,
+            tenant.into(),
+            Box::new(workflow),
+            Some(&spec),
             weight,
-            trace: trace.map(Box::new),
-            reply,
-        })
-        .unwrap_or(Err(SubmitError::Disconnected))
+            trace,
+        )
     }
 
     /// List every known submission (queued, running, and settled-but-not-
     /// taken), id-ordered.
     pub fn list(&self) -> Option<Vec<SessionInfo>> {
-        self.call(|reply| Request::List { reply })
+        Some(list_sessions(&self.inner))
     }
 
     /// Lifecycle state of a submission (`None` if unknown).
     pub fn status(&self, id: SubmissionId) -> Option<SubmissionStatus> {
-        self.call(|reply| Request::Status { id, reply }).flatten()
+        let st = self.inner.state.lock();
+        st.subs.get(&id).map(|sub| status_of(&st, id, sub))
     }
 
     /// Take a terminal submission's result. At-most-once: a second call for
     /// the same id returns `None`.
     pub fn take_result(&self, id: SubmissionId) -> Option<SubmissionResult> {
-        self.call(|reply| Request::TakeResult { id, reply })
-            .flatten()
+        self.inner.state.lock().subs.get_mut(&id)?.result.take()
     }
 
     /// Cooperatively cancel a queued or running submission. Returns whether
     /// cancellation was initiated.
     pub fn cancel(&self, id: SubmissionId) -> bool {
-        self.call(|reply| Request::Cancel { id, reply })
-            .unwrap_or(false)
+        cancel_submission(&self.inner, id)
     }
 
     /// Sample the service counters.
     pub fn stats(&self) -> Option<ServiceStats> {
-        self.call(|reply| Request::Stats { reply })
+        let st = self.inner.state.lock();
+        Some(stats_snapshot(&self.inner, &st))
     }
 
     /// Block until the submission settles and take its result, or time out.
     pub fn wait(&self, id: SubmissionId, timeout: Duration) -> Option<SubmissionResult> {
         let deadline = Instant::now() + timeout;
+        let mut st = self.inner.state.lock();
         loop {
-            if let Some(r) = self.take_result(id) {
+            // Unknown id will never produce a result.
+            if let Some(r) = st.subs.get_mut(&id)?.result.take() {
                 return Some(r);
             }
-            // Unknown id will never produce a result.
-            self.status(id)?;
-            if Instant::now() >= deadline {
-                return None;
+            if self.inner.settled.wait_until(&mut st, deadline).timed_out() {
+                return st.subs.get_mut(&id)?.result.take();
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
     }
 }
 
 /// A running multi-tenant ensemble service. See the module docs.
 pub struct EnsembleService {
-    client: ServiceClient,
     inner: Arc<Inner>,
-    control: Option<JoinHandle<()>>,
+    /// Emptied by `stop_threads`, which makes it the stopped marker.
     workers: Vec<JoinHandle<()>>,
     observe: Option<ObserveServer>,
     sampler: Option<Sampler>,
@@ -557,7 +544,7 @@ struct Prefill {
 
 impl EnsembleService {
     /// Start the service: boot the shared broker, prewarm the pilot pool,
-    /// and spawn the control and worker threads. With a
+    /// and spawn the worker threads. With a
     /// [`ServiceConfig::journal_dir`], this begins a *fresh* durability
     /// epoch — stale journal files from a previous process are removed; use
     /// [`EnsembleService::recover`] to resume one instead.
@@ -831,7 +818,7 @@ impl EnsembleService {
                 next_id: prefill.next_id.max(1),
             }),
             work_ready: Condvar::new(),
-            stop_control: AtomicBool::new(false),
+            settled: Condvar::new(),
             recorder,
             pool,
             broker,
@@ -845,14 +832,6 @@ impl EnsembleService {
             journal_frozen: AtomicBool::new(false),
         });
 
-        let (tx, rx) = unbounded();
-        let control = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("entk-svc-control".into())
-                .spawn(move || control_loop(&inner, &rx))
-                .expect("spawn control thread")
-        };
         let workers = (0..inner.config.max_active.max(1))
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -897,9 +876,7 @@ impl EnsembleService {
         });
 
         Ok(EnsembleService {
-            client: ServiceClient { tx },
             inner,
-            control: Some(control),
             workers,
             observe,
             sampler,
@@ -914,7 +891,9 @@ impl EnsembleService {
 
     /// A new client handle (cheap; clone freely across tenant threads).
     pub fn client(&self) -> ServiceClient {
-        self.client.clone()
+        ServiceClient {
+            inner: Arc::clone(&self.inner),
+        }
     }
 
     /// Idle warm pilots right now.
@@ -965,16 +944,11 @@ impl EnsembleService {
     /// threads, tear down the pool and broker. Returns the final counters.
     pub fn shutdown(mut self) -> ServiceStats {
         {
-            self.inner.state.lock().draining = true;
-        }
-        loop {
-            {
-                let st = self.inner.state.lock();
-                if st.queue.is_empty() && st.active == 0 {
-                    break;
-                }
+            let mut st = self.inner.state.lock();
+            st.draining = true;
+            while !(st.queue.is_empty() && st.active == 0) {
+                self.inner.settled.wait(&mut st);
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
         let stats = self.stop_threads();
         self.inner
@@ -1008,9 +982,11 @@ impl EnsembleService {
             }
         }
         self.inner.gauge_sync(&st);
+        drop(st);
+        self.inner.settled.notify_all();
     }
 
-    /// Join workers and control, drain the pool, close the broker.
+    /// Join the workers, drain the pool, close the broker.
     fn stop_threads(&mut self) -> ServiceStats {
         // Stop the telemetry plane first: a final sampler tick runs on stop,
         // and the listener must not outlive the broker it reports on.
@@ -1028,10 +1004,6 @@ impl EnsembleService {
         self.inner.work_ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        self.inner.stop_control.store(true, Ordering::Release);
-        if let Some(c) = self.control.take() {
-            let _ = c.join();
         }
         let stats = {
             let st = self.inner.state.lock();
@@ -1051,7 +1023,7 @@ impl EnsembleService {
 
 impl Drop for EnsembleService {
     fn drop(&mut self) {
-        if self.control.is_some() {
+        if !self.workers.is_empty() {
             self.abort_all();
             self.stop_threads();
         }
@@ -1069,6 +1041,7 @@ fn stats_snapshot(inner: &Inner, st: &State) -> ServiceStats {
         canceled: st.totals.canceled,
         warm_pilots: inner.pool.warm_count(),
         pool: inner.pool.stats(),
+        resident_units: inner.pool.resident_units(),
     }
 }
 
@@ -1366,6 +1339,8 @@ fn sampler_tick(inner: &Arc<Inner>) {
     let (round_trips, documents) = inner.pool.db_stats();
     m.gauge("rts.db.round_trips").set(round_trips as i64);
     m.gauge("rts.db.documents").set(documents as i64);
+    m.gauge("rts.pool.resident_units")
+        .set(inner.pool.resident_units() as i64);
     // Sharded-broker health: shard count is static, journal bytes are the
     // summed on-disk size of every segment (`broker.journal`,
     // `broker-1.journal`, ...). Both come from `Broker::stats`, which holds
@@ -1524,103 +1499,31 @@ fn watchdog_scan(inner: &Arc<Inner>) {
     inner.ctl.watchdog.lock().scan(&input);
 }
 
-fn control_loop(inner: &Arc<Inner>, rx: &Receiver<Request>) {
-    loop {
-        if inner.stop_control.load(Ordering::Acquire) {
-            break;
-        }
-        match rx.recv_timeout(CONTROL_POLL) {
-            Ok(req) => handle_request(inner, req),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-    // Drain-reject: requests already queued behind the stop get a terminal
-    // answer instead of a dropped reply channel. Submissions are refused as
-    // draining; reads (status/result/stats/list) still answer normally so
-    // late clients can collect results during teardown.
-    while let Ok(req) = rx.try_recv() {
-        match req {
-            Request::Submit { reply, .. } => {
-                let _ = reply.send(Err(SubmitError::Draining));
-            }
-            Request::Cancel { reply, .. } => {
-                let _ = reply.send(false);
-            }
-            other => handle_request(inner, other),
-        }
-    }
-}
-
-fn handle_request(inner: &Arc<Inner>, req: Request) {
-    match req {
-        Request::Submit {
-            tenant,
-            workflow,
-            spec,
-            weight,
-            trace,
-            reply,
-        } => {
-            let verdict = admit(inner, tenant, workflow, spec, weight, trace.map(|t| *t));
-            let _ = reply.send(verdict);
-        }
-        Request::List { reply } => {
-            let _ = reply.send(list_sessions(inner));
-        }
-        Request::Status { id, reply } => {
-            let st = inner.state.lock();
-            let status = st.subs.get(&id).map(|sub| match sub.phase {
-                Phase::Queued => SubmissionStatus::Queued {
-                    ahead: st.queue.position_of(&sub.tenant, &id).unwrap_or(0),
-                },
-                Phase::Running => SubmissionStatus::Running,
-                Phase::Done => SubmissionStatus::Done,
-                Phase::Failed => SubmissionStatus::Failed,
-                Phase::Canceled => SubmissionStatus::Canceled,
-            });
-            let _ = reply.send(status);
-        }
-        Request::TakeResult { id, reply } => {
-            let mut st = inner.state.lock();
-            let result = st.subs.get_mut(&id).and_then(|sub| sub.result.take());
-            let _ = reply.send(result);
-        }
-        Request::Cancel { id, reply } => {
-            let initiated = cancel_submission(inner, id);
-            let _ = reply.send(initiated);
-        }
-        Request::Stats { reply } => {
-            let st = inner.state.lock();
-            let _ = reply.send(stats_snapshot(inner, &st));
-        }
-        Request::Drain => {
-            inner.state.lock().draining = true;
-        }
+/// Lifecycle state of one submission, as clients see it.
+fn status_of(st: &State, id: SubmissionId, sub: &Submission) -> SubmissionStatus {
+    match sub.phase {
+        Phase::Queued => SubmissionStatus::Queued {
+            ahead: st.queue.position_of(&sub.tenant, &id).unwrap_or(0),
+        },
+        Phase::Running => SubmissionStatus::Running,
+        Phase::Done => SubmissionStatus::Done,
+        Phase::Failed => SubmissionStatus::Failed,
+        Phase::Canceled => SubmissionStatus::Canceled,
     }
 }
 
 /// Id-ordered snapshot of every known submission.
-fn list_sessions(inner: &Arc<Inner>) -> Vec<SessionInfo> {
+fn list_sessions(inner: &Inner) -> Vec<SessionInfo> {
     let st = inner.state.lock();
     let mut ids: Vec<_> = st.subs.keys().copied().collect();
     ids.sort();
     ids.into_iter()
         .map(|id| {
             let sub = &st.subs[&id];
-            let status = match sub.phase {
-                Phase::Queued => SubmissionStatus::Queued {
-                    ahead: st.queue.position_of(&sub.tenant, &id).unwrap_or(0),
-                },
-                Phase::Running => SubmissionStatus::Running,
-                Phase::Done => SubmissionStatus::Done,
-                Phase::Failed => SubmissionStatus::Failed,
-                Phase::Canceled => SubmissionStatus::Canceled,
-            };
             SessionInfo {
                 id,
                 tenant: sub.tenant.clone(),
-                status,
+                status: status_of(&st, id, sub),
                 age_secs: sub.submitted_at.elapsed().as_secs_f64(),
                 durable: sub.spec_json.is_some(),
             }
@@ -1640,10 +1543,10 @@ fn offer_shed(inner: &Inner, trace: Option<TraceCtx>) {
 }
 
 fn admit(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     tenant: String,
     workflow: Box<Workflow>,
-    spec: Option<Box<WorkflowSpec>>,
+    spec: Option<&WorkflowSpec>,
     weight: Option<u32>,
     mut trace: Option<TraceCtx>,
 ) -> Result<SubmissionId, SubmitError> {
@@ -1691,7 +1594,7 @@ fn admit(
     // crash-before-append semantics mean a failed append rejects the
     // submission outright — the client knows to retry, and recovery can
     // never replay a half-admitted entry.
-    let spec_json = match &spec {
+    let spec_json = match spec {
         Some(spec) => {
             let json = spec.to_json();
             if let Err(e) = inner.journal_append(&ServiceRecord::Submitted {
@@ -1747,7 +1650,7 @@ fn admit(
     Ok(id)
 }
 
-fn cancel_submission(inner: &Arc<Inner>, id: SubmissionId) -> bool {
+fn cancel_submission(inner: &Inner, id: SubmissionId) -> bool {
     let mut st = inner.state.lock();
     let Some(sub) = st.subs.get(&id) else {
         return false;
@@ -1767,6 +1670,8 @@ fn cancel_submission(inner: &Arc<Inner>, id: SubmissionId) -> bool {
                 .recorder
                 .record(components::SERVICE, "canceled_queued", id.to_string(), "");
             inner.gauge_sync(&st);
+            drop(st);
+            inner.settled.notify_all();
             true
         }
         Phase::Running => {
@@ -1799,8 +1704,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         let Some(job) = next_job(inner) else {
             return;
         };
-        let (phase, result, trace_id) = execute(inner, job);
-        finish(inner, phase, result, trace_id);
+        finish(inner, execute(inner, job));
     }
 }
 
@@ -1829,15 +1733,23 @@ fn next_job(inner: &Arc<Inner>) -> Option<Job> {
             inner.gauge_sync(&st);
             return Some(job);
         }
-        let deadline = Instant::now() + WORKER_PARK;
-        inner.work_ready.wait_until(&mut st, deadline);
+        inner.work_ready.wait(&mut st);
     }
 }
 
+/// What `execute` hands to `finish`.
+struct Executed {
+    phase: Phase,
+    result: SubmissionResult,
+    /// The submission's distributed trace id (when it arrived with one),
+    /// attached to the turnaround sample as its exemplar.
+    trace_id: Option<String>,
+    /// Whether the submission is journaled.
+    durable: bool,
+}
+
 /// Run one submission on a leased pilot under its session namespace.
-/// Returns the submission's distributed trace id (when it arrived with one)
-/// so `finish` can attach it as the turnaround exemplar.
-fn execute(inner: &Arc<Inner>, job: Job) -> (Phase, SubmissionResult, Option<String>) {
+fn execute(inner: &Arc<Inner>, job: Job) -> Executed {
     let Job {
         id,
         tenant,
@@ -1904,9 +1816,9 @@ fn execute(inner: &Arc<Inner>, job: Job) -> (Phase, SubmissionResult, Option<Str
 
     let turnaround = submitted_at.elapsed();
     let (phase, outcome) = classify(outcome);
-    (
+    Executed {
         phase,
-        SubmissionResult {
+        result: SubmissionResult {
             id,
             tenant,
             outcome,
@@ -1914,7 +1826,8 @@ fn execute(inner: &Arc<Inner>, job: Job) -> (Phase, SubmissionResult, Option<Str
             warm_pilot: Some(warm),
         },
         trace_id,
-    )
+        durable,
+    }
 }
 
 fn classify(outcome: entk_core::EntkResult<RunReport>) -> (Phase, SubmissionOutcome) {
@@ -1929,7 +1842,13 @@ fn classify(outcome: entk_core::EntkResult<RunReport>) -> (Phase, SubmissionOutc
     }
 }
 
-fn finish(inner: &Arc<Inner>, phase: Phase, result: SubmissionResult, trace_id: Option<String>) {
+fn finish(inner: &Arc<Inner>, executed: Executed) {
+    let Executed {
+        phase,
+        result,
+        trace_id,
+        durable,
+    } = executed;
     let id = result.id;
     let tenant = result.tenant.clone();
     let turnaround = result.turnaround;
@@ -1962,6 +1881,25 @@ fn finish(inner: &Arc<Inner>, phase: Phase, result: SubmissionResult, trace_id: 
             inner.critical_path.lock().merge(&rep.critical_path);
         }
     }
+    if durable {
+        // The settlement watermark: once this lands, recovery restores the
+        // submission as terminal instead of re-driving it. It is appended
+        // before the result becomes visible, so a client that has seen a
+        // result can count on the append having been made. A failed append
+        // means one extra (task-deduplicated) re-drive after a crash —
+        // degraded precision, not lost work — so it must not fail the run.
+        let _ = inner.journal_append(&ServiceRecord::Settled {
+            id: id.0,
+            state: match phase {
+                Phase::Done => SettledState::Done,
+                Phase::Canceled => SettledState::Canceled,
+                _ => SettledState::Failed,
+            },
+            tasks_done,
+            tasks_failed,
+            turnaround_ms: turnaround.as_millis() as u64,
+        });
+    }
     let mut st = inner.state.lock();
     st.active -= 1;
     st.admission.observe(turnaround);
@@ -1979,11 +1917,9 @@ fn finish(inner: &Arc<Inner>, phase: Phase, result: SubmissionResult, trace_id: 
             "failed"
         }
     };
-    let mut durable = false;
     if let Some(sub) = st.subs.get_mut(&id) {
         sub.phase = phase;
         sub.result = Some(result);
-        durable = sub.spec_json.is_some();
     }
     inner.tenant_counter(what, &tenant);
     inner
@@ -1991,22 +1927,5 @@ fn finish(inner: &Arc<Inner>, phase: Phase, result: SubmissionResult, trace_id: 
         .record(components::SERVICE, "run_end", id.to_string(), what);
     inner.gauge_sync(&st);
     drop(st);
-    if durable {
-        // The settlement watermark: once this lands, recovery restores the
-        // submission as terminal instead of re-driving it. A failed append
-        // means one extra (task-deduplicated) re-drive after a crash —
-        // degraded precision, not lost work — so it must not fail the run.
-        let _ = inner.journal_append(&ServiceRecord::Settled {
-            id: id.0,
-            state: match phase {
-                Phase::Done => SettledState::Done,
-                Phase::Canceled => SettledState::Canceled,
-                _ => SettledState::Failed,
-            },
-            tasks_done,
-            tasks_failed,
-            turnaround_ms: turnaround.as_millis() as u64,
-        });
-    }
-    inner.work_ready.notify_all();
+    inner.settled.notify_all();
 }

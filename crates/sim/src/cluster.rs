@@ -59,12 +59,13 @@ struct Job {
     running: Vec<TaskId>,
 }
 
+/// A task leaves [`World::tasks`] when it ends, so there is no terminal
+/// phase: events that still name it find nothing and are stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskPhase {
     Queued,
     Launching, // cores allocated, launcher/env-setup in progress
     Running,
-    Terminal,
 }
 
 struct Task {
@@ -250,12 +251,11 @@ impl World {
 
     pub(crate) fn cancel_task(&mut self, id: TaskId) {
         let Some(task) = self.tasks.get(&id) else {
-            return;
+            return; // already ended
         };
+        let job = task.job;
         match task.phase {
-            TaskPhase::Terminal => {}
             TaskPhase::Queued => {
-                let job = task.job;
                 if let Some(j) = self.jobs.get_mut(&job) {
                     j.queued.retain(|t| *t != id);
                 }
@@ -263,10 +263,9 @@ impl World {
             }
             TaskPhase::Launching | TaskPhase::Running => {
                 // Free resources now; the stale TaskFinish/TaskSpawned event
-                // will see the terminal phase and be ignored.
+                // will find the task gone and be ignored.
                 self.release_task_resources(id);
                 self.finish_task(id, TaskOutcome::Canceled);
-                let job = self.tasks[&id].job;
                 self.try_schedule_tasks(job);
             }
         }
@@ -668,15 +667,12 @@ impl World {
         }
     }
 
-    /// Transition a task to Terminal and emit its TaskEnded event.
+    /// End a task: forget it and emit its TaskEnded event. The world keeps
+    /// live tasks only, so its memory follows the load, not the history.
     fn finish_task(&mut self, id: TaskId, outcome: TaskOutcome) {
-        let Some(task) = self.tasks.get_mut(&id) else {
-            return;
+        let Some(task) = self.tasks.remove(&id) else {
+            return; // already ended
         };
-        if task.phase == TaskPhase::Terminal {
-            return;
-        }
-        task.phase = TaskPhase::Terminal;
         self.outbox.push(SimEvent::TaskEnded {
             task: id,
             time: self.now,
@@ -684,6 +680,11 @@ impl World {
             submitted_at: task.submitted_at,
             started_at: task.started_at,
         });
+    }
+
+    /// Tasks that have not ended yet (queued, launching or running).
+    pub(crate) fn live_tasks(&self) -> usize {
+        self.tasks.len()
     }
 
     // ------------------------------------------------------------------

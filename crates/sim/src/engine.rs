@@ -16,7 +16,7 @@ use crate::time::{SimDuration, SimTime};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use entk_observe::{components, Counter, Gauge, Recorder};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -32,7 +32,11 @@ pub struct SimConfig {
     /// jump keeps the virtual clock from leapfrogging in-flight real-time
     /// reactions of the middleware above (e.g. racing a pilot's walltime
     /// expiry against task submission). With the defaults (5 s per 500 µs)
-    /// virtual time advances at most 10,000× real time while idle.
+    /// virtual time advances at most 10,000× real time while idle. The
+    /// engine does not tick through a long idle stretch: after
+    /// `ATTENTIVE_WINDOWS` quiet windows it sleeps until a command arrives or
+    /// the rate-limited clock would have reached the next event, and credits
+    /// the quiet windows that passed in one step.
     pub max_idle_jump: SimDuration,
     /// If set, the engine counts emitted events per family, tracks the
     /// virtual clock as a gauge, and records clock-checkpoint trace events.
@@ -115,6 +119,7 @@ enum Command {
     CancelTask(TaskId),
     Stage(Vec<StageUnit>, usize, Sender<StageId>),
     QueryTime(Sender<SimTime>),
+    QueryLiveTasks(Sender<usize>),
     Shutdown,
 }
 
@@ -171,6 +176,17 @@ impl SimCommander {
             .send(Command::QueryTime(tx))
             .expect("engine alive");
         rx.recv().expect("engine replies")
+    }
+
+    /// Tasks that have not ended yet. The world forgets a task when it
+    /// ends, so this is also everything it holds per task; a stopped engine
+    /// holds nothing.
+    pub fn live_tasks(&self) -> usize {
+        let (tx, rx) = bounded(1);
+        match self.cmd_tx.send(Command::QueryLiveTasks(tx)) {
+            Ok(()) => rx.recv().unwrap_or(0),
+            Err(_) => 0,
+        }
     }
 }
 
@@ -277,6 +293,9 @@ fn apply(world: &mut World, cmd: Command) -> bool {
         Command::QueryTime(reply) => {
             let _ = reply.send(world.now);
         }
+        Command::QueryLiveTasks(reply) => {
+            let _ = reply.send(world.live_tasks());
+        }
         Command::Shutdown => return false,
     }
     true
@@ -292,10 +311,21 @@ fn drain_outbox(world: &mut World, event_tx: &Sender<SimEvent>, obs: Option<&Eng
     }
 }
 
+/// Quiet windows an engine with a distant next event still ticks through
+/// one at a time before it sleeps the rest of the distance in one go. While
+/// the middleware may be reacting to the last events, the virtual clock
+/// advances once per wake-up of this thread — so a starved host slows it
+/// down with everything else, and virtual durations measured across a
+/// reaction do not grow with the load. After this many windows without a
+/// command or an event nobody is reacting any more.
+const ATTENTIVE_WINDOWS: u64 = 64;
+
 fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<SimEvent>) {
     let obs = config.recorder.map(EngineObs::new);
     let obs = obs.as_ref();
     let mut world = World::new(config.platform, config.seed);
+    // Consecutive quiet windows since the last command or event.
+    let mut quiet_streak = 0u64;
     'outer: loop {
         // 1. Drain every queued command at the current virtual instant.
         loop {
@@ -304,6 +334,7 @@ fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<Si
                     if !apply(&mut world, cmd) {
                         break 'outer;
                     }
+                    quiet_streak = 0;
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => break 'outer,
@@ -311,41 +342,63 @@ fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<Si
         }
         drain_outbox(&mut world, &event_tx, obs);
 
-        // 2. Advance virtual time only after the grace window stays quiet.
-        let wait = if world.next_event_time().is_some() {
-            config.grace
-        } else {
+        // 2. Advance virtual time only after the grace window stays quiet:
+        // one window per `max_idle_jump` of distance to the next event.
+        let arrived = match world.next_event_time() {
             // Nothing to simulate: park until a command arrives.
-            Duration::from_millis(50)
+            None => match cmd_rx.recv() {
+                Ok(cmd) => Some(cmd),
+                Err(_) => break 'outer,
+            },
+            Some(next) => {
+                let jump = config.max_idle_jump.0.max(1);
+                let windows = next.saturating_since(world.now).0.div_ceil(jump).max(1);
+                let waited = if quiet_streak < ATTENTIVE_WINDOWS {
+                    1
+                } else {
+                    windows
+                };
+                let quiet_since = Instant::now();
+                let wait = config.grace * u32::try_from(waited).unwrap_or(u32::MAX);
+                let arrived = match cmd_rx.recv_timeout(wait) {
+                    Ok(cmd) => Some(cmd),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break 'outer,
+                };
+                // Windows that stayed quiet. A command in hand is stamped
+                // before the event: it is credited the windows that passed
+                // while it was still on its way, never the last one.
+                let quiet = match &arrived {
+                    Some(_) => {
+                        let grace_ns = config.grace.as_nanos().max(1);
+                        ((quiet_since.elapsed().as_nanos() / grace_ns) as u64).min(waited - 1)
+                    }
+                    None => waited,
+                };
+                if quiet == windows {
+                    // Process the full batch at the next timestamp, plus any
+                    // cascades that land at the same instant.
+                    while world.next_event_time() == Some(next) {
+                        world.step();
+                    }
+                    drain_outbox(&mut world, &event_tx, obs);
+                    quiet_streak = 0;
+                } else {
+                    world.now += SimDuration(quiet * jump);
+                    quiet_streak += quiet;
+                }
+                if let (true, Some(obs)) = (quiet > 0, obs) {
+                    obs.checkpoint(world.now);
+                }
+                arrived
+            }
         };
-        match cmd_rx.recv_timeout(wait) {
-            Ok(cmd) => {
-                if !apply(&mut world, cmd) {
-                    break 'outer;
-                }
-                drain_outbox(&mut world, &event_tx, obs);
+        if let Some(cmd) = arrived {
+            if !apply(&mut world, cmd) {
+                break 'outer;
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if let Some(t) = world.next_event_time() {
-                    let cap = world.now + config.max_idle_jump;
-                    if t > cap {
-                        // Rate-limit the idle jump; re-check for commands
-                        // before crossing the remaining distance.
-                        world.now = cap;
-                    } else {
-                        // Process the full batch at the next timestamp, plus
-                        // any cascades that land at the same instant.
-                        while world.next_event_time() == Some(t) {
-                            world.step();
-                        }
-                        drain_outbox(&mut world, &event_tx, obs);
-                    }
-                    if let Some(obs) = obs {
-                        obs.checkpoint(world.now);
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break 'outer,
+            drain_outbox(&mut world, &event_tx, obs);
+            quiet_streak = 0;
         }
     }
     drain_outbox(&mut world, &event_tx, obs);

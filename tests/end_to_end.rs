@@ -334,3 +334,33 @@ fn run_report_exports_task_timeline_csv() {
     assert!(lines[1..].iter().all(|l| l.ends_with(",done")));
     std::fs::remove_file(&path).unwrap();
 }
+
+/// Tear-down wakes its components instead of outwaiting them: with a
+/// Heartbeat interval far longer than the test, a run that had to sleep
+/// through one interval — or through any other component's poll timeout —
+/// could not return in time, and tear-down itself costs next to nothing.
+#[test]
+fn teardown_wakes_every_component_instead_of_outwaiting_it() {
+    let mut teardown_secs: Vec<f64> = (0..20)
+        .map(|i| {
+            let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(
+                Stage::new("s").with_task(Task::new(format!("wake-{i}"), Executable::Noop)),
+            ));
+            let mut cfg =
+                AppManagerConfig::new(ResourceDescription::local(1)).with_run_timeout(timeout());
+            cfg.heartbeat_interval = Duration::from_secs(10);
+            let t0 = std::time::Instant::now();
+            let report = AppManager::new(cfg).run(wf).expect("run completes");
+            let wall = t0.elapsed();
+            assert!(report.succeeded);
+            assert!(wall < Duration::from_secs(1), "run {i} took {wall:?}");
+            report.overheads.entk_teardown_secs
+        })
+        .collect();
+    teardown_secs.sort_by(f64::total_cmp);
+    let median = teardown_secs[teardown_secs.len() / 2];
+    assert!(
+        median < 0.005,
+        "median tear-down {median:.4} s of {teardown_secs:?}"
+    );
+}

@@ -38,6 +38,7 @@ both_modes!(
     journal_recovery_skips_completed_tasks_mid_pipeline,
     pilot_walltime_expiry_triggers_pilot_reacquisition,
     unreliable_ci_is_survived_end_to_end,
+    cancel_wakes_a_throttled_enqueue_and_an_idle_emgr,
 );
 
 fn failed_tasks_are_resubmitted_within_budget(batched: bool) {
@@ -281,5 +282,54 @@ fn unreliable_ci_is_survived_end_to_end(batched: bool) {
     assert!(
         report.overheads.failed_attempts > 0,
         "the CI must actually have failed some attempts for this test to bite"
+    );
+}
+
+fn cancel_wakes_a_throttled_enqueue_and_an_idle_emgr(batched: bool) {
+    // Two of eight tasks fit under the cap and never end within the test
+    // (10^7 virtual seconds). Once both execute, Enqueue is parked on the
+    // throttle, the Emgr on an empty Pending queue and the AppManager on
+    // its signal; nothing but the cancel can move the run.
+    let mut stage = Stage::new("held");
+    for i in 0..8 {
+        stage.add_task(Task::new(
+            format!("held-{i}"),
+            Executable::Sleep { secs: 1e7 },
+        ));
+    }
+    let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(stage));
+    let recorder = Recorder::new();
+    let mut amgr = AppManager::new(
+        AppManagerConfig::new(ResourceDescription::sim(
+            PlatformId::TestRig,
+            1,
+            1_000_000_000,
+        ))
+        .with_batched(batched)
+        .with_recorder(recorder.clone())
+        .with_execution_strategy(ExecutionStrategy::FixedConcurrency(2))
+        .with_run_timeout(Duration::from_secs(300)),
+    );
+    let token = amgr.cancel_token();
+    let canceler = std::thread::spawn(move || {
+        let started = recorder.metrics().counter("rts.units_started");
+        while started.get() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        token.cancel();
+        std::time::Instant::now()
+    });
+    let report = amgr.run(wf).expect("canceled run still settles");
+    let settled_in = canceler.join().unwrap().elapsed();
+    assert!(
+        settled_in < Duration::from_secs(2),
+        "cancel → return took {settled_in:?}"
+    );
+    assert!(report.canceled && !report.succeeded);
+    assert_eq!(report.workflow.count_in(TaskState::Canceled), 8);
+    assert_eq!(
+        report.unit_records.len(),
+        2,
+        "only two ever reached the RTS"
     );
 }

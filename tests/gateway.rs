@@ -376,8 +376,17 @@ fn saturated_service_answers_429_with_retry_after() {
             )),
         ))
     };
+    // Occupy the only worker first: a submit returns before the worker has
+    // woken, and a queue that is full only until it pops would admit the
+    // wire submission below.
+    let first = client.submit("flooder", slow_wf("w0")).expect("admitted");
+    let deadline = std::time::Instant::now() + timeout();
+    while client.status(first) != Some(SubmissionStatus::Running) {
+        assert!(std::time::Instant::now() < deadline, "never started");
+        std::thread::yield_now();
+    }
     // Fill until the service itself reports saturation.
-    let mut accepted = Vec::new();
+    let mut accepted = vec![first];
     loop {
         match client.submit("flooder", slow_wf(&format!("w{}", accepted.len()))) {
             Ok(id) => accepted.push(id),

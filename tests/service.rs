@@ -526,3 +526,60 @@ fn restart_on_shared_recorder_leaves_no_stale_series_or_samplers() {
     }
     assert!(seen.iter().any(|n| n == "control_pool_capacity"));
 }
+
+// ---------------------------------------------------------------------------
+// Session-scoped RTS state: a warm pilot keeps nothing of the workflows it
+// has served.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_warm_pilot_keeps_nothing_of_the_workflows_it_served() {
+    const TASKS: usize = 3;
+    let service = EnsembleService::start(
+        ServiceConfig::new(ResourceDescription::sim(
+            PlatformId::TestRig,
+            2,
+            1_000_000_000,
+        ))
+        .with_warm_pilots(1)
+        .with_max_active(1)
+        .with_run_timeout(timeout()),
+    );
+    let client = service.client();
+    for i in 0..200 {
+        let id = client
+            .submit("tenant", sim_workflow(&format!("w{i}"), 1, TASKS))
+            .expect("admitted");
+        let result = client.wait(id, timeout()).expect("settles");
+        assert_eq!(result.warm_pilot, Some(true), "workflow {i} booted cold");
+        let report = result.outcome.report().expect("run produced a report");
+        assert!(report.succeeded, "workflow {i} failed");
+        // Exactly its own units, however many the pilot ran before.
+        let mut own: Vec<String> = task_rows(&report.workflow)
+            .into_iter()
+            .map(|(name, _, _)| name)
+            .collect();
+        let mut ran: Vec<String> = report
+            .unit_records
+            .iter()
+            .map(|r| {
+                let task = report
+                    .workflow
+                    .task(&r.tag)
+                    .expect("a unit of this workflow");
+                task.name().to_string()
+            })
+            .collect();
+        own.sort();
+        ran.sort();
+        assert_eq!(ran, own, "workflow {i}");
+        // The lease is back in the pool, and the runtime behind it holds no
+        // unit entry, DB document or simulator task.
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.warm_pilots, 1);
+        assert_eq!(stats.resident_units, 0, "after workflow {i}");
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 200);
+    assert_eq!(stats.pool.cold_boots, 0);
+}
