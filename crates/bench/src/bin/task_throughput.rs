@@ -14,7 +14,11 @@
 //! * `sweep`: throughput as a function of batch size at the largest scale;
 //! * `e2e`: a full AppManager run (Fig. 7 style) with the trace recorder
 //!   attached, comparing the management-overhead decomposition of the
-//!   per-task path (`with_batched(false)`) against the default batched path.
+//!   per-task path (`with_batched(false)`) against the default batched path;
+//! * `wide_scaling`: untraced 1×1×N runs at N = 8 192 and 32 768 (plus
+//!   131 072 outside `--quick`). Settlement is O(1) per transition, so each
+//!   4× step in N must cost at most 6× the wall time (linear is 4×; a
+//!   quadratic settle reads well above 10×).
 //!
 //! Usage: `task_throughput [--quick] [--batch N] [--e2e-tasks N] [--out PATH]`
 
@@ -150,6 +154,29 @@ fn run_e2e(tasks: usize, batched: bool, traces: Option<TraceStoreConfig>) -> E2e
     }
 }
 
+/// Wall seconds of one untraced 1×1×`tasks` AppManager run of 1 s sleep
+/// tasks, workflow construction excluded. Best of `reps`.
+fn wide_wall(tasks: usize, reps: usize) -> f64 {
+    (0..reps.max(1))
+        .map(|_| {
+            let wf = entk_apps::synthetic::sleep_workflow(1, 1, tasks, 1.0);
+            let cfg = AppManagerConfig::new(ResourceDescription::sim(
+                PlatformId::TestRig,
+                4,
+                1_000_000_000,
+            ))
+            .with_run_timeout(TIMEOUT);
+            let start = Instant::now();
+            let report = AppManager::new(cfg).run(wf).expect("wide run completes");
+            assert!(report.succeeded, "wide run of {tasks} tasks failed");
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Largest wall(4N) / wall(N) the wide-scaling gate accepts.
+const WIDE_RATIO_GATE: f64 = 6.0;
+
 fn main() {
     let args = argv();
     let quick = has_flag(&args, "--quick");
@@ -282,6 +309,34 @@ fn main() {
          overhead {trace_overhead_pct:+.2}%"
     );
 
+    // ---- Wide scaling: one stage of N tasks ----------------------------
+    let wide_sizes: &[usize] = if quick {
+        &[8_192, 32_768]
+    } else {
+        &[8_192, 32_768, 131_072]
+    };
+    println!("\n# wide scaling: untraced 1x1xN AppManager runs");
+    println!("{:<10} {:>12} {:>12}", "tasks", "wall s", "x prev");
+    let mut wide_points: Vec<(usize, f64)> = Vec::new();
+    for &n in wide_sizes {
+        // Small points are sub-second: best of 2 damps scheduler noise.
+        let wall = wide_wall(n, if n < 100_000 { 2 } else { 1 });
+        let ratio = wide_points.last().map(|&(_, prev)| wall / prev.max(1e-9));
+        println!(
+            "{n:<10} {wall:>12.3} {:>12}",
+            ratio.map_or("-".into(), |r| format!("{r:.2}"))
+        );
+        wide_points.push((n, wall));
+    }
+    let wide_max_ratio = wide_points
+        .windows(2)
+        .map(|w| w[1].1 / w[0].1.max(1e-9))
+        .fold(0.0, f64::max);
+    let wide_rows: Vec<String> = wide_points
+        .iter()
+        .map(|(n, w)| format!("    {{\"tasks\": {n}, \"wall_secs\": {w:.3}}}"))
+        .collect();
+
     let json = format!(
         concat!(
             "{{\n",
@@ -302,6 +357,8 @@ fn main() {
             "  }},\n",
             "  \"trace_overhead\": {{\"sample_permille\": 10, \"tps_disabled\": {:.1}, \
              \"tps_sampled\": {:.1}, \"overhead_pct\": {:.3}}},\n",
+            "  \"wide_scaling\": {{\"shape\": \"1x1xN\", \"points\": [\n{}\n  ], \
+             \"max_ratio_per_4x\": {:.3}, \"gate\": {:.1}}},\n",
             "  \"largest_scale_speedup\": {:.3}\n",
             "}}\n"
         ),
@@ -334,6 +391,9 @@ fn main() {
         tps_plain,
         tps_traced,
         trace_overhead_pct,
+        wide_rows.join(",\n"),
+        wide_max_ratio,
+        WIDE_RATIO_GATE,
         largest_speedup,
     );
     let mut f = std::fs::File::create(&out).expect("create output file");
@@ -395,6 +455,12 @@ fn main() {
         wall_traced <= wall_plain * 1.03 + 0.05,
         "1% trace sampling costs more than 3% of batched e2e throughput \
          ({tps_traced:.0} vs {tps_plain:.0} t/s, {trace_overhead_pct:+.2}%)"
+    );
+    // Linearity gate: a 4x wider stage may cost at most 6x the wall time.
+    assert!(
+        wide_max_ratio <= WIDE_RATIO_GATE,
+        "1x1xN wall time grows superlinearly: {wide_max_ratio:.2}x per 4x tasks \
+         (gate {WIDE_RATIO_GATE}x, linear 4x): {wide_points:?}"
     );
     // Tail-latency guard: under FIFO queueing of uniform tasks the
     // turnaround distribution is roughly linear, so the straggler tail must

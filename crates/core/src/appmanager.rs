@@ -516,6 +516,18 @@ impl Ctx {
     /// Test-only context with an explicit retry budget.
     #[cfg(test)]
     pub(crate) fn for_tests_with_retries(workflow: Workflow, retries: Option<u32>) -> Arc<Self> {
+        Self::test_ctx(workflow, retries, true)
+    }
+
+    /// Test-only context whose syncs travel the real queues: the caller
+    /// spawns the Synchronizer.
+    #[cfg(test)]
+    pub(crate) fn for_tests_queued(workflow: Workflow, retries: Option<u32>) -> Arc<Self> {
+        Self::test_ctx(workflow, retries, false)
+    }
+
+    #[cfg(test)]
+    fn test_ctx(workflow: Workflow, retries: Option<u32>, inline_sync: bool) -> Arc<Self> {
         let broker = Broker::new();
         let ns = QueueNamespace::root();
         declare_queues(&broker, &ns).expect("fresh broker");
@@ -539,7 +551,7 @@ impl Ctx {
             batched: true,
             exec: ExecManagerConfig::default(),
             sync_serial: std::array::from_fn(|_| Mutex::new(())),
-            inline_sync: true,
+            inline_sync,
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),
             base_trace: None,
             trace_store: None,
@@ -1258,7 +1270,10 @@ fn cancel_workflow(ctx: &Ctx) {
 
 /// Mark journal-recovered tasks Done and settle fully-recovered stages and
 /// pipelines so they are not re-executed.
-fn recover_completed(workflow: &mut Workflow, completed: &std::collections::HashSet<String>) {
+pub(crate) fn recover_completed(
+    workflow: &mut Workflow,
+    completed: &std::collections::HashSet<String>,
+) {
     for p in workflow.pipelines_mut() {
         let mut all_stages_done = true;
         let mut advance_to = 0usize;

@@ -2,7 +2,7 @@
 //! can be executed concurrently" (§II-B1).
 
 use crate::pipeline::Pipeline;
-use crate::states::StageState;
+use crate::states::{StageState, TaskState};
 use crate::task::Task;
 use crate::uid::{next_uid, Kind};
 use std::fmt;
@@ -15,6 +15,58 @@ use std::sync::Arc;
 /// made about the runtime flow").
 pub type PostExecHook = Arc<dyn Fn(&mut Pipeline) + Send + Sync>;
 
+/// Per-stage task counts the Synchronizer derives stage transitions from,
+/// so settling one task costs O(1) instead of a rescan of the stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StageTally {
+    /// Tasks in `Described`: waiting for Enqueue to tag them.
+    pub described: usize,
+    /// Tasks in `Scheduling`: tagged, not yet handed to the Emgr.
+    pub in_scheduling: usize,
+    /// Tasks in a terminal state (`Done`, `Failed` or `Canceled`).
+    pub terminal: usize,
+    /// Tasks in `Failed`.
+    pub failed: usize,
+    /// Tasks in `Canceled`.
+    pub canceled: usize,
+}
+
+impl StageTally {
+    /// Brute-force count over a stage's tasks.
+    fn count(tasks: &[Task]) -> Self {
+        let mut tally = StageTally::default();
+        for t in tasks {
+            tally.bump(t.state(), 1);
+        }
+        tally
+    }
+
+    /// Move one task from `from` to `to`.
+    fn shift(&mut self, from: TaskState, to: TaskState) {
+        self.bump(from, -1);
+        self.bump(to, 1);
+    }
+
+    fn bump(&mut self, state: TaskState, by: isize) {
+        let add = |n: &mut usize| *n = n.wrapping_add_signed(by);
+        match state {
+            TaskState::Described => add(&mut self.described),
+            TaskState::Scheduling => add(&mut self.in_scheduling),
+            TaskState::Failed => add(&mut self.failed),
+            TaskState::Canceled => add(&mut self.canceled),
+            _ => {}
+        }
+        if state.is_terminal() {
+            add(&mut self.terminal);
+        }
+    }
+
+    /// No task still waits to be tagged or handed on: the stage is pushed.
+    pub(crate) fn all_pushed(&self) -> bool {
+        self.described == 0 && self.in_scheduling == 0
+    }
+}
+
 /// A set of concurrent tasks.
 #[derive(Clone)]
 pub struct Stage {
@@ -24,6 +76,10 @@ pub struct Stage {
     tasks: Vec<Task>,
     state: StageState,
     post_exec: Option<PostExecHook>,
+    /// Counts over `tasks`, computed on first use and then kept current by
+    /// [`Stage::advance_task`]; `None` until then and after any change that
+    /// bypasses it ([`Stage::tasks_mut`]).
+    tally: Option<StageTally>,
 }
 
 impl Stage {
@@ -35,11 +91,13 @@ impl Stage {
             tasks: Vec::new(),
             state: StageState::Described,
             post_exec: None,
+            tally: None,
         }
     }
 
     /// Add a task.
     pub fn add_task(&mut self, task: Task) {
+        self.tally = None;
         self.tasks.push(task);
     }
 
@@ -51,6 +109,7 @@ impl Stage {
 
     /// Builder-style bulk addition.
     pub fn with_tasks(mut self, tasks: impl IntoIterator<Item = Task>) -> Self {
+        self.tally = None;
         self.tasks.extend(tasks);
         self
     }
@@ -81,9 +140,42 @@ impl Stage {
         &self.tasks
     }
 
-    /// Mutable access to the tasks (used by the workflow store).
+    /// Mutable access to the tasks for paths that force states (recovery,
+    /// dependency cascades); drops the tally, which the next
+    /// [`Stage::tally`] recounts.
     pub(crate) fn tasks_mut(&mut self) -> &mut [Task] {
+        self.tally = None;
         &mut self.tasks
+    }
+
+    /// Validated transition of task `i`, keeping the tally current.
+    pub(crate) fn advance_task(&mut self, i: usize, next: TaskState) -> crate::EntkResult<()> {
+        let task = &mut self.tasks[i];
+        let from = task.state();
+        task.advance(next)?;
+        if let Some(tally) = &mut self.tally {
+            tally.shift(from, next);
+        }
+        Ok(())
+    }
+
+    /// Record a failed attempt's diagnostic on task `i` (no state change).
+    pub(crate) fn set_last_error(&mut self, i: usize, reason: String) -> &Task {
+        let task = &mut self.tasks[i];
+        task.last_error = Some(reason);
+        task
+    }
+
+    /// The task counts, counted once and maintained from then on.
+    pub(crate) fn tally(&mut self) -> StageTally {
+        *self
+            .tally
+            .get_or_insert_with(|| StageTally::count(&self.tasks))
+    }
+
+    /// The tally if it is already current, without counting.
+    pub(crate) fn cached_tally(&self) -> Option<StageTally> {
+        self.tally
     }
 
     /// The hook, if any.

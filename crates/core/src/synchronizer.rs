@@ -171,14 +171,14 @@ fn apply(ctx: &Ctx, req: &messages::SyncRequest) -> bool {
 
 pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
     let mut wf = ctx.workflow.lock();
-    let Some((loc, task)) = wf.task_mut(uid) else {
+    let Some(loc) = wf.locate(uid) else {
         return false;
     };
-    let name = task.name.clone();
-    if task.advance(state).is_err() {
+    let stage = wf.stage_mut(loc);
+    if stage.advance_task(loc.task, state).is_err() {
         return false;
     }
-    ctx.journal("task", uid, &name, state.name());
+    ctx.journal("task", uid, &stage.tasks()[loc.task].name, state.name());
     ctx.profiler.count_transition();
     // Per-state transition counters (`task.state.<state>`) for the live
     // exposition plane; skipped when untraced to keep the hot path lean.
@@ -230,11 +230,7 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
         TaskState::Scheduled => {
             let pipeline = &mut wf.pipelines_mut()[loc.pipeline];
             let stage = &mut pipeline.stages_mut()[loc.stage];
-            let all_pushed = stage
-                .tasks()
-                .iter()
-                .all(|t| !matches!(t.state(), TaskState::Described | TaskState::Scheduling));
-            if all_pushed && stage.state() == StageState::Scheduling {
+            if stage.state() == StageState::Scheduling && stage.tally().all_pushed() {
                 let uid = stage.uid().to_string();
                 if stage.advance(StageState::Scheduled).is_ok() {
                     ctx.journal("stage", &uid, "", "scheduled");
@@ -265,34 +261,21 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
 /// pipeline; runs `post_exec` hooks on success. Returns whether the stage
 /// settled.
 fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usize) -> bool {
-    let (stage_done, any_failed, any_canceled) = {
-        let stage = &wf.pipelines()[p].stages()[s];
+    let tally = {
+        let stage = &mut wf.pipelines_mut()[p].stages_mut()[s];
         if stage.state().is_terminal() {
             return false;
         }
-        let mut any_failed = false;
-        let mut any_canceled = false;
-        let mut all_terminal = true;
-        for t in stage.tasks() {
-            match t.state() {
-                TaskState::Done => {}
-                TaskState::Failed => any_failed = true,
-                TaskState::Canceled => any_canceled = true,
-                _ => {
-                    all_terminal = false;
-                    break;
-                }
-            }
+        let tally = stage.tally();
+        if tally.terminal < stage.tasks().len() {
+            return false;
         }
-        (all_terminal, any_failed, any_canceled)
+        tally
     };
-    if !stage_done {
-        return false;
-    }
 
-    let next_stage_state = if any_failed {
+    let next_stage_state = if tally.failed > 0 {
         StageState::Failed
-    } else if any_canceled {
+    } else if tally.canceled > 0 {
         StageState::Canceled
     } else {
         StageState::Done
@@ -357,9 +340,10 @@ mod tests {
     use super::*;
     use crate::appmanager::Ctx;
     use crate::pipeline::Pipeline;
-    use crate::stage::Stage;
+    use crate::stage::{Stage, StageTally};
     use crate::task::Task;
     use crate::workflow::Workflow;
+    use proptest::prelude::*;
     use rp_rts::Executable;
 
     fn ctx_for(wf: Workflow) -> Arc<Ctx> {
@@ -511,6 +495,184 @@ mod tests {
         drive(&ctx, &second_uid, &FULL);
         assert!(ctx.workflow.lock().is_complete());
         assert_eq!(counter.load(Ordering::SeqCst), 1);
+    }
+
+    /// A stage-addressed step of the tally property test.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Advance the `pick`-th task (all tasks, in PST order): `choice` 0
+        /// cancels it, 1 resubmits or fails it, 2 fails it, anything else
+        /// moves it one step towards `Done`, so most walks settle stages.
+        /// A task with no legal move gets an illegal one.
+        Advance { pick: usize, choice: usize },
+        /// Replay a journal recovery of the tasks whose bit is set.
+        Recover(u64),
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            60 => (0usize..64, 0usize..16).prop_map(|(pick, choice)| Step::Advance { pick, choice }),
+            // Sparse masks: recover about a quarter of the tasks.
+            1 => (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(a, b)| Step::Recover(a & b)),
+        ]
+    }
+
+    /// Three pipelines: one whose `post_exec` hook appends a stage, one that
+    /// may fail, and one that depends on it (a failure cascades a cancel).
+    fn tally_workflow(sizes: (usize, usize, usize)) -> Workflow {
+        let tasks = |prefix: &str, n: usize| {
+            (0..n)
+                .map(|i| Task::new(format!("{prefix}.t{i}"), Executable::Noop))
+                .collect::<Vec<_>>()
+        };
+        let grows = Pipeline::new("grows").with_stage(
+            Stage::new("grows.s0")
+                .with_tasks(tasks("grows.s0", sizes.0))
+                .with_post_exec(|p| {
+                    if p.stages().len() == 1 {
+                        p.add_stage(Stage::new("grown").with_tasks(
+                            (0..2).map(|i| Task::new(format!("grown.t{i}"), Executable::Noop)),
+                        ));
+                    }
+                }),
+        );
+        let upstream = Pipeline::new("upstream")
+            .with_stage(Stage::new("upstream.s0").with_tasks(tasks("upstream.s0", sizes.1)));
+        let downstream = Pipeline::new("downstream")
+            .after(&upstream)
+            .with_stage(Stage::new("downstream.s0").with_tasks(tasks("downstream.s0", sizes.2)));
+        Workflow::new()
+            .with_pipeline(grows)
+            .with_pipeline(upstream)
+            .with_pipeline(downstream)
+    }
+
+    /// Every state the workflow exposes, addressed by name (a hook builds
+    /// fresh uids in each copy), plus what Enqueue would tag next.
+    fn observed(wf: &Workflow) -> Vec<String> {
+        let mut out = Vec::new();
+        for p in wf.pipelines() {
+            out.push(format!("{} {} @{}", p.name, p.state(), p.current_stage()));
+            for s in p.stages() {
+                out.push(format!("  {} {}", s.name, s.state()));
+                for t in s.tasks() {
+                    out.push(format!("    {} {} x{}", t.name, t.state(), t.attempts()));
+                }
+            }
+        }
+        let mut ready: Vec<&str> = wf
+            .schedulable_tasks()
+            .iter()
+            .map(|u| wf.task(u).unwrap().name())
+            .collect();
+        ready.sort();
+        out.push(format!("ready {ready:?}"));
+        out
+    }
+
+    /// The tally by brute force, sharing no code with `StageTally`.
+    fn recount(stage: &Stage) -> StageTally {
+        let n =
+            |f: &dyn Fn(TaskState) -> bool| stage.tasks().iter().filter(|t| f(t.state())).count();
+        StageTally {
+            described: n(&|s| s == TaskState::Described),
+            in_scheduling: n(&|s| s == TaskState::Scheduling),
+            terminal: n(&|s| {
+                matches!(s, TaskState::Done | TaskState::Failed | TaskState::Canceled)
+            }),
+            failed: n(&|s| s == TaskState::Failed),
+            canceled: n(&|s| s == TaskState::Canceled),
+        }
+    }
+
+    fn task_uids(wf: &Workflow) -> Vec<String> {
+        wf.pipelines()
+            .iter()
+            .flat_map(|p| p.stages())
+            .flat_map(|s| s.tasks())
+            .map(|t| t.uid().to_string())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random transition sequences through the inline synchronizer: the
+        /// maintained tally always equals a recount of its stage, and the
+        /// stage/pipeline states equal those of a twin run whose tallies are
+        /// dropped before every step — a recount at each use, which is
+        /// exactly what the old per-transition scans computed.
+        #[test]
+        fn stage_tally_matches_recount(
+            sizes in (1usize..4, 1usize..4, 1usize..3),
+            steps in proptest::collection::vec(step_strategy(), 1..200),
+        ) {
+            let wf = tally_workflow(sizes);
+            let tallied = ctx_for(wf.clone());
+            let scanned = ctx_for(wf);
+            for step in steps {
+                match step {
+                    Step::Advance { pick, choice } => {
+                        let (a, next) = {
+                            let wf = tallied.workflow.lock();
+                            let uids = task_uids(&wf);
+                            let uid = uids[pick % uids.len()].clone();
+                            let from = wf.task(&uid).unwrap().state();
+                            let prefer: &[TaskState] = match choice {
+                                0 => &[TaskState::Canceled],
+                                1 => &[TaskState::Described, TaskState::Failed],
+                                2 => &[TaskState::Failed],
+                                _ => &[],
+                            };
+                            let next = prefer
+                                .iter()
+                                .chain(&FULL)
+                                .copied()
+                                .find(|s| from.can_transition_to(*s))
+                                .unwrap_or(TaskState::Scheduling);
+                            (uid, next)
+                        };
+                        let b = {
+                            let mut wf = scanned.workflow.lock();
+                            for p in wf.pipelines_mut() {
+                                for stage in p.stages_mut() {
+                                    stage.tasks_mut(); // drop the tally
+                                }
+                            }
+                            let uids = task_uids(&wf);
+                            uids[pick % uids.len()].clone()
+                        };
+                        prop_assert_eq!(
+                            apply_task(&tallied, &a, next),
+                            apply_task(&scanned, &b, next),
+                            "applied flags differ for {}", next
+                        );
+                    }
+                    Step::Recover(mask) => {
+                        for ctx in [&tallied, &scanned] {
+                            let mut wf = ctx.workflow.lock();
+                            let done: std::collections::HashSet<String> = wf
+                                .pipelines()
+                                .iter()
+                                .flat_map(|p| p.stages())
+                                .flat_map(|s| s.tasks())
+                                .enumerate()
+                                .filter(|(i, _)| mask >> (i % 64) & 1 == 1)
+                                .map(|(_, t)| t.name.clone())
+                                .collect();
+                            crate::appmanager::recover_completed(&mut wf, &done);
+                        }
+                    }
+                }
+                let wf = tallied.workflow.lock();
+                for stage in wf.pipelines().iter().flat_map(|p| p.stages()) {
+                    if let Some(tally) = stage.cached_tally() {
+                        prop_assert_eq!(tally, recount(stage), "stage {}", stage.name);
+                    }
+                }
+                prop_assert_eq!(observed(&wf), observed(&scanned.workflow.lock()));
+            }
+        }
     }
 
     #[test]

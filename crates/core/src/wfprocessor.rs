@@ -170,42 +170,35 @@ fn traced_pending_message(ctx: &Ctx, uid: &str) -> Message {
 
 fn dequeue_loop(ctx: Arc<Ctx>) {
     while ctx.running.load(Ordering::Acquire) {
-        if ctx.batched {
-            let max_batch = ctx.exec.batch_limit();
-            let batch = match ctx.broker.get_batch(ctx.ns.done(), max_batch, UNTIL_CLOSED) {
-                Ok(b) if !b.is_empty() => b,
-                Ok(_) => continue,
-                Err(_) => break,
-            };
-            let t0 = Instant::now();
-            let span = ctx
-                .recorder
-                .span(obs::DEQ, "handle")
-                .with_payload(batch.len().to_string());
-            for d in &batch {
-                let (uid, outcome) = messages::parse_done(&d.message);
-                handle_outcome(&ctx, &uid, outcome, dequeued_trace(&ctx, &d.message));
-            }
-            // Dequeue is the Done queue's only consumer, so one cumulative
-            // ack settles the whole batch.
-            let boundary = batch.last().expect("non-empty batch").tag;
-            let _ = ctx.broker.ack_multiple(ctx.ns.done(), boundary);
-            drop(span);
-            ctx.profiler.add_management(t0.elapsed());
+        // The per-task path is a batch of one through the same code.
+        let max_batch = if ctx.batched {
+            ctx.exec.batch_limit()
         } else {
-            let delivery = match ctx.broker.get_timeout(ctx.ns.done(), UNTIL_CLOSED) {
-                Ok(Some(d)) => d,
-                Ok(None) => continue,
-                Err(_) => break,
-            };
-            let t0 = Instant::now();
-            let (uid, outcome) = messages::parse_done(&delivery.message);
-            let span = ctx.recorder.span(obs::DEQ, "handle").with_uid(uid.clone());
-            handle_outcome(&ctx, &uid, outcome, dequeued_trace(&ctx, &delivery.message));
-            let _ = ctx.broker.ack(ctx.ns.done(), delivery.tag);
-            drop(span);
-            ctx.profiler.add_management(t0.elapsed());
-        }
+            1
+        };
+        let batch = match ctx.broker.get_batch(ctx.ns.done(), max_batch, UNTIL_CLOSED) {
+            Ok(b) if !b.is_empty() => b,
+            Ok(_) => continue,
+            Err(_) => break,
+        };
+        let t0 = Instant::now();
+        let span = ctx
+            .recorder
+            .span(obs::DEQ, "handle")
+            .with_payload(batch.len().to_string());
+        handle_outcomes(
+            &ctx,
+            batch.iter().map(|d| {
+                let (uid, outcome) = messages::parse_done(&d.message);
+                (uid, outcome, dequeued_trace(&ctx, &d.message))
+            }),
+        );
+        // Dequeue is the Done queue's only consumer, so one cumulative ack
+        // settles the whole batch.
+        let boundary = batch.last().expect("non-empty batch").tag;
+        let _ = ctx.broker.ack_multiple(ctx.ns.done(), boundary);
+        drop(span);
+        ctx.profiler.add_management(t0.elapsed());
     }
 }
 
@@ -238,72 +231,69 @@ fn dequeued_trace(ctx: &Ctx, message: &Message) -> Option<TraceCtx> {
     Some(trace)
 }
 
-/// Apply the attempt's settling transition, stamp the final `synced` hop,
-/// and fold the completed timeline into the run's critical-path aggregate.
-/// Only `Done` timelines are folded: a canceled or failpoint-killed attempt
-/// carries a *partial* hop list (it never reached the stages it skipped),
-/// and folding it would understate per-stage residency means — SLO burn
-/// rates and stall thresholds derive from those means, so the aggregate
-/// must describe completed work only.
-fn settle(ctx: &Ctx, uid: &str, state: TaskState, trace: Option<TraceCtx>) {
-    ctx.sync_task(component::DEQUEUE, uid, state);
-    let Some(mut trace) = trace else { return };
-    trace.hop(obs::SYNC, hops::SYNCED, ctx.recorder.now_ns());
-    let outcome = match state {
-        TaskState::Done => {
-            ctx.critical_path.lock().add(&trace);
-            "done"
-        }
-        TaskState::Canceled => "canceled",
-        _ => "failed",
-    };
-    // Failed/canceled timelines skip the aggregate (partial hop lists would
-    // understate residency means) but still reach the trace store: tail
-    // sampling always keeps non-success outcomes for postmortems.
-    if let Some(store) = &ctx.trace_store {
-        store.offer(&trace, outcome, Some(ctx.recorder.metrics()));
-    }
+/// Dequeue's verdict on one attempt: the state to sync the task to, and
+/// the timeline to settle with it (`None` for a retry, whose re-enqueue
+/// starts a fresh timeline).
+struct Verdict {
+    uid: String,
+    state: TaskState,
+    trace: Option<TraceCtx>,
 }
 
-/// Decide a task's fate from its attempt outcome.
-fn handle_outcome(ctx: &Ctx, uid: &str, outcome: AttemptOutcome, trace: Option<TraceCtx>) {
-    match outcome {
+/// Settle a batch of Done-queue outcomes: decide each one, then apply the
+/// verdicts.
+fn handle_outcomes(
+    ctx: &Ctx,
+    outcomes: impl IntoIterator<Item = (String, AttemptOutcome, Option<TraceCtx>)>,
+) {
+    let verdicts: Vec<Verdict> = outcomes
+        .into_iter()
+        .filter_map(|(uid, outcome, trace)| decide(ctx, uid, outcome, trace))
+        .collect();
+    apply(ctx, verdicts);
+}
+
+/// Whether a task's failed attempt may run again. `attempts` counts
+/// executions so far; a budget of N retries allows N+1 executions in total,
+/// `None` is unlimited. A canceled run stops retrying.
+fn may_retry(ctx: &Ctx, task: &crate::task::Task) -> bool {
+    let budget = task.max_retries.unwrap_or(ctx.default_retries);
+    !ctx.cancel.is_canceled() && budget.is_none_or(|n| task.attempts() <= n)
+}
+
+/// Decide a task's fate from its attempt outcome: retry-budget arithmetic,
+/// attempt counters, the AIMD cap and recorder events. `None` for a task
+/// this run does not know.
+fn decide(
+    ctx: &Ctx,
+    uid: String,
+    outcome: AttemptOutcome,
+    trace: Option<TraceCtx>,
+) -> Option<Verdict> {
+    let state = match outcome {
         AttemptOutcome::Done => {
             ctx.profiler.count_attempt_done();
-            ctx.recorder.record(obs::DEQ, "attempt_done", uid, "");
+            ctx.recorder
+                .record(obs::DEQ, "attempt_done", uid.as_str(), "");
             adapt_cap(ctx, true);
-            settle(ctx, uid, TaskState::Done, trace);
+            TaskState::Done
         }
         AttemptOutcome::Failed(reason) => {
             ctx.profiler.count_attempt_failed();
             ctx.recorder
-                .record(obs::DEQ, "attempt_failed", uid, reason.clone());
+                .record(obs::DEQ, "attempt_failed", uid.as_str(), reason.clone());
             adapt_cap(ctx, false);
-            let (attempts, budget) = {
+            let retry = {
                 let mut wf = ctx.workflow.lock();
-                match wf.task_mut(uid) {
-                    Some((_, task)) => {
-                        task.last_error = Some(reason.clone());
-                        (
-                            task.attempts(),
-                            task.max_retries.unwrap_or(ctx.default_retries),
-                        )
-                    }
-                    None => return,
-                }
+                let loc = wf.locate(&uid)?;
+                may_retry(ctx, wf.stage_mut(loc).set_last_error(loc.task, reason))
             };
-            // `attempts` counts executions so far; a budget of N retries
-            // allows N+1 executions in total. `None` = unlimited. A canceled
-            // run stops retrying: the attempt settles to Canceled.
-            let may_retry = !ctx.cancel.is_canceled() && budget.is_none_or(|n| attempts <= n);
-            if may_retry {
-                // Retried attempts don't settle: the re-enqueue starts a
-                // fresh timeline, so the partial trace is dropped.
-                ctx.sync_task(component::DEQUEUE, uid, TaskState::Described);
+            if retry {
+                TaskState::Described
             } else if ctx.cancel.is_canceled() {
-                settle(ctx, uid, TaskState::Canceled, trace);
+                TaskState::Canceled
             } else {
-                settle(ctx, uid, TaskState::Failed, trace);
+                TaskState::Failed
             }
         }
         AttemptOutcome::Canceled => {
@@ -312,22 +302,11 @@ fn handle_outcome(ctx: &Ctx, uid: &str, outcome: AttemptOutcome, trace: Option<T
             // retry within budget, cancel terminally otherwise.
             ctx.profiler.count_attempt_failed();
             ctx.recorder
-                .record(obs::DEQ, "attempt_failed", uid, "canceled");
-            let (attempts, budget) = {
-                let wf = ctx.workflow.lock();
-                match wf.task(uid) {
-                    Some(task) => (
-                        task.attempts(),
-                        task.max_retries.unwrap_or(ctx.default_retries),
-                    ),
-                    None => return,
-                }
-            };
-            let may_retry = !ctx.cancel.is_canceled() && budget.is_none_or(|n| attempts <= n);
-            if may_retry {
-                ctx.sync_task(component::DEQUEUE, uid, TaskState::Described);
+                .record(obs::DEQ, "attempt_failed", uid.as_str(), "canceled");
+            if may_retry(ctx, ctx.workflow.lock().task(&uid)?) {
+                TaskState::Described
             } else {
-                settle(ctx, uid, TaskState::Canceled, trace);
+                TaskState::Canceled
             }
         }
         AttemptOutcome::Lost => {
@@ -335,11 +314,52 @@ fn handle_outcome(ctx: &Ctx, uid: &str, outcome: AttemptOutcome, trace: Option<T
             // ("without restarting completed tasks" — only in-flight work
             // is redone).
             ctx.profiler.count_attempt_failed();
-            ctx.recorder.record(obs::DEQ, "attempt_failed", uid, "lost");
+            ctx.recorder
+                .record(obs::DEQ, "attempt_failed", uid.as_str(), "lost");
             if ctx.cancel.is_canceled() {
-                settle(ctx, uid, TaskState::Canceled, trace);
+                TaskState::Canceled
             } else {
-                ctx.sync_task(component::DEQUEUE, uid, TaskState::Described);
+                TaskState::Described
+            }
+        }
+    };
+    let trace = trace.filter(|_| state != TaskState::Described);
+    Some(Verdict { uid, state, trace })
+}
+
+/// Apply verdicts: one `sync_tasks` round-trip per run of consecutive equal
+/// target states, so batch order — and with it per-uid order — is kept.
+/// Then stamp each settled timeline's final `synced` hop and fold it into
+/// the run's critical-path aggregate. Only `Done` timelines are folded: a
+/// canceled or failpoint-killed attempt carries a *partial* hop list (it
+/// never reached the stages it skipped), and folding it would understate
+/// per-stage residency means — SLO burn rates and stall thresholds derive
+/// from those means, so the aggregate must describe completed work only.
+fn apply(ctx: &Ctx, verdicts: Vec<Verdict>) {
+    let mut rest = verdicts.into_iter().peekable();
+    while let Some(first) = rest.next() {
+        let state = first.state;
+        let mut run = vec![first];
+        while let Some(v) = rest.next_if(|v| v.state == state) {
+            run.push(v);
+        }
+        let uids: Vec<String> = run.iter().map(|v| v.uid.clone()).collect();
+        ctx.sync_tasks(component::DEQUEUE, &uids, state);
+        for mut trace in run.into_iter().filter_map(|v| v.trace) {
+            trace.hop(obs::SYNC, hops::SYNCED, ctx.recorder.now_ns());
+            let outcome = match state {
+                TaskState::Done => {
+                    ctx.critical_path.lock().add(&trace);
+                    "done"
+                }
+                TaskState::Canceled => "canceled",
+                _ => "failed",
+            };
+            // Failed/canceled timelines skip the aggregate but still reach
+            // the trace store: tail sampling always keeps non-success
+            // outcomes for postmortems.
+            if let Some(store) = &ctx.trace_store {
+                store.offer(&trace, outcome, Some(ctx.recorder.metrics()));
             }
         }
     }
@@ -380,7 +400,7 @@ mod tests {
     fn done_outcome_completes_task() {
         let (ctx, uid) = single_task_ctx(Some(0));
         to_executed(&ctx, &uid);
-        handle_outcome(&ctx, &uid, AttemptOutcome::Done, None);
+        handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Done, None)]);
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
             TaskState::Done
@@ -391,7 +411,10 @@ mod tests {
     fn failed_within_budget_resubmits() {
         let (ctx, uid) = single_task_ctx(Some(1));
         to_executed(&ctx, &uid);
-        handle_outcome(&ctx, &uid, AttemptOutcome::Failed("crash".into()), None);
+        handle_outcomes(
+            &ctx,
+            [(uid.clone(), AttemptOutcome::Failed("crash".into()), None)],
+        );
         let wf = ctx.workflow.lock();
         let task = wf.task(&uid).unwrap();
         assert_eq!(task.state(), TaskState::Described, "must rejoin the pool");
@@ -402,7 +425,10 @@ mod tests {
     fn failed_beyond_budget_is_terminal() {
         let (ctx, uid) = single_task_ctx(Some(0));
         to_executed(&ctx, &uid); // attempts = 1 > budget 0
-        handle_outcome(&ctx, &uid, AttemptOutcome::Failed("crash".into()), None);
+        handle_outcomes(
+            &ctx,
+            [(uid.clone(), AttemptOutcome::Failed("crash".into()), None)],
+        );
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
             TaskState::Failed
@@ -414,7 +440,10 @@ mod tests {
         let (ctx, uid) = single_task_ctx(None);
         for _ in 0..5 {
             to_executed(&ctx, &uid);
-            handle_outcome(&ctx, &uid, AttemptOutcome::Failed("x".into()), None);
+            handle_outcomes(
+                &ctx,
+                [(uid.clone(), AttemptOutcome::Failed("x".into()), None)],
+            );
             assert_eq!(
                 ctx.workflow.lock().task(&uid).unwrap().state(),
                 TaskState::Described
@@ -434,7 +463,7 @@ mod tests {
         ] {
             assert!(ctx.sync_task("test", uid.as_str(), s));
         }
-        handle_outcome(&ctx, &uid, AttemptOutcome::Lost, None);
+        handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Lost, None)]);
         // Lost does not consume the (zero) retry budget.
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
@@ -446,17 +475,125 @@ mod tests {
     fn canceled_beyond_budget_terminal() {
         let (ctx, uid) = single_task_ctx(Some(0));
         to_executed(&ctx, &uid);
-        handle_outcome(&ctx, &uid, AttemptOutcome::Canceled, None);
+        handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Canceled, None)]);
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
             TaskState::Canceled
         );
     }
 
+    /// One Done-queue batch mixing every outcome, with two deliveries for
+    /// one uid, settled in one pass over a live Synchronizer must leave the
+    /// workflow exactly as the per-task path (a batch of one per delivery)
+    /// does, in one sync publish per run of equal target states.
+    #[test]
+    fn batched_dequeue_matches_per_task_path() {
+        let names = ["done", "twice", "retry", "lost", "fail", "cancel"];
+        let mut stage = Stage::new("s");
+        for n in names {
+            let t = Task::new(n, Executable::Noop);
+            // No retry budget for the two that must settle terminally.
+            stage.add_task(match n {
+                "fail" | "cancel" => t.with_max_retries(Some(0)),
+                _ => t,
+            });
+        }
+        let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(stage));
+        let uid = |name: &str| {
+            wf.pipelines()[0].stages()[0]
+                .tasks()
+                .iter()
+                .find(|t| t.name == name)
+                .unwrap()
+                .uid()
+                .to_string()
+        };
+        let deliveries = || {
+            [
+                ("done", AttemptOutcome::Done),
+                ("twice", AttemptOutcome::Done),
+                ("retry", AttemptOutcome::Failed("boom".into())), // within budget
+                ("lost", AttemptOutcome::Lost),
+                ("twice", AttemptOutcome::Failed("late".into())), // after Done: refused
+                ("fail", AttemptOutcome::Failed("bust".into())),  // beyond budget
+                ("cancel", AttemptOutcome::Canceled),
+            ]
+            .map(|(n, o)| (uid(n), o, Some(TraceCtx::new(uid(n)))))
+        };
+        // Target-state runs: Done ×2 | Described ×3 | Failed | Canceled.
+        const RUNS: u64 = 4;
+
+        let prepare = |ctx: &Ctx| {
+            for n in names {
+                let last = if n == "lost" { 4 } else { 5 };
+                for s in &[
+                    TaskState::Scheduling,
+                    TaskState::Scheduled,
+                    TaskState::Submitting,
+                    TaskState::Submitted,
+                    TaskState::Executed,
+                ][..last]
+                {
+                    assert!(crate::synchronizer::apply_task(ctx, &uid(n), *s));
+                }
+            }
+        };
+        let outcome = |ctx: &Ctx| {
+            let wf = ctx.workflow.lock();
+            names.map(|n| {
+                let t = wf.task(&uid(n)).unwrap();
+                (t.state(), t.attempts(), t.last_error.clone())
+            })
+        };
+
+        let per_task = Ctx::for_tests_with_retries(wf.clone(), Some(1));
+        prepare(&per_task);
+        for d in deliveries() {
+            handle_outcomes(&per_task, [d]);
+        }
+
+        let batched = Ctx::for_tests_queued(wf.clone(), Some(1));
+        let sync = crate::synchronizer::spawn(Arc::clone(&batched));
+        prepare(&batched);
+        handle_outcomes(&batched, deliveries());
+        let publishes = batched
+            .broker
+            .queue_stats(&batched.ns.sync_shard(component::DEQUEUE))
+            .unwrap()
+            .batch_publishes;
+        batched.stop();
+        batched.broker.close();
+        sync.join().unwrap();
+
+        let got = outcome(&batched);
+        assert_eq!(got, outcome(&per_task));
+        assert_eq!(
+            got,
+            [
+                (TaskState::Done, 1, None),
+                // Per-uid order kept: Done first, so the late failure is
+                // recorded but its resubmit is refused.
+                (TaskState::Done, 1, Some("late".into())),
+                (TaskState::Described, 1, Some("boom".into())),
+                (TaskState::Described, 1, None),
+                (TaskState::Failed, 1, Some("bust".into())),
+                (TaskState::Canceled, 1, None),
+            ]
+        );
+        assert_eq!(publishes, RUNS, "one sync publish per run of equal states");
+        for ctx in [&per_task, &batched] {
+            assert_eq!(
+                ctx.critical_path.lock().tasks(),
+                2,
+                "only Done timelines fold"
+            );
+        }
+    }
+
     #[test]
     fn unknown_uid_is_ignored() {
         let (ctx, _) = single_task_ctx(Some(0));
-        handle_outcome(&ctx, "task.424242", AttemptOutcome::Done, None);
+        handle_outcomes(&ctx, [("task.424242".into(), AttemptOutcome::Done, None)]);
         // No panic, no state change.
         assert_eq!(ctx.workflow.lock().count_in(TaskState::Described), 1);
     }

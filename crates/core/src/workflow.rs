@@ -224,17 +224,15 @@ impl Workflow {
             .get(loc.task)
     }
 
-    /// Find a task mutably by uid, along with its location.
-    pub(crate) fn task_mut(&mut self, uid: &str) -> Option<(TaskLoc, &mut Task)> {
-        let loc = *self.index.get(uid)?;
-        let task = self
-            .pipelines
-            .get_mut(loc.pipeline)?
-            .stages_mut()
-            .get_mut(loc.stage)?
-            .tasks_mut()
-            .get_mut(loc.task)?;
-        Some((loc, task))
+    /// Where a task lives, by uid.
+    pub(crate) fn locate(&self, uid: &str) -> Option<TaskLoc> {
+        self.index.get(uid).copied()
+    }
+
+    /// The stage holding the task at `loc`. Task states change only through
+    /// [`Stage::advance_task`], which keeps the stage's tally current.
+    pub(crate) fn stage_mut(&mut self, loc: TaskLoc) -> &mut Stage {
+        &mut self.pipelines[loc.pipeline].stages_mut()[loc.stage]
     }
 
     /// Whether every dependency of a pipeline finished Done.
@@ -262,7 +260,9 @@ impl Workflow {
             let Some(stage) = p.stages().get(p.current_stage()) else {
                 continue;
             };
-            if stage.state().is_terminal() {
+            // A counted stage with nothing `Described` has nothing to tag.
+            if stage.state().is_terminal() || stage.cached_tally().is_some_and(|t| t.described == 0)
+            {
                 continue;
             }
             for t in stage.tasks() {

@@ -938,6 +938,9 @@ mod tests {
     #[test]
     fn concurrent_appends_do_not_interleave() {
         use std::sync::Arc;
+        // Serialize with the failpoint tests: an armed append failpoint
+        // from a sibling would fail these appends.
+        let _g = entk_fail::scenario();
         let p = tmp("concurrent");
         let j = Arc::new(Journal::open(&p).unwrap());
         let mut handles = vec![];
