@@ -248,9 +248,9 @@ impl SimRuntime {
             return Err(RtsDown);
         }
         // Failpoint `rts.submit.partial`: the UnitManager accepts only a
-        // prefix of the batch and the RTS dies right after handing it over —
-        // the caller sees the whole submission fail while a prefix is
-        // already registered and queued.
+        // prefix of the batch and the RTS dies right after handing it over
+        // to the DB — the caller sees the whole submission fail while a
+        // prefix is already registered and queued, and nothing launched.
         let mut descs = descs;
         let mut die_after_submit = false;
         if let Some(action) = entk_fail::hit_sleep("rts.submit.partial") {
@@ -258,7 +258,6 @@ impl SimRuntime {
             die_after_submit = true;
         }
         let now = self.commander.now().as_secs_f64();
-        let mut launches: Vec<(UnitId, JobId, TaskDesc)> = Vec::new();
         let mut ids = Vec::with_capacity(descs.len());
         // The span's histogram (span.rts.submit_units) is the agent spawn
         // throughput measure: batch size over batch duration.
@@ -313,8 +312,11 @@ impl SimRuntime {
             }
             self.db.insert_units(pilot.0, inserts);
             // Pass 2: route each unit. Submit-path state transitions are
-            // collected and persisted with one bulk update below.
+            // collected and persisted with one bulk update below, launches
+            // sent to the engine as one command.
             let mut state_updates: Vec<(UnitId, UnitState)> = Vec::new();
+            let mut launch_units: Vec<UnitId> = Vec::new();
+            let mut launch_tasks: Vec<TaskDesc> = Vec::new();
             for (id, stage_in) in routes {
                 match (job, stage_in) {
                     (None, _) => {
@@ -327,12 +329,12 @@ impl SimRuntime {
                         }
                         st.stage_queue.push_back((id, su, StagePhase::In));
                     }
-                    (Some(job), _) => {
-                        let task = make_task_desc(&st.units[&id].desc);
+                    (Some(_), _) => {
+                        launch_tasks.push(make_task_desc(&st.units[&id].desc));
                         if set_state_mem_locked(&mut st, id, UnitState::AgentQueued, None) {
                             state_updates.push((id, UnitState::AgentQueued));
                         }
-                        launches.push((id, job, task));
+                        launch_units.push(id);
                     }
                 }
             }
@@ -347,21 +349,22 @@ impl SimRuntime {
                 return Err(RtsDown);
             }
             self.db.update_states(&state_updates);
+            if die_after_submit {
+                drop(st);
+                self.kill();
+                return Err(RtsDown);
+            }
             dispatch_stagers_locked(&mut st, &self.commander, self.stagers);
+            // The whole submission is one engine command. The lock spans it
+            // and the index inserts: the engine may emit TaskStarted before
+            // `launch_tasks` returns, and the dispatcher, which needs this
+            // lock, must find the unit indexed (as in `submit_pilot`).
+            if let (Some(job), false) = (job, launch_tasks.is_empty()) {
+                let tids = self.commander.launch_tasks(job, launch_tasks);
+                st.task_index.extend(tids.into_iter().zip(launch_units));
+            }
         }
-        // Launch outside the lock's critical path for clarity (commander
-        // calls are cheap; ordering within the burst is preserved).
-        let mut st = self.state.lock();
-        for (id, job, task) in launches {
-            let tid = self.commander.launch_task(job, task);
-            st.task_index.insert(tid, id);
-        }
-        drop(st);
         drop(span);
-        if die_after_submit {
-            self.kill();
-            return Err(RtsDown);
-        }
         Ok(ids)
     }
 
@@ -406,7 +409,7 @@ impl SimRuntime {
                 self.cancel_pilot(p);
             }
             // Let cancellations drain through the engine before shutdown.
-            let _ = self.commander.now();
+            self.commander.sync();
             self.alive.store(false, Ordering::Release);
             if let Some(mut sim) = self.sim.lock().take() {
                 sim.shutdown();
@@ -861,6 +864,20 @@ mod tests {
         })
     }
 
+    /// A runtime whose engine counts the commands it applies.
+    fn counting_runtime() -> (SimRuntime, Arc<entk_observe::Counter>) {
+        let recorder = Recorder::new();
+        let commands = recorder.metrics().counter("sim.commands");
+        let rt = SimRuntime::start(SimRuntimeConfig {
+            platform: Platform::catalog(PlatformId::TestRig),
+            seed: 3,
+            stagers: 1,
+            db: DbConfig::default(),
+            recorder: Some(recorder),
+        });
+        (rt, commands)
+    }
+
     fn ready_pilot(rt: &SimRuntime) -> PilotId {
         let p = rt.submit_pilot(&PilotDescription::test_rig());
         assert!(rt.wait_pilot_ready(p, Duration::from_secs(5)));
@@ -1142,14 +1159,31 @@ mod tests {
             .collect()
     }
 
+    /// A submission costs one engine command whatever its size: no clock
+    /// round trip, one launch for every unit.
+    #[test]
+    fn submission_is_one_engine_command() {
+        const UNITS: usize = 256;
+        let (rt, commands) = counting_runtime();
+        let p = ready_pilot(&rt);
+        let before = commands.get();
+        let ids = rt.submit_units(p, noop_units(UNITS)).unwrap();
+        assert_eq!(commands.get() - before, 1, "one launch command");
+        assert_eq!(ids.len(), UNITS);
+        let out = drain_until_terminal(&rt, UNITS);
+        assert!(out.values().all(|o| *o == UnitOutcome::Done));
+    }
+
     #[test]
     fn failpoint_insert_units_dies_after_partial_bulk_insert() {
         let _guard = entk_fail::scenario();
         entk_fail::arm_once("rts.db.insert_units", entk_fail::InjectedAction::Partial(3));
-        let rt = runtime();
+        let (rt, commands) = counting_runtime();
         let p = ready_pilot(&rt);
+        let before = commands.get();
         assert!(rt.submit_units(p, noop_units(8)).is_err());
         assert!(!rt.is_alive(), "the RTS died mid-insert");
+        assert_eq!(commands.get(), before, "nothing launched");
         // Exactly the injected prefix reached the store; nothing was routed.
         assert_eq!(rt.db().queued_for(p.0), 3);
         assert!(rt.db().get(UnitId(3)).is_some());
@@ -1163,10 +1197,12 @@ mod tests {
             "rts.db.update_states",
             entk_fail::InjectedAction::Partial(2),
         );
-        let rt = runtime();
+        let (rt, commands) = counting_runtime();
         let p = ready_pilot(&rt);
+        let before = commands.get();
         assert!(rt.submit_units(p, noop_units(4)).is_err());
         assert!(!rt.is_alive());
+        assert_eq!(commands.get(), before, "nothing launched");
         // All four documents were inserted, but only the first two carry
         // their submit-path AgentQueued transition.
         for (i, expect_update) in [(1, true), (2, true), (3, false), (4, false)] {
@@ -1183,11 +1219,14 @@ mod tests {
     fn failpoint_partial_submit_registers_only_the_prefix() {
         let _guard = entk_fail::scenario();
         entk_fail::arm_once("rts.submit.partial", entk_fail::InjectedAction::Partial(2));
-        let rt = runtime();
+        let (rt, commands) = counting_runtime();
         let p = ready_pilot(&rt);
+        let before = commands.get();
         assert!(rt.submit_units(p, noop_units(6)).is_err());
         assert!(!rt.is_alive(), "the RTS died right after the handover");
         assert_eq!(rt.records().len(), 2, "only the accepted prefix exists");
+        assert_eq!(rt.db().queued_for(p.0), 2, "the prefix is queued");
+        assert_eq!(commands.get(), before, "nothing launched");
     }
 
     #[test]

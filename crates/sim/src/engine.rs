@@ -6,6 +6,14 @@
 //! small real-time *grace window*, so bursts of submissions from the runtime
 //! system land "at the same virtual instant" as they would on a real machine
 //! where submission latency is negligible compared to task durations.
+//!
+//! A burst is best sent as one command: [`SimCommander::launch_tasks`] puts
+//! a whole batch into the world at one instant for one round trip, however
+//! large. Reading the clock is not a command at all: the engine publishes
+//! `world.now` to a shared atomic before it sends the events of an instant,
+//! so [`SimCommander::now`] is a load that neither queues behind other
+//! commands nor restarts the grace window, and is never behind the time of
+//! an event already received.
 
 use crate::cluster::World;
 use crate::events::SimEvent;
@@ -15,6 +23,7 @@ use crate::spec::{JobDescription, JobId, StageId, TaskDesc, TaskId};
 use crate::time::{SimDuration, SimTime};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use entk_observe::{components, Counter, Gauge, Recorder};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,6 +81,8 @@ impl SimConfig {
 /// virtual-clock gauge and checkpoint trace events.
 struct EngineObs {
     recorder: Recorder,
+    /// Commands the engine applied (`sim.commands`; shutdown not counted).
+    commands: Arc<Counter>,
     ev_job: Arc<Counter>,
     ev_task: Arc<Counter>,
     ev_stage: Arc<Counter>,
@@ -83,6 +94,7 @@ impl EngineObs {
         let m = recorder.metrics_arc();
         EngineObs {
             recorder,
+            commands: m.counter("sim.commands"),
             ev_job: m.counter("sim.events.job"),
             ev_task: m.counter("sim.events.task"),
             ev_stage: m.counter("sim.events.stage"),
@@ -115,10 +127,10 @@ impl EngineObs {
 enum Command {
     SubmitJob(JobDescription, Sender<JobId>),
     CancelJob(JobId),
-    LaunchTask(JobId, TaskDesc, Sender<TaskId>),
+    LaunchTasks(JobId, Vec<TaskDesc>, Sender<Vec<TaskId>>),
     CancelTask(TaskId),
     Stage(Vec<StageUnit>, usize, Sender<StageId>),
-    QueryTime(Sender<SimTime>),
+    Sync(Sender<()>),
     QueryLiveTasks(Sender<usize>),
     Shutdown,
 }
@@ -127,6 +139,9 @@ enum Command {
 #[derive(Clone)]
 pub struct SimCommander {
     cmd_tx: Sender<Command>,
+    /// `world.now` in microseconds, stored by the engine before it sends the
+    /// events of that instant.
+    clock: Arc<AtomicU64>,
 }
 
 impl SimCommander {
@@ -145,11 +160,18 @@ impl SimCommander {
     }
 
     /// Launch a task inside a job; returns its id immediately (the task may
-    /// queue inside the pilot until cores are free).
+    /// queue inside the pilot until cores are free). A batch of one.
     pub fn launch_task(&self, job: JobId, desc: TaskDesc) -> TaskId {
+        self.launch_tasks(job, vec![desc])[0]
+    }
+
+    /// Launch a batch of tasks inside a job in one command: they enter the
+    /// world in order at one virtual instant. Returns their ids in the
+    /// order of `descs`.
+    pub fn launch_tasks(&self, job: JobId, descs: Vec<TaskDesc>) -> Vec<TaskId> {
         let (tx, rx) = bounded(1);
         self.cmd_tx
-            .send(Command::LaunchTask(job, desc, tx))
+            .send(Command::LaunchTasks(job, descs, tx))
             .expect("engine alive");
         rx.recv().expect("engine replies")
     }
@@ -169,13 +191,19 @@ impl SimCommander {
         rx.recv().expect("engine replies")
     }
 
-    /// Current virtual time.
+    /// Current virtual time: a load, not a command. At least the time of
+    /// every event already received from the engine.
     pub fn now(&self) -> SimTime {
+        SimTime(self.clock.load(Ordering::Acquire))
+    }
+
+    /// Wait until the engine has applied every command sent before this
+    /// call. A stopped engine returns at once.
+    pub fn sync(&self) {
         let (tx, rx) = bounded(1);
-        self.cmd_tx
-            .send(Command::QueryTime(tx))
-            .expect("engine alive");
-        rx.recv().expect("engine replies")
+        if self.cmd_tx.send(Command::Sync(tx)).is_ok() {
+            let _ = rx.recv();
+        }
     }
 
     /// Tasks that have not ended yet. The world forgets a task when it
@@ -205,12 +233,14 @@ impl Simulation {
     pub fn start(config: SimConfig) -> SimHandle {
         let (cmd_tx, cmd_rx) = unbounded::<Command>();
         let (event_tx, events_rx) = unbounded::<SimEvent>();
+        let clock = Arc::new(AtomicU64::new(SimTime::ZERO.0));
+        let engine_clock = Arc::clone(&clock);
         let thread = std::thread::Builder::new()
             .name(format!("hpc-sim-{}", config.platform.id.name()))
-            .spawn(move || engine_loop(config, cmd_rx, event_tx))
+            .spawn(move || engine_loop(config, cmd_rx, event_tx, engine_clock))
             .expect("spawn sim engine");
         SimHandle {
-            commander: SimCommander { cmd_tx },
+            commander: SimCommander { cmd_tx, clock },
             events_rx,
             thread: Some(thread),
         }
@@ -244,6 +274,11 @@ impl SimHandle {
         self.commander.launch_task(job, desc)
     }
 
+    /// See [`SimCommander::launch_tasks`].
+    pub fn launch_tasks(&self, job: JobId, descs: Vec<TaskDesc>) -> Vec<TaskId> {
+        self.commander.launch_tasks(job, descs)
+    }
+
     /// See [`SimCommander::cancel_task`].
     pub fn cancel_task(&self, id: TaskId) {
         self.commander.cancel_task(id)
@@ -254,9 +289,14 @@ impl SimHandle {
         self.commander.stage(units, workers)
     }
 
-    /// Current virtual time.
+    /// See [`SimCommander::now`].
     pub fn now(&self) -> SimTime {
         self.commander.now()
+    }
+
+    /// See [`SimCommander::sync`].
+    pub fn sync(&self) {
+        self.commander.sync()
     }
 
     /// Stop the engine and join its thread. Idempotent; also runs on drop.
@@ -274,24 +314,32 @@ impl Drop for SimHandle {
     }
 }
 
-fn apply(world: &mut World, cmd: Command) -> bool {
+fn apply(world: &mut World, cmd: Command, obs: Option<&EngineObs>) -> bool {
+    // Counted before any reply goes out: a caller holding its reply sees
+    // its command counted.
+    if let (Some(obs), false) = (obs, matches!(cmd, Command::Shutdown)) {
+        obs.commands.incr();
+    }
     match cmd {
         Command::SubmitJob(desc, reply) => {
             let id = world.submit_job(desc);
             let _ = reply.send(id);
         }
         Command::CancelJob(id) => world.cancel_job(id),
-        Command::LaunchTask(job, desc, reply) => {
-            let id = world.launch_task(job, desc);
-            let _ = reply.send(id);
+        Command::LaunchTasks(job, descs, reply) => {
+            let ids = descs
+                .into_iter()
+                .map(|desc| world.launch_task(job, desc))
+                .collect();
+            let _ = reply.send(ids);
         }
         Command::CancelTask(id) => world.cancel_task(id),
         Command::Stage(units, workers, reply) => {
             let id = world.stage(units, workers);
             let _ = reply.send(id);
         }
-        Command::QueryTime(reply) => {
-            let _ = reply.send(world.now);
+        Command::Sync(reply) => {
+            let _ = reply.send(());
         }
         Command::QueryLiveTasks(reply) => {
             let _ = reply.send(world.live_tasks());
@@ -301,7 +349,15 @@ fn apply(world: &mut World, cmd: Command) -> bool {
     true
 }
 
-fn drain_outbox(world: &mut World, event_tx: &Sender<SimEvent>, obs: Option<&EngineObs>) {
+/// Publish the clock, then send the events of this instant: a thread that
+/// received an event reads a clock at least as late as the event.
+fn drain_outbox(
+    world: &mut World,
+    clock: &AtomicU64,
+    event_tx: &Sender<SimEvent>,
+    obs: Option<&EngineObs>,
+) {
+    clock.store(world.now.0, Ordering::Release);
     for ev in world.outbox.drain(..) {
         if let Some(obs) = obs {
             obs.count(&ev);
@@ -320,7 +376,12 @@ fn drain_outbox(world: &mut World, event_tx: &Sender<SimEvent>, obs: Option<&Eng
 /// command or an event nobody is reacting any more.
 const ATTENTIVE_WINDOWS: u64 = 64;
 
-fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<SimEvent>) {
+fn engine_loop(
+    config: SimConfig,
+    cmd_rx: Receiver<Command>,
+    event_tx: Sender<SimEvent>,
+    clock: Arc<AtomicU64>,
+) {
     let obs = config.recorder.map(EngineObs::new);
     let obs = obs.as_ref();
     let mut world = World::new(config.platform, config.seed);
@@ -331,7 +392,7 @@ fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<Si
         loop {
             match cmd_rx.try_recv() {
                 Ok(cmd) => {
-                    if !apply(&mut world, cmd) {
+                    if !apply(&mut world, cmd, obs) {
                         break 'outer;
                     }
                     quiet_streak = 0;
@@ -340,7 +401,7 @@ fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<Si
                 Err(TryRecvError::Disconnected) => break 'outer,
             }
         }
-        drain_outbox(&mut world, &event_tx, obs);
+        drain_outbox(&mut world, &clock, &event_tx, obs);
 
         // 2. Advance virtual time only after the grace window stays quiet:
         // one window per `max_idle_jump` of distance to the next event.
@@ -381,10 +442,11 @@ fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<Si
                     while world.next_event_time() == Some(next) {
                         world.step();
                     }
-                    drain_outbox(&mut world, &event_tx, obs);
+                    drain_outbox(&mut world, &clock, &event_tx, obs);
                     quiet_streak = 0;
                 } else {
                     world.now += SimDuration(quiet * jump);
+                    clock.store(world.now.0, Ordering::Release);
                     quiet_streak += quiet;
                 }
                 if let (true, Some(obs)) = (quiet > 0, obs) {
@@ -394,14 +456,14 @@ fn engine_loop(config: SimConfig, cmd_rx: Receiver<Command>, event_tx: Sender<Si
             }
         };
         if let Some(cmd) = arrived {
-            if !apply(&mut world, cmd) {
+            if !apply(&mut world, cmd, obs) {
                 break 'outer;
             }
-            drain_outbox(&mut world, &event_tx, obs);
+            drain_outbox(&mut world, &clock, &event_tx, obs);
             quiet_streak = 0;
         }
     }
-    drain_outbox(&mut world, &event_tx, obs);
+    drain_outbox(&mut world, &clock, &event_tx, obs);
 }
 
 #[cfg(test)]
@@ -412,6 +474,17 @@ mod tests {
 
     fn start_testrig() -> SimHandle {
         Simulation::start(SimConfig::new(Platform::catalog(PlatformId::TestRig)).with_seed(1))
+    }
+
+    /// A one-node job that boots for 120 s: tasks launched before it turns
+    /// Ready all start at that instant, however late in real time they
+    /// arrive within the boot (the clock needs 24 grace windows to get
+    /// there), so a replay sees the same trajectory.
+    fn booting_job(h: &SimHandle) -> JobId {
+        h.submit_job(JobDescription {
+            bootstrap: SimDuration::from_secs(120),
+            ..JobDescription::small()
+        })
     }
 
     /// Collect TaskEnded events (discarding others) until `n` tasks ended.
@@ -447,12 +520,12 @@ mod tests {
     #[test]
     fn end_to_end_task_execution_in_virtual_time() {
         let h = start_testrig();
-        let job = h.submit_job(JobDescription::small());
+        let job = booting_job(&h);
         let task = h.launch_task(job, TaskDesc::fixed_secs(600));
         let wall = std::time::Instant::now();
         let (t_end, outcome) = wait_task_end(&h, task);
         assert_eq!(outcome, TaskOutcome::Completed);
-        assert_eq!(t_end, SimTime::from_secs_f64(600.0));
+        assert_eq!(t_end, SimTime::from_secs_f64(720.0));
         // 600 virtual seconds must cost far less than 2 wall seconds.
         assert!(wall.elapsed() < Duration::from_secs(2));
     }
@@ -460,14 +533,11 @@ mod tests {
     #[test]
     fn burst_submissions_share_a_virtual_instant() {
         let h = start_testrig();
-        let job = h.submit_job(JobDescription::small()); // 8 cores
-        let mut tasks = vec![];
-        for _ in 0..8 {
-            tasks.push(h.launch_task(job, TaskDesc::fixed_secs(100)));
-        }
+        let job = booting_job(&h); // 8 cores
+        let tasks = h.launch_tasks(job, vec![TaskDesc::fixed_secs(100); 8]);
         let ends = collect_task_ends(&h, 8);
         for t in &tasks {
-            assert_eq!(ends[t].0, SimTime::from_secs_f64(100.0));
+            assert_eq!(ends[t].0, SimTime::from_secs_f64(220.0));
         }
     }
 
@@ -531,7 +601,7 @@ mod tests {
         // The TaskEnded event is sent just before the clock checkpoint; a
         // command round-trip synchronizes with the engine loop so the
         // checkpoint is visible below.
-        h.now();
+        h.sync();
         let m = recorder.metrics();
         // JobActive + JobReady at least; TaskStarted + TaskEnded.
         assert!(m.counter("sim.events.job").get() >= 2);
@@ -574,5 +644,97 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Every event the engine sent, in order, until `n` tasks ended, with
+    /// `submitted_at` cleared: when a launch reached a booting job depends
+    /// on real time, the trajectory does not.
+    fn events_until_ends(h: &SimHandle, n: usize) -> Vec<SimEvent> {
+        let mut events = Vec::new();
+        let mut ended = 0;
+        while ended < n {
+            let mut ev = h
+                .events()
+                .recv_timeout(Duration::from_secs(10))
+                .expect("event within 10s wall time");
+            if let SimEvent::TaskEnded { submitted_at, .. } = &mut ev {
+                *submitted_at = SimTime::ZERO;
+                ended += 1;
+            }
+            events.push(ev);
+        }
+        events
+    }
+
+    /// Tasks of distinct durations and a coin-flip failure model: the
+    /// trajectory has many instants and draws from the RNG.
+    fn mixed_tasks(n: u64) -> Vec<TaskDesc> {
+        (1..=n)
+            .map(|i| {
+                TaskDesc::fixed_secs(10 * i)
+                    .with_failure(crate::spec::FailureModel::Random { prob: 0.5 })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn now_is_never_behind_a_received_event() {
+        let h = start_testrig();
+        let job = h.submit_job(JobDescription::small()); // 8 cores
+        h.launch_tasks(job, mixed_tasks(24));
+        let mut ended = 0;
+        while ended < 24 {
+            let ev = h
+                .events()
+                .recv_timeout(Duration::from_secs(10))
+                .expect("event within 10s wall time");
+            // A load, no round trip: the clock was stored before the send.
+            assert!(h.now() >= ev.time(), "clock behind {ev:?}");
+            ended += usize::from(matches!(ev, SimEvent::TaskEnded { .. }));
+        }
+    }
+
+    #[test]
+    fn launch_tasks_returns_ids_in_order_and_replays_exactly() {
+        let run = || {
+            let h = Simulation::start(
+                SimConfig::new(Platform::catalog(PlatformId::TestRig)).with_seed(7),
+            );
+            let job = booting_job(&h);
+            let ids = h.launch_tasks(job, mixed_tasks(20));
+            assert!(
+                ids.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+                "ids out of submission order: {ids:?}"
+            );
+            (ids, events_until_ends(&h, 20))
+        };
+        let (ids_a, events_a) = run();
+        let (ids_b, events_b) = run();
+        assert_eq!(ids_a, ids_b);
+        assert_eq!(events_a, events_b);
+    }
+
+    #[test]
+    fn launch_task_is_a_batch_of_one() {
+        let run = |batch: bool| {
+            let recorder = Recorder::new();
+            let h = Simulation::start(
+                SimConfig::new(Platform::catalog(PlatformId::TestRig))
+                    .with_seed(5)
+                    .with_recorder(recorder.clone()),
+            );
+            let job = booting_job(&h);
+            let commands = recorder.metrics().counter("sim.commands");
+            let before = commands.get();
+            let desc = mixed_tasks(1).remove(0);
+            let id = if batch {
+                h.launch_tasks(job, vec![desc])[0]
+            } else {
+                h.launch_task(job, desc)
+            };
+            assert_eq!(commands.get() - before, 1, "one command per launch");
+            (id, events_until_ends(&h, 1))
+        };
+        assert_eq!(run(false), run(true));
     }
 }

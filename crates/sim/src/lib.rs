@@ -24,7 +24,10 @@
 //! the middleware above still does its real work in real threads. Commands
 //! are injected from real threads through a channel; the engine stamps them
 //! with the current virtual time and only advances the clock when no command
-//! has arrived within a small grace window.
+//! has arrived within a small grace window. A burst of launches is one
+//! command ([`SimCommander::launch_tasks`]), and reading the clock
+//! ([`SimCommander::now`]) is a load of a value the engine publishes, not a
+//! command.
 
 #![warn(missing_docs)]
 

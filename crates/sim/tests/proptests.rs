@@ -26,30 +26,42 @@ fn task_strategy() -> impl Strategy<Value = RandTask> {
     })
 }
 
-fn run_workload(tasks: &[RandTask], seed: u64) -> Vec<(TaskId, SimEvent)> {
+/// Run `tasks` on a fresh 4-node pilot and return every task event in
+/// order. `one_command` sends the burst as one `launch_tasks`; otherwise
+/// each task is its own `launch_task`, and a real-time pause longer than the
+/// engine's grace window between two of them may let the clock move
+/// mid-burst.
+fn run_workload(tasks: &[RandTask], seed: u64, one_command: bool) -> Vec<(TaskId, SimEvent)> {
     let h =
         Simulation::start(SimConfig::new(Platform::catalog(PlatformId::TestRig)).with_seed(seed));
+    // The burst queues while the pilot bootstraps and starts when it turns
+    // Ready, wherever the clock was when it arrived. With no bootstrap a
+    // burst that trailed the job by two grace windows found the clock moved
+    // on toward the walltime, and started later.
     let job = h.submit_job(JobDescription {
         nodes: 4,
         walltime: SimDuration::from_secs(1_000_000),
-        bootstrap: SimDuration::ZERO,
+        bootstrap: SimDuration::from_secs(120),
     });
-    let mut ids = Vec::new();
-    for t in tasks {
-        let desc = TaskDesc {
-            cores: t.cores,
-            gpus: 0,
-            duration: DurationModel::Fixed(SimDuration::from_secs(t.secs)),
-            failure: if t.fail_prob == 0 {
-                FailureModel::None
-            } else {
-                FailureModel::Random {
-                    prob: t.fail_prob as f64 / 100.0,
-                }
-            },
-            skip_env_setup: true,
-        };
-        ids.push(h.launch_task(job, desc));
+    let descs = tasks.iter().map(|t| TaskDesc {
+        cores: t.cores,
+        gpus: 0,
+        duration: DurationModel::Fixed(SimDuration::from_secs(t.secs)),
+        failure: if t.fail_prob == 0 {
+            FailureModel::None
+        } else {
+            FailureModel::Random {
+                prob: t.fail_prob as f64 / 100.0,
+            }
+        },
+        skip_env_setup: true,
+    });
+    if one_command {
+        h.launch_tasks(job, descs.collect());
+    } else {
+        for desc in descs {
+            h.launch_task(job, desc);
+        }
     }
     let mut events = Vec::new();
     let mut ended = 0;
@@ -77,7 +89,7 @@ proptest! {
     /// are only Completed/Failed (nothing cancels in this workload).
     #[test]
     fn exactly_once_termination(tasks in proptest::collection::vec(task_strategy(), 1..40), seed in 0u64..1000) {
-        let events = run_workload(&tasks, seed);
+        let events = run_workload(&tasks, seed, false);
         let mut ends: HashMap<TaskId, u32> = HashMap::new();
         let mut starts: HashMap<TaskId, f64> = HashMap::new();
         for (id, ev) in &events {
@@ -103,7 +115,7 @@ proptest! {
     /// stream never exceeds the pilot's capacity (32 cores on the rig).
     #[test]
     fn cores_never_oversubscribed(tasks in proptest::collection::vec(task_strategy(), 1..40), seed in 0u64..1000) {
-        let events = run_workload(&tasks, seed);
+        let events = run_workload(&tasks, seed, false);
         let cores_of: Vec<u32> = tasks.iter().map(|t| t.cores).collect();
         // Build (time, +cores/-cores) ticks; process ends before starts at
         // equal timestamps (the scheduler frees cores before reusing them).
@@ -129,11 +141,13 @@ proptest! {
         }
     }
 
-    /// Determinism: identical workload + seed ⇒ identical event trace.
+    /// Determinism: identical workload + seed ⇒ identical event trace. The
+    /// burst is one command, so both runs give the engine the same command
+    /// sequence at the same instant.
     #[test]
     fn deterministic_traces(tasks in proptest::collection::vec(task_strategy(), 1..20), seed in 0u64..100) {
-        let a = run_workload(&tasks, seed);
-        let b = run_workload(&tasks, seed);
+        let a = run_workload(&tasks, seed, true);
+        let b = run_workload(&tasks, seed, true);
         prop_assert_eq!(a.len(), b.len());
         for ((id_a, ev_a), (id_b, ev_b)) in a.iter().zip(&b) {
             prop_assert_eq!(id_a, id_b);

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Repo-wide hygiene gate: formatting, lints as errors, full test suite.
+# Repo-wide hygiene gate: formatting, lints as errors, every crate's tests.
 # Run from anywhere; operates on the workspace root.
 set -eu
 
@@ -38,7 +38,9 @@ if [ -n "$polling" ]; then
     exit 1
 fi
 
-echo "== cargo test =="
-cargo test -q
+echo "== cargo test (workspace) =="
+# Every crate's unit tests and proptests, not only the facade package and
+# the root tests/ that a plain `cargo test` runs.
+cargo test --workspace -q
 
 echo "all checks passed"
