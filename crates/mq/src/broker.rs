@@ -743,12 +743,6 @@ fn spawn_depth_sampler(
                 let metrics = recorder.metrics();
                 for (name, handle) in &snapshot {
                     let stats = handle.stats();
-                    metrics
-                        .gauge(&format!("mq.queue.{name}.depth"))
-                        .set(stats.depth as i64);
-                    metrics
-                        .gauge(&format!("mq.queue.{name}.unacked"))
-                        .set(stats.unacked as i64);
                     let rate = match last.get(name) {
                         Some(&(prev, at)) => {
                             let dt = now.saturating_duration_since(at).as_secs_f64();
@@ -760,18 +754,25 @@ fn spawn_depth_sampler(
                         }
                         None => 0,
                     };
-                    metrics
-                        .gauge(&format!("mq.queue.{name}.dequeue_rate"))
-                        .set(rate);
-                    // Deleted since the snapshot: its gauges went with it and
-                    // the sets above brought them back. A queue is closed
-                    // before its gauges are dropped, so either this check
-                    // sees the close or the drop comes after the sets. (A
-                    // broker shutting down closes its queues too, after it
-                    // raised its own flag; their last samples stay.)
-                    if handle.is_closed() && !inner.closed.load(Ordering::Acquire) {
-                        metrics.remove_gauges_with_prefix(&format!("mq.queue.{name}."));
+                    // Publish only while the queue is registered, holding
+                    // its shard's read lock: a delete takes the write lock
+                    // to unregister the queue before it drops the gauges,
+                    // so a sample of a deleted queue never reappears, not
+                    // even for a moment. (A broker shutting down keeps its
+                    // queues registered; their last samples stay.)
+                    let queues = inner.shard_of(name).queues.read();
+                    if queues.contains_key(name) {
+                        metrics
+                            .gauge(&format!("mq.queue.{name}.depth"))
+                            .set(stats.depth as i64);
+                        metrics
+                            .gauge(&format!("mq.queue.{name}.unacked"))
+                            .set(stats.unacked as i64);
+                        metrics
+                            .gauge(&format!("mq.queue.{name}.dequeue_rate"))
+                            .set(rate);
                     }
+                    drop(queues);
                     last.insert(name.clone(), (stats.delivered, now));
                 }
                 // Drop rate state for queues that no longer exist.

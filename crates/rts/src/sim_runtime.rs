@@ -22,8 +22,8 @@ use crate::profile::UnitRecord;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use entk_observe::{components, Recorder};
 use hpc_sim::{
-    JobDescription, JobId, Platform, SimCommander, SimConfig, SimEvent, SimHandle, Simulation,
-    StageId, StageUnit, TaskDesc, TaskId, TaskOutcome,
+    JobDescription, JobId, Platform, SimCommander, SimConfig, SimEvent, SimHandle, SimTime,
+    Simulation, StageId, StageUnit, TaskDesc, TaskId, TaskOutcome,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -257,7 +257,6 @@ impl SimRuntime {
             descs.truncate(injected_prefix(&action, descs.len()));
             die_after_submit = true;
         }
-        let now = self.commander.now().as_secs_f64();
         let mut ids = Vec::with_capacity(descs.len());
         // The span's histogram (span.rts.submit_units) is the agent spawn
         // throughput measure: batch size over batch duration.
@@ -268,6 +267,17 @@ impl SimRuntime {
         {
             let mut st = self.state.lock();
             let job = st.pilots.get(&pilot).map(|p| p.job);
+            // Provisional stamp. The clock load may trail the instant the
+            // engine applies its next command at (it stores nothing while it
+            // sleeps toward a distant event), so a submission that reaches
+            // the engine is restamped below with the instant of its first
+            // command. One for an unknown pilot never does; it takes the
+            // instant from a round trip.
+            let now = match job {
+                Some(_) => self.commander.now(),
+                None => self.commander.sync(),
+            }
+            .as_secs_f64();
             // Pass 1: register every unit, then write the whole submission
             // to the DB as one bulk insert — a single round-trip mirrors
             // MongoDB bulk_write instead of one op per unit.
@@ -354,14 +364,31 @@ impl SimRuntime {
                 self.kill();
                 return Err(RtsDown);
             }
-            dispatch_stagers_locked(&mut st, &self.commander, self.stagers);
+            let staged = dispatch_stagers_locked(&mut st, &self.commander, self.stagers);
             // The whole submission is one engine command. The lock spans it
             // and the index inserts: the engine may emit TaskStarted before
             // `launch_tasks` returns, and the dispatcher, which needs this
             // lock, must find the unit indexed (as in `submit_pilot`).
+            let mut launched = None;
             if let (Some(job), false) = (job, launch_tasks.is_empty()) {
-                let tids = self.commander.launch_tasks(job, launch_tasks);
+                let (tids, at) = self.commander.launch_tasks(job, launch_tasks);
                 st.task_index.extend(tids.into_iter().zip(launch_units));
+                launched = Some(at);
+            }
+            // Stamp the submission at the instant the engine applied its
+            // first command, or a round trip's if it sent none.
+            if job.is_some() {
+                let at = staged
+                    .or(launched)
+                    .unwrap_or_else(|| self.commander.sync())
+                    .as_secs_f64();
+                if at != now {
+                    for id in &ids {
+                        if let Some(u) = st.units.get_mut(id) {
+                            u.record.submitted_secs = at;
+                        }
+                    }
+                }
             }
         }
         drop(span);
@@ -606,20 +633,29 @@ fn fail_unit_locked(
     }
 }
 
-fn dispatch_stagers_locked(st: &mut State, commander: &SimCommander, stagers: usize) {
+/// Hand queued staging operations to free stagers. Returns the instant
+/// the engine accepted the first one at, if any was sent.
+fn dispatch_stagers_locked(
+    st: &mut State,
+    commander: &SimCommander,
+    stagers: usize,
+) -> Option<SimTime> {
+    let mut first = None;
     while st.stage_in_flight < stagers {
         let Some((unit, su, phase)) = st.stage_queue.pop_front() else {
-            return;
+            return first;
         };
         // Skip staging for units that died while queued.
         if st.units.get(&unit).is_none_or(|u| u.state.is_terminal()) {
             continue;
         }
         let duration_est = 0.0; // filled at completion from event timestamps
-        let stage_id = commander.stage(vec![su], 1);
+        let (stage_id, at) = commander.stage(vec![su], 1);
+        first.get_or_insert(at);
         st.stage_index.insert(stage_id, (unit, phase, duration_est));
         st.stage_in_flight += 1;
     }
+    first
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1172,6 +1208,32 @@ mod tests {
         assert_eq!(ids.len(), UNITS);
         let out = drain_until_terminal(&rt, UNITS);
         assert!(out.values().all(|o| *o == UnitOutcome::Done));
+    }
+
+    /// A unit is stamped at the instant its launch was applied, even when
+    /// the submission wakes an engine that slept toward the pilot's
+    /// walltime without publishing its clock: submission to start costs
+    /// the same after a long idle as right after the pilot turned Ready.
+    #[test]
+    fn submission_is_stamped_at_the_launch_instant() {
+        let rt = runtime();
+        let p = ready_pilot(&rt);
+        let submit_to_start = |tag: &str| {
+            let unit = UnitDescription::new(tag, Executable::Noop);
+            let id = rt.submit_units(p, vec![unit]).unwrap()[0];
+            drain_until_terminal(&rt, 1);
+            let r = rt.records().into_iter().find(|r| r.unit == id).unwrap();
+            r.started_secs.unwrap() - r.submitted_secs
+        };
+        let fresh = submit_to_start("fresh");
+        // 200 idle windows: 1000 virtual seconds in 100 ms of real time,
+        // well inside the pilot's 7200 s walltime.
+        std::thread::sleep(Duration::from_millis(100));
+        let idle = submit_to_start("idle");
+        assert!(
+            (idle - fresh).abs() < 1e-9,
+            "fresh {fresh}, after idle {idle}"
+        );
     }
 
     #[test]

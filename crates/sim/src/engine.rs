@@ -13,7 +13,10 @@
 //! `world.now` to a shared atomic before it sends the events of an instant,
 //! so [`SimCommander::now`] is a load that neither queues behind other
 //! commands nor restarts the grace window, and is never behind the time of
-//! an event already received.
+//! an event already received. It can trail the instant the next command is
+//! applied at: an engine sleeping toward a distant event credits the quiet
+//! windows only when a command wakes it. The replies of `launch_tasks`,
+//! `stage` and `sync` carry the instant the engine applied them at.
 
 use crate::cluster::World;
 use crate::events::SimEvent;
@@ -127,10 +130,10 @@ impl EngineObs {
 enum Command {
     SubmitJob(JobDescription, Sender<JobId>),
     CancelJob(JobId),
-    LaunchTasks(JobId, Vec<TaskDesc>, Sender<Vec<TaskId>>),
+    LaunchTasks(JobId, Vec<TaskDesc>, Sender<(Vec<TaskId>, SimTime)>),
     CancelTask(TaskId),
-    Stage(Vec<StageUnit>, usize, Sender<StageId>),
-    Sync(Sender<()>),
+    Stage(Vec<StageUnit>, usize, Sender<(StageId, SimTime)>),
+    Sync(Sender<SimTime>),
     QueryLiveTasks(Sender<usize>),
     Shutdown,
 }
@@ -162,13 +165,13 @@ impl SimCommander {
     /// Launch a task inside a job; returns its id immediately (the task may
     /// queue inside the pilot until cores are free). A batch of one.
     pub fn launch_task(&self, job: JobId, desc: TaskDesc) -> TaskId {
-        self.launch_tasks(job, vec![desc])[0]
+        self.launch_tasks(job, vec![desc]).0[0]
     }
 
     /// Launch a batch of tasks inside a job in one command: they enter the
     /// world in order at one virtual instant. Returns their ids in the
-    /// order of `descs`.
-    pub fn launch_tasks(&self, job: JobId, descs: Vec<TaskDesc>) -> Vec<TaskId> {
+    /// order of `descs`, and that instant.
+    pub fn launch_tasks(&self, job: JobId, descs: Vec<TaskDesc>) -> (Vec<TaskId>, SimTime) {
         let (tx, rx) = bounded(1);
         self.cmd_tx
             .send(Command::LaunchTasks(job, descs, tx))
@@ -182,8 +185,9 @@ impl SimCommander {
     }
 
     /// Submit a staging operation: `units` are distributed round-robin over
-    /// `workers` sequential streams. Returns its id.
-    pub fn stage(&self, units: Vec<StageUnit>, workers: usize) -> StageId {
+    /// `workers` sequential streams. Returns its id and the virtual instant
+    /// the engine accepted it at.
+    pub fn stage(&self, units: Vec<StageUnit>, workers: usize) -> (StageId, SimTime) {
         let (tx, rx) = bounded(1);
         self.cmd_tx
             .send(Command::Stage(units, workers, tx))
@@ -192,17 +196,23 @@ impl SimCommander {
     }
 
     /// Current virtual time: a load, not a command. At least the time of
-    /// every event already received from the engine.
+    /// every event already received from the engine. While the engine
+    /// sleeps toward a distant event it stores nothing, so this may trail
+    /// the instant its next command is applied at; the replies of
+    /// [`launch_tasks`](Self::launch_tasks), [`stage`](Self::stage) and
+    /// [`sync`](Self::sync) carry that instant.
     pub fn now(&self) -> SimTime {
         SimTime(self.clock.load(Ordering::Acquire))
     }
 
     /// Wait until the engine has applied every command sent before this
-    /// call. A stopped engine returns at once.
-    pub fn sync(&self) {
+    /// call; returns the virtual instant it applied this one at. A stopped
+    /// engine returns at once, with the last published clock.
+    pub fn sync(&self) -> SimTime {
         let (tx, rx) = bounded(1);
-        if self.cmd_tx.send(Command::Sync(tx)).is_ok() {
-            let _ = rx.recv();
+        match self.cmd_tx.send(Command::Sync(tx)) {
+            Ok(()) => rx.recv().unwrap_or_else(|_| self.now()),
+            Err(_) => self.now(),
         }
     }
 
@@ -275,7 +285,7 @@ impl SimHandle {
     }
 
     /// See [`SimCommander::launch_tasks`].
-    pub fn launch_tasks(&self, job: JobId, descs: Vec<TaskDesc>) -> Vec<TaskId> {
+    pub fn launch_tasks(&self, job: JobId, descs: Vec<TaskDesc>) -> (Vec<TaskId>, SimTime) {
         self.commander.launch_tasks(job, descs)
     }
 
@@ -285,7 +295,7 @@ impl SimHandle {
     }
 
     /// See [`SimCommander::stage`].
-    pub fn stage(&self, units: Vec<StageUnit>, workers: usize) -> StageId {
+    pub fn stage(&self, units: Vec<StageUnit>, workers: usize) -> (StageId, SimTime) {
         self.commander.stage(units, workers)
     }
 
@@ -295,7 +305,7 @@ impl SimHandle {
     }
 
     /// See [`SimCommander::sync`].
-    pub fn sync(&self) {
+    pub fn sync(&self) -> SimTime {
         self.commander.sync()
     }
 
@@ -331,15 +341,15 @@ fn apply(world: &mut World, cmd: Command, obs: Option<&EngineObs>) -> bool {
                 .into_iter()
                 .map(|desc| world.launch_task(job, desc))
                 .collect();
-            let _ = reply.send(ids);
+            let _ = reply.send((ids, world.now));
         }
         Command::CancelTask(id) => world.cancel_task(id),
         Command::Stage(units, workers, reply) => {
             let id = world.stage(units, workers);
-            let _ = reply.send(id);
+            let _ = reply.send((id, world.now));
         }
         Command::Sync(reply) => {
-            let _ = reply.send(());
+            let _ = reply.send(world.now);
         }
         Command::QueryLiveTasks(reply) => {
             let _ = reply.send(world.live_tasks());
@@ -520,12 +530,12 @@ mod tests {
     #[test]
     fn end_to_end_task_execution_in_virtual_time() {
         let h = start_testrig();
-        let job = booting_job(&h);
+        let job = h.submit_job(JobDescription::small());
         let task = h.launch_task(job, TaskDesc::fixed_secs(600));
         let wall = std::time::Instant::now();
         let (t_end, outcome) = wait_task_end(&h, task);
         assert_eq!(outcome, TaskOutcome::Completed);
-        assert_eq!(t_end, SimTime::from_secs_f64(720.0));
+        assert_eq!(t_end, SimTime::from_secs_f64(600.0));
         // 600 virtual seconds must cost far less than 2 wall seconds.
         assert!(wall.elapsed() < Duration::from_secs(2));
     }
@@ -533,11 +543,14 @@ mod tests {
     #[test]
     fn burst_submissions_share_a_virtual_instant() {
         let h = start_testrig();
-        let job = booting_job(&h); // 8 cores
-        let tasks = h.launch_tasks(job, vec![TaskDesc::fixed_secs(100); 8]);
+        let job = h.submit_job(JobDescription::small()); // 8 cores
+        let mut tasks = vec![];
+        for _ in 0..8 {
+            tasks.push(h.launch_task(job, TaskDesc::fixed_secs(100)));
+        }
         let ends = collect_task_ends(&h, 8);
         for t in &tasks {
-            assert_eq!(ends[t].0, SimTime::from_secs_f64(220.0));
+            assert_eq!(ends[t].0, SimTime::from_secs_f64(100.0));
         }
     }
 
@@ -576,7 +589,7 @@ mod tests {
     #[test]
     fn staging_event_arrives() {
         let h = start_testrig();
-        let s = h.stage(vec![StageUnit::single_file(1_000_000)], 1);
+        let (s, _) = h.stage(vec![StageUnit::single_file(1_000_000)], 1);
         let ev = h
             .events()
             .recv_timeout(Duration::from_secs(5))
@@ -694,6 +707,23 @@ mod tests {
         }
     }
 
+    /// After the attentive windows the engine sleeps toward the job's
+    /// walltime without storing the clock; a launch that wakes it is
+    /// applied further on, and its reply says where.
+    #[test]
+    fn launch_reply_carries_the_instant_the_tasks_were_stamped_at() {
+        let h = start_testrig();
+        // Walltime 3600 s; 200 idle windows are 1000 virtual seconds in
+        // 100 ms of real time.
+        let job = h.submit_job(JobDescription::small());
+        std::thread::sleep(Duration::from_millis(100));
+        let (ids, at) = h.launch_tasks(job, vec![TaskDesc::fixed_secs(10); 2]);
+        let ends = collect_task_ends(&h, 2);
+        for id in &ids {
+            assert_eq!(ends[id].0, at + SimDuration::from_secs(10));
+        }
+    }
+
     #[test]
     fn launch_tasks_returns_ids_in_order_and_replays_exactly() {
         let run = || {
@@ -701,7 +731,7 @@ mod tests {
                 SimConfig::new(Platform::catalog(PlatformId::TestRig)).with_seed(7),
             );
             let job = booting_job(&h);
-            let ids = h.launch_tasks(job, mixed_tasks(20));
+            let (ids, _) = h.launch_tasks(job, mixed_tasks(20));
             assert!(
                 ids.windows(2).all(|w| w[1].0 == w[0].0 + 1),
                 "ids out of submission order: {ids:?}"
@@ -728,7 +758,7 @@ mod tests {
             let before = commands.get();
             let desc = mixed_tasks(1).remove(0);
             let id = if batch {
-                h.launch_tasks(job, vec![desc])[0]
+                h.launch_tasks(job, vec![desc]).0[0]
             } else {
                 h.launch_task(job, desc)
             };

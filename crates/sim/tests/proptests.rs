@@ -34,14 +34,19 @@ fn task_strategy() -> impl Strategy<Value = RandTask> {
 fn run_workload(tasks: &[RandTask], seed: u64, one_command: bool) -> Vec<(TaskId, SimEvent)> {
     let h =
         Simulation::start(SimConfig::new(Platform::catalog(PlatformId::TestRig)).with_seed(seed));
-    // The burst queues while the pilot bootstraps and starts when it turns
-    // Ready, wherever the clock was when it arrived. With no bootstrap a
-    // burst that trailed the job by two grace windows found the clock moved
-    // on toward the walltime, and started later.
+    // A one-command burst queues while the pilot bootstraps and starts when
+    // it turns Ready, wherever the clock was when it arrived. With no
+    // bootstrap a burst that trailed the job by two grace windows found the
+    // clock moved on toward the walltime, and started later. One-by-one
+    // launches keep a ready pilot, so later ones reach a running scheduler.
     let job = h.submit_job(JobDescription {
         nodes: 4,
         walltime: SimDuration::from_secs(1_000_000),
-        bootstrap: SimDuration::from_secs(120),
+        bootstrap: if one_command {
+            SimDuration::from_secs(120)
+        } else {
+            SimDuration::ZERO
+        },
     });
     let descs = tasks.iter().map(|t| TaskDesc {
         cores: t.cores,
@@ -142,8 +147,8 @@ proptest! {
     }
 
     /// Determinism: identical workload + seed ⇒ identical event trace. The
-    /// burst is one command, so both runs give the engine the same command
-    /// sequence at the same instant.
+    /// burst is one command into a booting pilot, so both runs give the
+    /// engine the same command sequence and start it at the same instant.
     #[test]
     fn deterministic_traces(tasks in proptest::collection::vec(task_strategy(), 1..20), seed in 0u64..100) {
         let a = run_workload(&tasks, seed, true);
