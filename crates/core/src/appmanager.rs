@@ -9,7 +9,7 @@
 
 use crate::cancel::CancelToken;
 use crate::execmanager::{self, ExecManagerConfig, RtsPools, RtsSlot};
-use crate::messages::{self, component, QueueNamespace};
+use crate::messages::{self, component, QueueNamespace, Reaction};
 use crate::profiler::{OverheadReport, Profiler, PythonEmulation};
 use crate::states::TaskState;
 use crate::statestore::StateStore;
@@ -462,6 +462,11 @@ pub(crate) struct Ctx {
     /// Settled-timeline sink (tail sampling; see
     /// [`AppManagerConfig::trace_store`]).
     pub trace_store: Option<Arc<entk_observe::TraceStore>>,
+    /// The simulator credits of the Done batch Dequeue is settling
+    /// (DESIGN.md, hpc-sim), for the transition that wakes Enqueue to park.
+    pub reaction: Mutex<Reaction>,
+    /// Credits parked for Enqueue's next pass; see [`Ctx::park_reaction`].
+    parked: Mutex<Reaction>,
 }
 
 impl Ctx {
@@ -504,6 +509,8 @@ impl Ctx {
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),
             base_trace,
             trace_store,
+            reaction: Mutex::default(),
+            parked: Mutex::default(),
         })
     }
 
@@ -555,6 +562,8 @@ impl Ctx {
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),
             base_trace: None,
             trace_store: None,
+            reaction: Mutex::default(),
+            parked: Mutex::default(),
         })
     }
 
@@ -735,12 +744,34 @@ impl Ctx {
         self.cancel.signal().notify();
     }
 
+    /// Hand Enqueue the credits of the reaction being settled. The
+    /// transition that wakes Enqueue calls this under the workflow lock, in
+    /// its own critical section: an Enqueue that sees the tasks it made
+    /// schedulable (under that lock) also finds their credits.
+    pub(crate) fn park_reaction(&self) {
+        let reaction = self.reaction.lock().clone();
+        self.park(reaction);
+    }
+
+    /// Park credits for Enqueue's next pass.
+    pub(crate) fn park(&self, reaction: Reaction) {
+        self.parked.lock().absorb(reaction);
+    }
+
+    /// What is parked, taken (Enqueue, under the workflow lock).
+    pub(crate) fn take_parked(&self) -> Reaction {
+        std::mem::take(&mut *self.parked.lock())
+    }
+
     /// Stop the run: clear the run flag and wake everything parked on the
     /// signal or on `stopped`. Threads blocked inside a queue wake when
     /// tear-down closes the session's queues.
     pub(crate) fn stop(&self) {
         self.running.store(false, Ordering::Release);
         self.stop_tx.lock().take();
+        // A stopped Enqueue takes nothing; whatever is parked would hold
+        // the simulator's clock for as long as this context lives.
+        self.take_parked();
         self.wake();
     }
 
@@ -1016,12 +1047,10 @@ impl AppManager {
             self.config.trace_store.clone(),
         );
 
-        // Spawn Synchronizer and WFProcessor.
+        // Spawn the Synchronizer and Dequeue; Enqueue follows once the
+        // pilots are ready.
         let synchronizer = synchronizer::spawn(Arc::clone(&ctx));
-        let mut handles = vec![
-            wfprocessor::spawn_enqueue(Arc::clone(&ctx)),
-            wfprocessor::spawn_dequeue(Arc::clone(&ctx)),
-        ];
+        let mut handles = vec![wfprocessor::spawn_dequeue(Arc::clone(&ctx))];
         let setup = setup_start.elapsed();
         drop(setup_span);
         ctx.profiler.set_setup(setup);
@@ -1057,6 +1086,15 @@ impl AppManager {
         let pools = Arc::new(RtsPools { pools: slots });
         drop(rmgr_span);
         let rmgr_wall = rmgr_start.elapsed();
+
+        // Hold each simulator's clock at its pilot's Ready instant until
+        // Enqueue's first pass reaches the engine: the pass takes these
+        // credits with the schedulable set and its Pending messages carry
+        // them to the Emgr.
+        ctx.park(Reaction::holding(
+            pools.pools.iter().map(|slot| slot.hold()).collect(),
+        ));
+        handles.push(wfprocessor::spawn_enqueue(Arc::clone(&ctx)));
 
         handles.push(execmanager::spawn_emgr(
             Arc::clone(&ctx),

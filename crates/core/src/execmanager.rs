@@ -16,7 +16,7 @@
 //!   CI failure) while work remains.
 
 use crate::appmanager::Ctx;
-use crate::messages::{self, component, AttemptOutcome, UNTIL_CLOSED};
+use crate::messages::{self, component, AttemptOutcome, Reaction, UNTIL_CLOSED};
 use crate::states::TaskState;
 use crossbeam::channel::{RecvTimeoutError, Select, TryRecvError};
 use entk_mq::Message;
@@ -152,6 +152,11 @@ impl RtsSlot {
             teardown_wall: Mutex::new(Duration::ZERO),
             lease: Mutex::new(Some(lease)),
         }
+    }
+
+    /// A reaction credit of the current incarnation's simulator.
+    pub(crate) fn hold(&self) -> rp_rts::Credit {
+        self.slot.read().0.hold()
     }
 
     /// All unit records across incarnations (archived + current), taken
@@ -555,13 +560,22 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                     .with_payload(cbs.len().to_string());
                 let uids: Vec<String> = cbs.iter().map(|c| c.tag.clone()).collect();
                 let applied = ctx.sync_tasks(component::CALLBACK, &uids, TaskState::Executed);
-                let done: Vec<Message> = cbs
-                    .iter()
-                    .zip(applied)
-                    .filter(|(_, ok)| *ok)
-                    .map(|(c, _)| traced_done_message(&ctx, c))
-                    .collect();
+                let mut done = Vec::with_capacity(cbs.len());
+                let mut credits = Vec::with_capacity(cbs.len());
+                for (c, ok) in cbs.iter().zip(applied) {
+                    if ok {
+                        done.push(traced_done_message(&ctx, c));
+                        credits.push(c.credit.clone());
+                    }
+                }
                 if !done.is_empty() {
+                    // The simulator credits ride on to Dequeue; a refused
+                    // sync publishes nothing, and its reaction ends here.
+                    let hold = Reaction::holding(credits).attachment();
+                    let done = done
+                        .into_iter()
+                        .map(|m| messages::attached(m, &hold))
+                        .collect();
                     let _ = ctx.broker.publish_batch(ctx.ns.done(), done);
                 }
                 drop(span);
@@ -578,9 +592,11 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                     .with_uid(cb.tag.clone());
                 // Mark the attempt Executed, then notify Dequeue.
                 if ctx.sync_task(component::CALLBACK, &cb.tag, TaskState::Executed) {
-                    let _ = ctx
-                        .broker
-                        .publish(ctx.ns.done(), traced_done_message(&ctx, &cb));
+                    let hold = Reaction::holding(vec![cb.credit.clone()]).attachment();
+                    let _ = ctx.broker.publish(
+                        ctx.ns.done(),
+                        messages::attached(traced_done_message(&ctx, &cb), &hold),
+                    );
                 }
                 drop(span);
                 ctx.profiler.add_management(t0.elapsed());
@@ -659,9 +675,10 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
             continue;
         }
 
-        // --- Recovery: exclusive access so the Emgr cannot submit while we
-        // swap incarnations and sweep lost tasks. ---
-        let mut guard = slot.slot.write();
+        // --- Recovery: exclusive access to decide on it, and again to swap
+        // incarnations and sweep lost tasks, so the Emgr cannot submit
+        // meanwhile. ---
+        let guard = slot.slot.write();
         let (rts, pilot) = (&guard.0, guard.1);
         let still_broken =
             !rts.is_alive() || matches!(rts.pilot_state(pilot), Some(PilotState::Done) | None);
@@ -689,14 +706,20 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
             return;
         }
 
-        if rts.is_alive() && rts.pilot_state(pilot).is_some() {
+        // Re-acquire with the slot unlocked. Waiting for a pilot to turn
+        // Ready is waiting for the simulator to step, and an Emgr holding a
+        // batch's credits may be blocked on the read lock meanwhile; it
+        // finds the broken incarnation and requeues.
+        let (rts, pilot) = (Arc::clone(rts), pilot);
+        drop(guard);
+        let replacement = if rts.is_alive() && rts.pilot_state(pilot).is_some() {
             // RTS alive but pilot gone (walltime/CI failure): re-acquire a
             // pilot on the same RTS incarnation.
             let new_pilot = rts.submit_pilot(&slot.pilot_desc);
             rts.wait_pilot_ready(new_pilot, Duration::from_secs(30));
-            guard.1 = new_pilot;
             ctx.recorder
                 .record(obs::HEARTBEAT, "pilot_reacquired", slot.name.clone(), "");
+            (rts, new_pilot)
         } else {
             // Full RTS failure: purge the dead incarnation and start a new
             // one (§II-B4).
@@ -713,10 +736,15 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
             let new_rts = Arc::new(RuntimeSystem::start(slot.rts_config.clone()));
             let new_pilot = new_rts.submit_pilot(&slot.pilot_desc);
             new_rts.wait_pilot_ready(new_pilot, Duration::from_secs(30));
-            *guard = (new_rts, new_pilot);
             ctx.recorder
                 .record(obs::HEARTBEAT, "rts_restarted", slot.name.clone(), "");
-        }
+            (new_rts, new_pilot)
+        };
+        // The lost tasks are re-driven at the new pilot's Ready instant:
+        // this credit rides on the sweep's Done messages.
+        let hold = Reaction::holding(vec![replacement.0.hold()]).attachment();
+        let mut guard = slot.slot.write();
+        *guard = replacement;
 
         // Sweep: every task that was in flight on the dead incarnation is
         // lost; notify Dequeue so they are re-executed without consuming
@@ -734,7 +762,9 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
         );
         let sweep: Vec<Message> = lost
             .iter()
-            .map(|uid| messages::done_message(uid, &AttemptOutcome::Lost))
+            .map(|uid| {
+                messages::attached(messages::done_message(uid, &AttemptOutcome::Lost), &hold)
+            })
             .collect();
         if !sweep.is_empty() {
             let _ = ctx.broker.publish_batch(ctx.ns.done(), sweep);

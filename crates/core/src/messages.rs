@@ -8,7 +8,8 @@
 //! component.
 
 use crate::uid::Kind;
-use entk_mq::Message;
+use entk_mq::{Attachment, Message};
+use std::sync::Arc;
 
 /// The Pending queue: tasks tagged for execution.
 pub const PENDING: &str = "entk-pending";
@@ -273,6 +274,59 @@ pub fn parse_ack(msg: &Message) -> (String, bool) {
     )
 }
 
+/// The simulator's reaction credits a component holds while it reacts
+/// (DESIGN.md, hpc-sim): the attachments of the messages it reacts to,
+/// each kept once. Opaque here; dropping the last holder of a credit lets
+/// the virtual clock move on.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Reaction(Vec<Attachment>);
+
+impl Reaction {
+    /// A reaction holding `credits` (the RTS callbacks' or a fresh hold).
+    pub(crate) fn holding(credits: Vec<hpc_sim::Credit>) -> Self {
+        Reaction(vec![Arc::new(credits)])
+    }
+
+    /// The attachments of `messages`.
+    pub(crate) fn of<'a>(messages: impl IntoIterator<Item = &'a Message>) -> Self {
+        let mut r = Reaction::default();
+        for a in messages.into_iter().filter_map(|m| m.attachment.as_ref()) {
+            r.add(a);
+        }
+        r
+    }
+
+    fn add(&mut self, a: &Attachment) {
+        if !self.0.iter().any(|held| Arc::ptr_eq(held, a)) {
+            self.0.push(Arc::clone(a));
+        }
+    }
+
+    /// Hold `other`'s credits too.
+    pub(crate) fn absorb(&mut self, other: Reaction) {
+        for a in &other.0 {
+            self.add(a);
+        }
+    }
+
+    /// One attachment that holds all of it, to ride along on messages.
+    pub(crate) fn attachment(&self) -> Option<Attachment> {
+        match self.0.as_slice() {
+            [] => None,
+            [one] => Some(Arc::clone(one)),
+            many => Some(Arc::new(many.to_vec())),
+        }
+    }
+}
+
+/// `msg` carrying `hold`, if any.
+pub(crate) fn attached(msg: Message, hold: &Option<Attachment>) -> Message {
+    match hold {
+        Some(a) => msg.with_attachment(Arc::clone(a)),
+        None => msg,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,5 +447,29 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), component::ALL.len());
+    }
+
+    #[test]
+    fn reaction_keeps_each_attachment_once_and_releases_with_its_holders() {
+        let a: Attachment = Arc::new(());
+        let alive = Arc::downgrade(&a);
+        let msgs = [
+            Message::new("x").with_attachment(Arc::clone(&a)),
+            Message::new("y").with_attachment(a),
+            Message::new("z"),
+        ];
+        let mut r = Reaction::of(&msgs);
+        r.absorb(Reaction::of(&msgs));
+        assert_eq!(r.0.len(), 1);
+        drop(msgs);
+        let hold = r.attachment();
+        drop(r);
+        assert_eq!(alive.strong_count(), 1, "the attachment still holds it");
+        let m = attached(Message::new("w"), &hold);
+        drop(hold);
+        assert_eq!(alive.strong_count(), 1);
+        drop(m);
+        assert_eq!(alive.strong_count(), 0);
+        assert!(Reaction::default().attachment().is_none());
     }
 }

@@ -250,6 +250,9 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
         TaskState::Described => true,
         _ => false,
     };
+    if wake {
+        ctx.park_reaction();
+    }
     drop(wf);
     if wake {
         ctx.wake();
@@ -296,13 +299,16 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
         StageState::Done => {
             // Branching: the hook may append stages before we decide whether
             // the pipeline is exhausted.
-            if let Some(hook) = hook {
-                hook(pipeline);
-            }
+            let hooked = hook.map(|hook| hook(pipeline)).is_some();
             let puid = pipeline.uid().to_string();
             if pipeline.advance_stage() {
-                // More stages to run; reindex in case the hook added tasks.
-                wf.reindex_pipeline(p);
+                // More stages to run; reindex if the hook may have added
+                // tasks. Without one the index stands, and rebuilding it —
+                // every task of the pipeline — would cost each stage hop
+                // time linear in the pipeline's length.
+                if hooked {
+                    wf.reindex_pipeline(p);
+                }
             } else if wf.pipelines_mut()[p].advance(PipelineState::Done).is_ok() {
                 ctx.journal("pipeline", &puid, "", "done");
             }

@@ -7,7 +7,7 @@
 //! requirements (§II-A), resubmits failed tasks within their retry budget.
 
 use crate::appmanager::{Ctx, ExecutionStrategy};
-use crate::messages::{self, component, AttemptOutcome, UNTIL_CLOSED};
+use crate::messages::{self, component, AttemptOutcome, Reaction, UNTIL_CLOSED};
 use crate::states::TaskState;
 use entk_mq::Message;
 use entk_observe::{components as obs, hops, TraceCtx};
@@ -37,6 +37,11 @@ fn standing_down(ctx: &Ctx) -> bool {
 }
 
 fn enqueue_loop(ctx: Arc<Ctx>) {
+    // The simulator credits Enqueue holds: taken from where the transitions
+    // that woke it parked them, under the same lock as the schedulable set
+    // they cover, and kept until Enqueue is about to wait — for tasks to
+    // tag, or for a slot under the concurrency cap.
+    let mut reaction = Reaction::default();
     loop {
         // Park until there are tasks to tag: the Synchronizer notifies when
         // a stage advances or a task rejoins the pool, `Ctx::stop` and
@@ -46,7 +51,13 @@ fn enqueue_loop(ctx: Arc<Ctx>) {
             if standing_down(&ctx) {
                 return true;
             }
-            ready = ctx.workflow.lock().schedulable_tasks();
+            let wf = ctx.workflow.lock();
+            ready = wf.schedulable_tasks();
+            reaction.absorb(ctx.take_parked());
+            drop(wf);
+            if ready.is_empty() {
+                reaction = Reaction::default();
+            }
             !ready.is_empty()
         });
         if standing_down(&ctx) {
@@ -61,9 +72,9 @@ fn enqueue_loop(ctx: Arc<Ctx>) {
             .span(obs::ENQ, "batch")
             .with_payload(ready.len().to_string());
         let alive = if ctx.batched {
-            enqueue_batched(&ctx, &ready)
+            enqueue_batched(&ctx, &ready, &mut reaction)
         } else {
-            enqueue_per_task(&ctx, &ready)
+            enqueue_per_task(&ctx, &ready, &mut reaction)
         };
         drop(span);
         ctx.profiler.add_management(t0.elapsed());
@@ -73,29 +84,62 @@ fn enqueue_loop(ctx: Arc<Ctx>) {
     }
 }
 
+/// Execution-strategy throttle: wait for a free slot under the concurrency
+/// cap (every task that settles under a cap notifies) and return how many
+/// there are, or `None` once the run stands down. A slot frees when a task
+/// settles, which is virtual progress: before it waits, Enqueue drops
+/// `reaction` and whatever is parked, and afterwards holds what the settle
+/// that freed the slot parked. A settle frees its slot and parks its
+/// credits in one workflow-lock section, so reading the slots under that
+/// lock before the wait, and taking the credits under it after, is exact.
+fn free_slots(ctx: &Ctx, reaction: &mut Reaction) -> Option<usize> {
+    let free_now = || {
+        ctx.concurrency_cap
+            .load(Ordering::Relaxed)
+            .saturating_sub(ctx.in_flight.load(Ordering::Relaxed))
+    };
+    let mut free = 0;
+    let mut waited = false;
+    ctx.cancel.signal().wait_until(None, || {
+        free = free_now();
+        if free > 0 || standing_down(ctx) {
+            return true;
+        }
+        let _wf = ctx.workflow.lock();
+        free = free_now();
+        let parked = ctx.take_parked();
+        if free > 0 {
+            reaction.absorb(parked);
+            return true;
+        }
+        *reaction = Reaction::default();
+        waited = true;
+        false
+    });
+    if standing_down(ctx) {
+        return None;
+    }
+    if waited {
+        let _wf = ctx.workflow.lock();
+        reaction.absorb(ctx.take_parked());
+    }
+    Some(free)
+}
+
 /// Batched fast path: tag a chunk of ready tasks Scheduling → Scheduled
 /// with two bulk sync round-trips and make the chunk visible to the Emgr as
-/// one batched Pending publish. Chunks are sized by the free concurrency
-/// budget so the execution-strategy throttle still holds. `Scheduled` is
-/// synchronized *before* the publish so the Emgr can never see a task that
-/// is still mid-transition. Returns whether the loop should keep running.
-fn enqueue_batched(ctx: &Ctx, ready: &[String]) -> bool {
+/// one batched Pending publish, carrying `reaction`. Chunks are sized by the
+/// free concurrency budget so the execution-strategy throttle still holds.
+/// `Scheduled` is synchronized *before* the publish so the Emgr can never
+/// see a task that is still mid-transition. Returns whether the loop should
+/// keep running.
+fn enqueue_batched(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
     let max_batch = ctx.exec.batch_limit();
     let mut idx = 0;
     while idx < ready.len() {
-        // Throttle: wait for a free slot under the concurrency cap (every
-        // task that settles under a cap notifies).
-        let mut free = 0;
-        ctx.cancel.signal().wait_until(None, || {
-            free = ctx
-                .concurrency_cap
-                .load(Ordering::Relaxed)
-                .saturating_sub(ctx.in_flight.load(Ordering::Relaxed));
-            free > 0 || standing_down(ctx)
-        });
-        if standing_down(ctx) {
+        let Some(free) = free_slots(ctx, reaction) else {
             return false;
-        }
+        };
         let chunk = &ready[idx..(idx + free.min(max_batch)).min(ready.len())];
         idx += chunk.len();
         let scheduling = ctx.sync_tasks(component::ENQUEUE, chunk, TaskState::Scheduling);
@@ -106,11 +150,12 @@ fn enqueue_batched(ctx: &Ctx, ready: &[String]) -> bool {
             .map(|(uid, _)| uid.clone())
             .collect();
         let scheduled = ctx.sync_tasks(component::ENQUEUE, &chunk, TaskState::Scheduled);
+        let hold = reaction.attachment();
         let pending: Vec<Message> = chunk
             .iter()
             .zip(scheduled)
             .filter(|(_, ok)| *ok)
-            .map(|(uid, _)| traced_pending_message(ctx, uid))
+            .map(|(uid, _)| messages::attached(traced_pending_message(ctx, uid), &hold))
             .collect();
         if !pending.is_empty() {
             let _ = ctx.broker.publish_batch(ctx.ns.pending(), pending);
@@ -120,17 +165,11 @@ fn enqueue_batched(ctx: &Ctx, ready: &[String]) -> bool {
 }
 
 /// The paper's per-task data path: two sync round-trips and one publish per
-/// task. Returns whether the loop should keep running.
-fn enqueue_per_task(ctx: &Ctx, ready: &[String]) -> bool {
+/// task, each carrying `reaction`. Returns whether the loop should keep
+/// running.
+fn enqueue_per_task(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
     for uid in ready {
-        // Execution-strategy throttle: hold the task back while the
-        // in-flight count sits at the concurrency cap (every task that
-        // settles under a cap notifies).
-        ctx.cancel.signal().wait_until(None, || {
-            ctx.in_flight.load(Ordering::Relaxed) < ctx.concurrency_cap.load(Ordering::Relaxed)
-                || standing_down(ctx)
-        });
-        if standing_down(ctx) {
+        if free_slots(ctx, reaction).is_none() {
             return false;
         }
         // Tag for execution, then make visible to the Emgr. `Scheduled`
@@ -142,9 +181,10 @@ fn enqueue_per_task(ctx: &Ctx, ready: &[String]) -> bool {
         if !ctx.sync_task(component::ENQUEUE, uid, TaskState::Scheduled) {
             continue;
         }
-        let _ = ctx
-            .broker
-            .publish(ctx.ns.pending(), traced_pending_message(ctx, uid));
+        let _ = ctx.broker.publish(
+            ctx.ns.pending(),
+            messages::attached(traced_pending_message(ctx, uid), &reaction.attachment()),
+        );
     }
     true
 }
@@ -186,6 +226,9 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
             .recorder
             .span(obs::DEQ, "handle")
             .with_payload(batch.len().to_string());
+        // The batch's simulator credits, for the transition that wakes
+        // Enqueue to park; released with the batch.
+        *ctx.reaction.lock() = Reaction::of(batch.iter().map(|d| &d.message));
         handle_outcomes(
             &ctx,
             batch.iter().map(|d| {
@@ -197,6 +240,7 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
         // settles the whole batch.
         let boundary = batch.last().expect("non-empty batch").tag;
         let _ = ctx.broker.ack_multiple(ctx.ns.done(), boundary);
+        *ctx.reaction.lock() = Reaction::default();
         drop(span);
         ctx.profiler.add_management(t0.elapsed());
     }

@@ -900,6 +900,62 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// An attachment lives exactly as long as the broker or a consumer
+    /// holds its message: ack, requeue, purge and queue deletion let go of
+    /// it, and the journal never sees it.
+    #[test]
+    fn attachments_are_released_with_their_message_and_never_journaled() {
+        let path = tmp_journal("attachment");
+        let b = Broker::with_config(BrokerConfig {
+            journal_path: Some(path.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        b.declare_queue("q", QueueConfig::durable()).unwrap();
+        let attached = || {
+            let a: crate::Attachment = Arc::new(());
+            let alive = Arc::downgrade(&a);
+            (Message::persistent("m").with_attachment(a), alive)
+        };
+
+        let (m, alive) = attached();
+        b.publish("q", m).unwrap();
+        let d = b.get("q").unwrap().unwrap();
+        drop(d.message);
+        assert_eq!(alive.strong_count(), 1, "the unacked copy holds it");
+        b.ack("q", d.tag).unwrap();
+        assert_eq!(alive.strong_count(), 0, "released on ack");
+
+        let (m, alive) = attached();
+        b.publish("q", m).unwrap();
+        let d = b.get("q").unwrap().unwrap();
+        b.nack("q", d.tag).unwrap();
+        drop(d);
+        assert_eq!(alive.strong_count(), 0, "a requeued message carries none");
+        let d = b.get("q").unwrap().unwrap();
+        assert!(d.redelivered && d.message.attachment.is_none());
+        b.ack("q", d.tag).unwrap();
+
+        let (m, alive) = attached();
+        b.publish("q", m).unwrap();
+        b.purge("q").unwrap();
+        assert_eq!(alive.strong_count(), 0, "released on purge");
+
+        let (m, alive) = attached();
+        b.publish("q", m).unwrap();
+        drop(b);
+        assert_eq!(alive.strong_count(), 0, "released with the broker");
+        let b = Broker::recover(&path).unwrap();
+        let d = b.get("q").unwrap().unwrap();
+        assert!(d.message.attachment.is_none(), "never journaled");
+
+        let (m, alive) = attached();
+        b.publish("q", m).unwrap();
+        b.delete_queue("q").unwrap();
+        assert_eq!(alive.strong_count(), 0, "released on queue deletion");
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn trace_headers_survive_crash_recovery_redelivery() {
         let path = tmp_journal("trace_recover");

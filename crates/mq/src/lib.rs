@@ -36,6 +36,6 @@ pub use broker::{Broker, BrokerConfig};
 pub use consumer::Consumer;
 pub use error::{MqError, MqResult};
 pub use journal::{Journal, JournalMetrics, JournalRecord};
-pub use message::{Delivery, Message};
+pub use message::{Attachment, Delivery, Message};
 pub use queue::QueueConfig;
 pub use stats::{BrokerStats, QueueStats};

@@ -5,8 +5,17 @@
 //! cloning a message never copies the body) plus a small set of headers.
 
 use bytes::Bytes;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// An in-memory value riding along with a message, opaque to the broker.
+/// It is never journaled, so a message recovered from the journal has
+/// none, and the broker lets go of it with the message: on ack, purge or
+/// queue deletion, and on requeue — a redelivery carries none. Cloning a
+/// message shares it.
+pub type Attachment = Arc<dyn Any + Send + Sync>;
 
 /// Global monotonically increasing message id, unique within the process.
 static NEXT_MESSAGE_ID: AtomicU64 = AtomicU64::new(1);
@@ -24,6 +33,8 @@ pub struct Message {
     /// Whether the message should be written to the journal when the target
     /// queue is durable.
     pub persistent: bool,
+    /// See [`Attachment`].
+    pub attachment: Option<Attachment>,
 }
 
 impl Message {
@@ -34,6 +45,7 @@ impl Message {
             payload: payload.into(),
             headers: BTreeMap::new(),
             persistent: false,
+            attachment: None,
         }
     }
 
@@ -47,6 +59,12 @@ impl Message {
     /// Attach a header, builder-style.
     pub fn with_header(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.insert(key.into(), value.into());
+        self
+    }
+
+    /// Ride an [`Attachment`] along, builder-style.
+    pub fn with_attachment(mut self, attachment: Attachment) -> Self {
+        self.attachment = Some(attachment);
         self
     }
 

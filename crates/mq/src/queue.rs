@@ -95,6 +95,13 @@ struct Counters {
     batch_acks: u64,
 }
 
+/// A message going back to the ready queue: a redelivery is a new delivery,
+/// so it carries no [`crate::Attachment`] of the one that was handed back.
+fn requeued(mut message: Message) -> Message {
+    message.attachment = None;
+    message
+}
+
 /// Mutable queue state, always accessed under the handle's mutex.
 struct QueueState {
     ready: VecDeque<ReadyEntry>,
@@ -480,7 +487,7 @@ impl QueueHandle {
                 st.ready.push_front(ReadyEntry {
                     tag,
                     redelivered: true,
-                    message: msg,
+                    message: requeued(msg),
                     enqueued_at: now,
                 });
             }
@@ -531,7 +538,7 @@ impl QueueHandle {
             st.ready.push_front(ReadyEntry {
                 tag,
                 redelivered: true,
-                message: msg,
+                message: requeued(msg),
                 enqueued_at: Instant::now(),
             });
         }
@@ -559,7 +566,7 @@ impl QueueHandle {
                 st.ready.push_front(ReadyEntry {
                     tag,
                     redelivered: true,
-                    message: msg,
+                    message: requeued(msg),
                     enqueued_at: now,
                 });
             }

@@ -211,6 +211,11 @@ pub struct UnitCallback {
     /// upstream hops plus the agent's `agent_start`/`agent_end` hops.
     /// `None` on non-terminal callbacks and for untraced units.
     pub trace: Option<entk_observe::TraceCtx>,
+    /// The simulator's reaction credit of the event behind a terminal
+    /// callback: the virtual clock stays at its instant until whoever
+    /// reacts to the callback lets it go (DESIGN.md, hpc-sim). Inert on
+    /// non-terminal callbacks and on the local backend.
+    pub credit: hpc_sim::Credit,
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ pub use api::{
     UnitId, UnitOutcome, UnitState,
 };
 pub use executable::Executable;
+pub use hpc_sim::Credit;
 pub use pool::{PilotLease, PilotPool, PilotPoolConfig, PoolStats};
 pub use profile::{RtsProfile, UnitRecord};
 pub use rts::{BackendConfig, LocalConfig, RtsConfig, RuntimeSystem};

@@ -229,6 +229,7 @@ fn worker_loop(
             outcome: None,
             timestamp_secs: started,
             trace: None,
+            credit: Default::default(),
         });
 
         let result: Result<(), String> = match &desc.executable {
@@ -284,6 +285,7 @@ fn worker_loop(
             outcome: Some(outcome),
             timestamp_secs: ended,
             trace: desc.trace,
+            credit: Default::default(),
         });
     }
 }

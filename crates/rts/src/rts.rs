@@ -193,6 +193,16 @@ impl RuntimeSystem {
         }
     }
 
+    /// A reaction credit of the backend's simulator: its virtual clock
+    /// stays where it is until the credit is dropped. Inert on the local
+    /// backend, whose time is real.
+    pub fn hold(&self) -> hpc_sim::Credit {
+        match &self.backend {
+            Backend::Sim(rt) => rt.hold(),
+            Backend::Local(_) => hpc_sim::Credit::default(),
+        }
+    }
+
     /// Unit state-transition callbacks.
     pub fn callbacks(&self) -> &Receiver<UnitCallback> {
         match &self.backend {

@@ -22,7 +22,7 @@ use crate::profile::UnitRecord;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use entk_observe::{components, Recorder};
 use hpc_sim::{
-    JobDescription, JobId, Platform, SimCommander, SimConfig, SimEvent, SimHandle, SimTime,
+    Credit, JobDescription, JobId, Platform, SimCommander, SimConfig, SimEvent, SimHandle, SimTime,
     Simulation, StageId, StageUnit, TaskDesc, TaskId, TaskOutcome,
 };
 use parking_lot::{Condvar, Mutex};
@@ -169,6 +169,12 @@ impl SimRuntime {
         self.commander.now().as_secs_f64()
     }
 
+    /// A reaction credit of the simulator: its clock stays where it is
+    /// until the credit is dropped (see [`SimCommander::hold`]).
+    pub fn hold(&self) -> Credit {
+        self.commander.hold()
+    }
+
     /// PilotManager: submit a pilot as a batch job on the CI.
     pub fn submit_pilot(&self, desc: &PilotDescription) -> PilotId {
         assert!(self.is_alive(), "RTS is down");
@@ -267,12 +273,12 @@ impl SimRuntime {
         {
             let mut st = self.state.lock();
             let job = st.pilots.get(&pilot).map(|p| p.job);
-            // Provisional stamp. The clock load may trail the instant the
-            // engine applies its next command at (it stores nothing while it
-            // sleeps toward a distant event), so a submission that reaches
-            // the engine is restamped below with the instant of its first
-            // command. One for an unknown pilot never does; it takes the
-            // instant from a round trip.
+            // Provisional stamp. The engine may step between this load and
+            // applying the submission's first command (when no credit holds
+            // its clock), so a submission that reaches the engine is
+            // restamped below with the instant of that command. One for an
+            // unknown pilot never does; it takes the instant from a round
+            // trip.
             let now = match job {
                 Some(_) => self.commander.now(),
                 None => self.commander.sync(),
@@ -565,6 +571,7 @@ fn set_state_mem_locked(
                 outcome: None,
                 timestamp_secs: ts,
                 trace: None,
+                credit: Credit::default(),
             });
         }
         true
@@ -585,13 +592,15 @@ fn set_state_locked(
     }
 }
 
+/// End a unit. With `cb`, the terminal callback carries a clone of the
+/// credit of the event that ended it, to whoever reacts.
 fn fail_unit_locked(
     st: &mut State,
     db: &DocDb,
     unit: UnitId,
     outcome: UnitOutcome,
     at_secs: f64,
-    cb: Option<&Sender<UnitCallback>>,
+    cb: Option<(&Sender<UnitCallback>, &Credit)>,
 ) {
     let rec = st.recorder.clone();
     let Some(u) = st.units.get_mut(&unit) else {
@@ -621,7 +630,7 @@ fn fail_unit_locked(
         format!("{state:?}"),
     );
     rec.metrics().counter("rts.units_ended").incr();
-    if let Some(tx) = cb {
+    if let Some((tx, credit)) = cb {
         let _ = tx.send(UnitCallback {
             unit,
             tag: u.desc.tag.clone(),
@@ -629,6 +638,7 @@ fn fail_unit_locked(
             outcome: Some(outcome),
             timestamp_secs: at_secs,
             trace: u.desc.trace.clone(),
+            credit: credit.clone(),
         });
     }
 }
@@ -669,13 +679,18 @@ fn dispatcher_loop(
     commander: SimCommander,
     stagers: usize,
 ) {
-    while let Ok(ev) = events.recv() {
+    // Each event's credit lives until the end of its iteration: a launch or
+    // staging command sent while handling it lands at its instant, and a
+    // terminal callback carries a clone on to whoever reacts.
+    while let Ok(mut ev) = events.recv() {
         if !alive.load(Ordering::Acquire) {
             break;
         }
+        let credit = std::mem::take(ev.credit_mut());
+        let cb = Some((&cb_tx, &credit));
         let mut st = state.lock();
         match ev {
-            SimEvent::JobActive { job, time: _ } => {
+            SimEvent::JobActive { job, .. } => {
                 if let Some(pid) = st.job_index.get(&job).copied() {
                     if let Some(p) = st.pilots.get_mut(&pid) {
                         if p.state == PilotState::Queued {
@@ -692,7 +707,7 @@ fn dispatcher_loop(
                     cond.notify_all();
                 }
             }
-            SimEvent::JobReady { job, time: _ } => {
+            SimEvent::JobReady { job, .. } => {
                 if let Some(pid) = st.job_index.get(&job).copied() {
                     if let Some(p) = st.pilots.get_mut(&pid) {
                         p.state = PilotState::Ready;
@@ -735,13 +750,13 @@ fn dispatcher_loop(
                             id,
                             UnitOutcome::Canceled,
                             time.as_secs_f64(),
-                            Some(&cb_tx),
+                            cb,
                         );
                     }
                     cond.notify_all();
                 }
             }
-            SimEvent::TaskStarted { task, time } => {
+            SimEvent::TaskStarted { task, time, .. } => {
                 if let Some(unit) = st.task_index.get(&task).copied() {
                     if let Some(u) = st.units.get_mut(&unit) {
                         u.record.started_secs = Some(time.as_secs_f64());
@@ -782,14 +797,7 @@ fn dispatcher_loop(
                                     dispatch_stagers_locked(&mut st, &commander, stagers);
                                 }
                                 _ => {
-                                    fail_unit_locked(
-                                        &mut st,
-                                        &db,
-                                        unit,
-                                        UnitOutcome::Done,
-                                        ts,
-                                        Some(&cb_tx),
-                                    );
+                                    fail_unit_locked(&mut st, &db, unit, UnitOutcome::Done, ts, cb);
                                 }
                             }
                         }
@@ -800,18 +808,11 @@ fn dispatcher_loop(
                                 unit,
                                 UnitOutcome::Failed(reason),
                                 ts,
-                                Some(&cb_tx),
+                                cb,
                             );
                         }
                         TaskOutcome::Canceled => {
-                            fail_unit_locked(
-                                &mut st,
-                                &db,
-                                unit,
-                                UnitOutcome::Canceled,
-                                ts,
-                                Some(&cb_tx),
-                            );
+                            fail_unit_locked(&mut st, &db, unit, UnitOutcome::Canceled, ts, cb);
                         }
                     }
                 }
@@ -820,6 +821,7 @@ fn dispatcher_loop(
                 stage,
                 time,
                 submitted_at,
+                ..
             } => {
                 if let Some((unit, phase, _)) = st.stage_index.remove(&stage) {
                     st.stage_in_flight = st.stage_in_flight.saturating_sub(1);
@@ -855,26 +857,12 @@ fn dispatcher_loop(
                                 let tid = commander.launch_task(job, td);
                                 st.task_index.insert(tid, unit);
                             } else {
-                                fail_unit_locked(
-                                    &mut st,
-                                    &db,
-                                    unit,
-                                    UnitOutcome::Canceled,
-                                    ts,
-                                    Some(&cb_tx),
-                                );
+                                fail_unit_locked(&mut st, &db, unit, UnitOutcome::Canceled, ts, cb);
                             }
                             dispatch_stagers_locked(&mut st, &commander, stagers);
                         }
                         StagePhase::Out => {
-                            fail_unit_locked(
-                                &mut st,
-                                &db,
-                                unit,
-                                UnitOutcome::Done,
-                                ts,
-                                Some(&cb_tx),
-                            );
+                            fail_unit_locked(&mut st, &db, unit, UnitOutcome::Done, ts, cb);
                             dispatch_stagers_locked(&mut st, &commander, stagers);
                         }
                     }
@@ -1210,10 +1198,9 @@ mod tests {
         assert!(out.values().all(|o| *o == UnitOutcome::Done));
     }
 
-    /// A unit is stamped at the instant its launch was applied, even when
-    /// the submission wakes an engine that slept toward the pilot's
-    /// walltime without publishing its clock: submission to start costs
-    /// the same after a long idle as right after the pilot turned Ready.
+    /// A unit is stamped at the instant its launch was applied: submission
+    /// to start costs the same after a long idle as right after the pilot
+    /// turned Ready.
     #[test]
     fn submission_is_stamped_at_the_launch_instant() {
         let rt = runtime();
@@ -1226,8 +1213,8 @@ mod tests {
             r.started_secs.unwrap() - r.submitted_secs
         };
         let fresh = submit_to_start("fresh");
-        // 200 idle windows: 1000 virtual seconds in 100 ms of real time,
-        // well inside the pilot's 7200 s walltime.
+        // Idle for 100 ms; the next event, the pilot's 7200 s walltime, is
+        // 720 ms of pace away.
         std::thread::sleep(Duration::from_millis(100));
         let idle = submit_to_start("idle");
         assert!(

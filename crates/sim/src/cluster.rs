@@ -6,6 +6,7 @@
 //! Observable [`SimEvent`]s accumulate in an outbox the engine drains to its
 //! subscribers.
 
+use crate::engine::Credit;
 use crate::events::SimEvent;
 use crate::fs::{FsModel, StageUnit};
 use crate::platform::Platform;
@@ -312,6 +313,7 @@ impl World {
                     stage: id,
                     time: self.now,
                     submitted_at,
+                    credit: Credit::default(),
                 });
             }
         }
@@ -379,6 +381,7 @@ impl World {
         self.outbox.push(SimEvent::JobActive {
             job: id,
             time: self.now,
+            credit: Credit::default(),
         });
         self.schedule_in(bootstrap, Ev::JobBootstrapped(id));
         self.schedule_in(walltime, Ev::JobWalltime(id));
@@ -437,6 +440,7 @@ impl World {
         self.outbox.push(SimEvent::JobReady {
             job: id,
             time: self.now,
+            credit: Credit::default(),
         });
         self.try_schedule_tasks(id);
     }
@@ -459,6 +463,7 @@ impl World {
                     time: self.now,
                     reason,
                     lost_tasks: lost,
+                    credit: Credit::default(),
                 });
                 return;
             }
@@ -478,6 +483,7 @@ impl World {
             time: self.now,
             reason,
             lost_tasks: lost,
+            credit: Credit::default(),
         });
         self.schedule(self.now, Ev::TryStartJobs);
     }
@@ -555,6 +561,7 @@ impl World {
         self.outbox.push(SimEvent::TaskStarted {
             task: id,
             time: self.now,
+            credit: Credit::default(),
         });
         let run_for = duration.sample(&mut self.rng);
         // Schedule the optimistic completion; failure models may preempt it
@@ -592,12 +599,15 @@ impl World {
         if p_now <= 0.0 {
             return;
         }
-        let candidates: Vec<TaskId> = self
+        let mut candidates: Vec<TaskId> = self
             .tasks
             .iter()
             .filter(|(_, t)| t.phase == TaskPhase::Running && t.io_registered && !t.doomed)
             .map(|(id, _)| *id)
             .collect();
+        // Draw in id order: `tasks` is a HashMap, whose iteration order
+        // differs from map to map, and the draws must not.
+        candidates.sort_unstable();
         for id in candidates {
             let eval_p = self.tasks[&id].eval_p;
             // Incremental hazard: P(fail now | survived eval at eval_p).
@@ -679,6 +689,7 @@ impl World {
             outcome,
             submitted_at: task.submitted_at,
             started_at: task.started_at,
+            credit: Credit::default(),
         });
     }
 
@@ -790,7 +801,7 @@ mod tests {
         let actives: Vec<(JobId, SimTime)> = events
             .iter()
             .filter_map(|e| match e {
-                SimEvent::JobActive { job, time } => Some((*job, *time)),
+                SimEvent::JobActive { job, time, .. } => Some((*job, *time)),
                 _ => None,
             })
             .collect();
@@ -884,7 +895,7 @@ mod tests {
         let actives: Vec<(JobId, SimTime)> = events
             .iter()
             .filter_map(|e| match e {
-                SimEvent::JobActive { job, time } => Some((*job, *time)),
+                SimEvent::JobActive { job, time, .. } => Some((*job, *time)),
                 _ => None,
             })
             .collect();
@@ -1076,6 +1087,43 @@ mod tests {
         assert!((20..=80).contains(&failed), "failed = {failed}");
     }
 
+    /// The overload hazard draws from the RNG once per running I/O-heavy
+    /// task. Two worlds on one seed must doom the same tasks, whatever
+    /// order their task tables iterate in.
+    #[test]
+    fn io_overload_dooms_the_same_tasks_on_the_same_seed() {
+        let doomed = || {
+            let mut w = World::new(Platform::catalog(PlatformId::Titan), 5);
+            let job = ready_job(&mut w, 64);
+            for _ in 0..64 {
+                w.launch_task(
+                    job,
+                    TaskDesc::fixed_secs(100)
+                        .with_failure(FailureModel::IoOverload { demand_bps: 2e9 }),
+                );
+            }
+            let mut failed: Vec<(TaskId, SimTime)> = run_to_quiescence(&mut w)
+                .into_iter()
+                .filter_map(|e| match e {
+                    SimEvent::TaskEnded {
+                        task,
+                        time,
+                        outcome: TaskOutcome::Failed(_),
+                        ..
+                    } => Some((task, time)),
+                    _ => None,
+                })
+                .collect();
+            failed.sort_unstable();
+            failed
+        };
+        let first = doomed();
+        assert!(!first.is_empty(), "the filesystem was never overloaded");
+        for _ in 0..4 {
+            assert_eq!(doomed(), first);
+        }
+    }
+
     #[test]
     fn io_demand_registers_and_clears() {
         let mut w = world();
@@ -1104,6 +1152,7 @@ mod tests {
                     stage,
                     time,
                     submitted_at,
+                    ..
                 } if *stage == s1 => Some(*time - *submitted_at),
                 _ => None,
             })
@@ -1118,6 +1167,7 @@ mod tests {
                     stage,
                     time,
                     submitted_at,
+                    ..
                 } if *stage == s2 => Some(*time - *submitted_at),
                 _ => None,
             })
@@ -1137,6 +1187,7 @@ mod tests {
                     stage,
                     time,
                     submitted_at,
+                    ..
                 } if *stage == s => Some(*time - *submitted_at),
                 _ => None,
             })

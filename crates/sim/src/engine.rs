@@ -1,22 +1,28 @@
 //! The simulation engine: a dedicated thread that owns the `World`,
 //! accepts commands from real threads, and advances virtual time.
 //!
-//! Commands are stamped with the current virtual time on arrival. The engine
-//! only advances the clock when the command channel has stayed quiet for a
-//! small real-time *grace window*, so bursts of submissions from the runtime
-//! system land "at the same virtual instant" as they would on a real machine
-//! where submission latency is negligible compared to task durations.
+//! Commands are applied at the current virtual instant whenever they
+//! arrive, and the events they set off at that instant are stepped at once.
+//! The clock advances on quiescence, not on a timer: every event the engine
+//! sends carries a [`Credit`], and the engine steps to its next instant only
+//! when no credit is alive, no command is queued, and at least `gap / PACE`
+//! of real time has passed since its previous step. A
+//! reaction to an event — the middleware's launch of the next stage, say —
+//! sent while that event's credit is alive is therefore applied at the
+//! event's instant, however long the reaction took in real time, and the
+//! virtual timeline does not depend on host load. The pace gives idle
+//! stretches (a pilot's walltime, a long task) a time scale: virtual time
+//! runs at most `PACE` times faster than real time.
 //!
 //! A burst is best sent as one command: [`SimCommander::launch_tasks`] puts
 //! a whole batch into the world at one instant for one round trip, however
-//! large. Reading the clock is not a command at all: the engine publishes
-//! `world.now` to a shared atomic before it sends the events of an instant,
-//! so [`SimCommander::now`] is a load that neither queues behind other
-//! commands nor restarts the grace window, and is never behind the time of
-//! an event already received. It can trail the instant the next command is
-//! applied at: an engine sleeping toward a distant event credits the quiet
-//! windows only when a command wakes it. The replies of `launch_tasks`,
-//! `stage` and `sync` carry the instant the engine applied them at.
+//! large; separate commands land at one instant when a credit is held
+//! across them ([`SimCommander::hold`]). Reading the clock is not a command
+//! at all: the engine publishes `world.now` to a shared atomic before it
+//! sends the events of an instant, so [`SimCommander::now`] is a load that
+//! is never behind the time of an event already received. The replies of
+//! `launch_tasks`, `stage` and `sync` carry the instant the engine applied
+//! them at.
 
 use crate::cluster::World;
 use crate::events::SimEvent;
@@ -26,9 +32,16 @@ use crate::spec::{JobDescription, JobId, StageId, TaskDesc, TaskId};
 use crate::time::{SimDuration, SimTime};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use entk_observe::{components, Counter, Gauge, Recorder};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Virtual time runs at most this many times faster than real time: the
+/// engine steps to an event `gap` ahead no sooner than `gap / PACE` of real
+/// time after its previous step (5 virtual seconds per 500 µs). A step at
+/// the current instant counts: a pilot that turns Ready gets the pace of
+/// its walltime from then, however long the clock sat still before.
+const PACE: u64 = 10_000;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -37,32 +50,17 @@ pub struct SimConfig {
     pub platform: Platform,
     /// RNG seed: same seed + same command sequence = same trajectory.
     pub seed: u64,
-    /// How long the command channel must stay quiet before virtual time may
-    /// advance past pending events.
-    pub grace: Duration,
-    /// Largest idle jump of virtual time per grace window. Bounding the
-    /// jump keeps the virtual clock from leapfrogging in-flight real-time
-    /// reactions of the middleware above (e.g. racing a pilot's walltime
-    /// expiry against task submission). With the defaults (5 s per 500 µs)
-    /// virtual time advances at most 10,000× real time while idle. The
-    /// engine does not tick through a long idle stretch: after
-    /// `ATTENTIVE_WINDOWS` quiet windows it sleeps until a command arrives or
-    /// the rate-limited clock would have reached the next event, and credits
-    /// the quiet windows that passed in one step.
-    pub max_idle_jump: SimDuration,
     /// If set, the engine counts emitted events per family, tracks the
     /// virtual clock as a gauge, and records clock-checkpoint trace events.
     pub recorder: Option<Recorder>,
 }
 
 impl SimConfig {
-    /// Config for a platform with defaults (seed 0, 500 µs grace).
+    /// Config for a platform with defaults (seed 0, no recorder).
     pub fn new(platform: Platform) -> Self {
         SimConfig {
             platform,
             seed: 0,
-            grace: Duration::from_micros(500),
-            max_idle_jump: SimDuration::from_secs(5),
             recorder: None,
         }
     }
@@ -80,11 +78,80 @@ impl SimConfig {
     }
 }
 
+/// The credits of one engine: how many are alive, and the doorbell that
+/// wakes the engine when the last one goes. The count's release on drop
+/// pairs with the engine's acquire in `any_alive`, so an engine that sees
+/// no credit also sees everything their holders did before letting go. A
+/// clone or a mint may be relaxed, as with `Arc`: it publishes nothing.
+struct Credits {
+    alive: AtomicUsize,
+    doorbell: Sender<Command>,
+}
+
+impl Credits {
+    fn mint(self: &Arc<Self>) -> Credit {
+        self.alive.fetch_add(1, Ordering::Relaxed);
+        Credit(Some(Arc::clone(self)))
+    }
+
+    fn any_alive(&self) -> bool {
+        self.alive.load(Ordering::Acquire) > 0
+    }
+}
+
+/// A reaction credit. While any credit of an engine is alive, its virtual
+/// clock stays at the current instant: every event carries one, and
+/// whoever reacts to the event keeps it (or a clone) until the reaction
+/// has reached the engine as a command, or has ended. Dropping the last
+/// one lets the clock move on. `Credit::default()` belongs to no engine
+/// and holds nothing back, and neither does a credit of a stopped engine.
+///
+/// Credits compare equal: they are no part of an event's identity.
+#[derive(Default)]
+pub struct Credit(Option<Arc<Credits>>);
+
+impl Clone for Credit {
+    fn clone(&self) -> Self {
+        match &self.0 {
+            Some(credits) => credits.mint(),
+            None => Credit(None),
+        }
+    }
+}
+
+impl Drop for Credit {
+    fn drop(&mut self) {
+        if let Some(credits) = &self.0 {
+            if credits.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // The engine may be parked waiting for exactly this.
+                let _ = credits.doorbell.send(Command::Released);
+            }
+        }
+    }
+}
+
+impl PartialEq for Credit {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for Credit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.is_some() {
+            "Credit"
+        } else {
+            "Credit(none)"
+        })
+    }
+}
+
 /// Engine-side observability: counters cached outside the hot loop, plus the
 /// virtual-clock gauge and checkpoint trace events.
 struct EngineObs {
     recorder: Recorder,
-    /// Commands the engine applied (`sim.commands`; shutdown not counted).
+    /// Commands the engine applied (`sim.commands`; shutdown and credit
+    /// releases not counted).
     commands: Arc<Counter>,
     ev_job: Arc<Counter>,
     ev_task: Arc<Counter>,
@@ -135,6 +202,8 @@ enum Command {
     Stage(Vec<StageUnit>, usize, Sender<(StageId, SimTime)>),
     Sync(Sender<SimTime>),
     QueryLiveTasks(Sender<usize>),
+    /// The last credit was dropped: a doorbell, not a command.
+    Released,
     Shutdown,
 }
 
@@ -145,6 +214,7 @@ pub struct SimCommander {
     /// `world.now` in microseconds, stored by the engine before it sends the
     /// events of that instant.
     clock: Arc<AtomicU64>,
+    credits: Arc<Credits>,
 }
 
 impl SimCommander {
@@ -195,12 +265,17 @@ impl SimCommander {
         rx.recv().expect("engine replies")
     }
 
+    /// A fresh credit: the clock stays where it is until it is dropped.
+    /// It holds back steps from the moment it is taken, so it covers a
+    /// reaction only if taken before the engine could have stepped past
+    /// what is being reacted to — while another credit is alive, or at an
+    /// instant whose next step is far off.
+    pub fn hold(&self) -> Credit {
+        self.credits.mint()
+    }
+
     /// Current virtual time: a load, not a command. At least the time of
-    /// every event already received from the engine. While the engine
-    /// sleeps toward a distant event it stores nothing, so this may trail
-    /// the instant its next command is applied at; the replies of
-    /// [`launch_tasks`](Self::launch_tasks), [`stage`](Self::stage) and
-    /// [`sync`](Self::sync) carry that instant.
+    /// every event already received from the engine.
     pub fn now(&self) -> SimTime {
         SimTime(self.clock.load(Ordering::Acquire))
     }
@@ -244,13 +319,26 @@ impl Simulation {
         let (cmd_tx, cmd_rx) = unbounded::<Command>();
         let (event_tx, events_rx) = unbounded::<SimEvent>();
         let clock = Arc::new(AtomicU64::new(SimTime::ZERO.0));
-        let engine_clock = Arc::clone(&clock);
+        let credits = Arc::new(Credits {
+            alive: AtomicUsize::new(0),
+            doorbell: cmd_tx.clone(),
+        });
+        let engine = Engine {
+            clock: Arc::clone(&clock),
+            credits: Arc::clone(&credits),
+            event_tx,
+            obs: config.recorder.clone().map(EngineObs::new),
+        };
         let thread = std::thread::Builder::new()
             .name(format!("hpc-sim-{}", config.platform.id.name()))
-            .spawn(move || engine_loop(config, cmd_rx, event_tx, engine_clock))
+            .spawn(move || engine.run(config, cmd_rx))
             .expect("spawn sim engine");
         SimHandle {
-            commander: SimCommander { cmd_tx, clock },
+            commander: SimCommander {
+                cmd_tx,
+                clock,
+                credits,
+            },
             events_rx,
             thread: Some(thread),
         }
@@ -264,7 +352,8 @@ impl SimHandle {
     }
 
     /// The event stream. Events carry virtual timestamps; they arrive in
-    /// virtual-time order.
+    /// virtual-time order, each with a [`Credit`] that holds the clock
+    /// until the event is dropped.
     pub fn events(&self) -> &Receiver<SimEvent> {
         &self.events_rx
     }
@@ -299,6 +388,11 @@ impl SimHandle {
         self.commander.stage(units, workers)
     }
 
+    /// See [`SimCommander::hold`].
+    pub fn hold(&self) -> Credit {
+        self.commander.hold()
+    }
+
     /// See [`SimCommander::now`].
     pub fn now(&self) -> SimTime {
         self.commander.now()
@@ -327,7 +421,7 @@ impl Drop for SimHandle {
 fn apply(world: &mut World, cmd: Command, obs: Option<&EngineObs>) -> bool {
     // Counted before any reply goes out: a caller holding its reply sees
     // its command counted.
-    if let (Some(obs), false) = (obs, matches!(cmd, Command::Shutdown)) {
+    if let (Some(obs), false) = (obs, matches!(cmd, Command::Shutdown | Command::Released)) {
         obs.commands.incr();
     }
     match cmd {
@@ -354,126 +448,113 @@ fn apply(world: &mut World, cmd: Command, obs: Option<&EngineObs>) -> bool {
         Command::QueryLiveTasks(reply) => {
             let _ = reply.send(world.live_tasks());
         }
+        Command::Released => {}
         Command::Shutdown => return false,
     }
     true
 }
 
-/// Publish the clock, then send the events of this instant: a thread that
-/// received an event reads a clock at least as late as the event.
-fn drain_outbox(
-    world: &mut World,
-    clock: &AtomicU64,
-    event_tx: &Sender<SimEvent>,
-    obs: Option<&EngineObs>,
-) {
-    clock.store(world.now.0, Ordering::Release);
-    for ev in world.outbox.drain(..) {
-        if let Some(obs) = obs {
-            obs.count(&ev);
-        }
-        // Receiver may be gone (subscriber exited); that's fine.
-        let _ = event_tx.send(ev);
-    }
+/// Real time the engine waits before stepping `gap` ahead.
+fn pace(gap: SimDuration) -> Duration {
+    // SimDuration counts microseconds: `gap / PACE` in nanoseconds.
+    Duration::from_nanos(gap.0.saturating_mul(1_000) / PACE)
 }
 
-/// Quiet windows an engine with a distant next event still ticks through
-/// one at a time before it sleeps the rest of the distance in one go. While
-/// the middleware may be reacting to the last events, the virtual clock
-/// advances once per wake-up of this thread — so a starved host slows it
-/// down with everything else, and virtual durations measured across a
-/// reaction do not grow with the load. After this many windows without a
-/// command or an event nobody is reacting any more.
-const ATTENTIVE_WINDOWS: u64 = 64;
-
-fn engine_loop(
-    config: SimConfig,
-    cmd_rx: Receiver<Command>,
-    event_tx: Sender<SimEvent>,
+/// The engine thread's state besides the world.
+struct Engine {
     clock: Arc<AtomicU64>,
-) {
-    let obs = config.recorder.map(EngineObs::new);
-    let obs = obs.as_ref();
-    let mut world = World::new(config.platform, config.seed);
-    // Consecutive quiet windows since the last command or event.
-    let mut quiet_streak = 0u64;
-    'outer: loop {
-        // 1. Drain every queued command at the current virtual instant.
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(cmd) => {
-                    if !apply(&mut world, cmd, obs) {
-                        break 'outer;
-                    }
-                    quiet_streak = 0;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break 'outer,
-            }
-        }
-        drain_outbox(&mut world, &clock, &event_tx, obs);
+    credits: Arc<Credits>,
+    event_tx: Sender<SimEvent>,
+    obs: Option<EngineObs>,
+}
 
-        // 2. Advance virtual time only after the grace window stays quiet:
-        // one window per `max_idle_jump` of distance to the next event.
-        let arrived = match world.next_event_time() {
-            // Nothing to simulate: park until a command arrives.
-            None => match cmd_rx.recv() {
-                Ok(cmd) => Some(cmd),
-                Err(_) => break 'outer,
-            },
-            Some(next) => {
-                let jump = config.max_idle_jump.0.max(1);
-                let windows = next.saturating_since(world.now).0.div_ceil(jump).max(1);
-                let waited = if quiet_streak < ATTENTIVE_WINDOWS {
-                    1
-                } else {
-                    windows
-                };
-                let quiet_since = Instant::now();
-                let wait = config.grace * u32::try_from(waited).unwrap_or(u32::MAX);
-                let arrived = match cmd_rx.recv_timeout(wait) {
-                    Ok(cmd) => Some(cmd),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break 'outer,
-                };
-                // Windows that stayed quiet. A command in hand is stamped
-                // before the event: it is credited the windows that passed
-                // while it was still on its way, never the last one.
-                let quiet = match &arrived {
-                    Some(_) => {
-                        let grace_ns = config.grace.as_nanos().max(1);
-                        ((quiet_since.elapsed().as_nanos() / grace_ns) as u64).min(waited - 1)
-                    }
-                    None => waited,
-                };
-                if quiet == windows {
-                    // Process the full batch at the next timestamp, plus any
-                    // cascades that land at the same instant.
-                    while world.next_event_time() == Some(next) {
-                        world.step();
-                    }
-                    drain_outbox(&mut world, &clock, &event_tx, obs);
-                    quiet_streak = 0;
-                } else {
-                    world.now += SimDuration(quiet * jump);
-                    clock.store(world.now.0, Ordering::Release);
-                    quiet_streak += quiet;
-                }
-                if let (true, Some(obs)) = (quiet > 0, obs) {
-                    obs.checkpoint(world.now);
-                }
-                arrived
+impl Engine {
+    /// Publish the clock, then send the events of this instant, each with a
+    /// credit: a thread that received an event reads a clock at least as
+    /// late as the event, and the clock stays there until it drops it.
+    fn drain_outbox(&self, world: &mut World) {
+        self.clock.store(world.now.0, Ordering::Release);
+        for mut ev in world.outbox.drain(..) {
+            if let Some(obs) = &self.obs {
+                obs.count(&ev);
             }
-        };
-        if let Some(cmd) = arrived {
-            if !apply(&mut world, cmd, obs) {
-                break 'outer;
-            }
-            drain_outbox(&mut world, &clock, &event_tx, obs);
-            quiet_streak = 0;
+            *ev.credit_mut() = self.credits.mint();
+            // Receiver may be gone (subscriber exited); the failed send
+            // hands the event back and drops it, credit and all.
+            let _ = self.event_tx.send(ev);
         }
     }
-    drain_outbox(&mut world, &clock, &event_tx, obs);
+
+    fn run(self, config: SimConfig, cmd_rx: Receiver<Command>) {
+        let obs = self.obs.as_ref();
+        let mut world = World::new(config.platform, config.seed);
+        // The pace counts from the previous step.
+        let mut last_step = Instant::now();
+        'outer: loop {
+            // 1. Apply every queued command at the current virtual instant.
+            loop {
+                match cmd_rx.try_recv() {
+                    Ok(cmd) => {
+                        if !apply(&mut world, cmd, obs) {
+                            break 'outer;
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => break 'outer,
+                }
+            }
+            self.drain_outbox(&mut world);
+
+            // 2. Events at the current instant, which only the commands
+            // just applied can have set off, are stepped at once: the clock
+            // does not move. It moves to the next instant once nobody is
+            // reacting and the pace allows; until then the engine waits for
+            // a command, or for the last credit's doorbell.
+            let deadline = match world.next_event_time() {
+                Some(next) if next == world.now => {
+                    self.step_to(&mut world, next);
+                    last_step = Instant::now();
+                    continue;
+                }
+                Some(next) if !self.credits.any_alive() => {
+                    let due = last_step + pace(next.saturating_since(world.now));
+                    if Instant::now() >= due {
+                        self.step_to(&mut world, next);
+                        last_step = Instant::now();
+                        if let Some(obs) = obs {
+                            obs.checkpoint(world.now);
+                        }
+                        continue;
+                    }
+                    Some(due)
+                }
+                _ => None,
+            };
+            let arrived = match deadline {
+                None => cmd_rx.recv().ok(),
+                Some(due) => {
+                    match cmd_rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                        Ok(cmd) => Some(cmd),
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => None,
+                    }
+                }
+            };
+            if !arrived.is_some_and(|cmd| apply(&mut world, cmd, obs)) {
+                break 'outer;
+            }
+        }
+        self.drain_outbox(&mut world);
+    }
+
+    /// Process every event at `next`, cascades that land at the same
+    /// instant included, and send what they emitted.
+    fn step_to(&self, world: &mut World, next: SimTime) {
+        while world.next_event_time() == Some(next) {
+            world.step();
+        }
+        self.drain_outbox(world);
+    }
 }
 
 #[cfg(test)]
@@ -488,8 +569,8 @@ mod tests {
 
     /// A one-node job that boots for 120 s: tasks launched before it turns
     /// Ready all start at that instant, however late in real time they
-    /// arrive within the boot (the clock needs 24 grace windows to get
-    /// there), so a replay sees the same trajectory.
+    /// arrive within the boot (the pace needs 12 ms to get there), so a
+    /// replay sees the same trajectory.
     fn booting_job(h: &SimHandle) -> JobId {
         h.submit_job(JobDescription {
             bootstrap: SimDuration::from_secs(120),
@@ -530,8 +611,10 @@ mod tests {
     #[test]
     fn end_to_end_task_execution_in_virtual_time() {
         let h = start_testrig();
+        let credit = h.hold();
         let job = h.submit_job(JobDescription::small());
         let task = h.launch_task(job, TaskDesc::fixed_secs(600));
+        drop(credit);
         let wall = std::time::Instant::now();
         let (t_end, outcome) = wait_task_end(&h, task);
         assert_eq!(outcome, TaskOutcome::Completed);
@@ -543,11 +626,13 @@ mod tests {
     #[test]
     fn burst_submissions_share_a_virtual_instant() {
         let h = start_testrig();
+        let credit = h.hold();
         let job = h.submit_job(JobDescription::small()); // 8 cores
         let mut tasks = vec![];
         for _ in 0..8 {
             tasks.push(h.launch_task(job, TaskDesc::fixed_secs(100)));
         }
+        drop(credit);
         let ends = collect_task_ends(&h, 8);
         for t in &tasks {
             assert_eq!(ends[t].0, SimTime::from_secs_f64(100.0));
@@ -660,8 +745,9 @@ mod tests {
     }
 
     /// Every event the engine sent, in order, until `n` tasks ended, with
-    /// `submitted_at` cleared: when a launch reached a booting job depends
-    /// on real time, the trajectory does not.
+    /// `submitted_at` cleared (when a launch reached a booting job depends
+    /// on real time, the trajectory does not) and each credit released, so
+    /// the kept events do not hold the clock.
     fn events_until_ends(h: &SimHandle, n: usize) -> Vec<SimEvent> {
         let mut events = Vec::new();
         let mut ended = 0;
@@ -674,6 +760,7 @@ mod tests {
                 *submitted_at = SimTime::ZERO;
                 ended += 1;
             }
+            drop(std::mem::take(ev.credit_mut()));
             events.push(ev);
         }
         events
@@ -707,14 +794,13 @@ mod tests {
         }
     }
 
-    /// After the attentive windows the engine sleeps toward the job's
-    /// walltime without storing the clock; a launch that wakes it is
-    /// applied further on, and its reply says where.
+    /// A launch into a pilot that has idled for a while is applied at the
+    /// pilot's last instant, and its reply says which.
     #[test]
     fn launch_reply_carries_the_instant_the_tasks_were_stamped_at() {
         let h = start_testrig();
-        // Walltime 3600 s; 200 idle windows are 1000 virtual seconds in
-        // 100 ms of real time.
+        // Walltime 3600 s, so the pace keeps the clock at the pilot's
+        // Ready instant for 360 ms of real time.
         let job = h.submit_job(JobDescription::small());
         std::thread::sleep(Duration::from_millis(100));
         let (ids, at) = h.launch_tasks(job, vec![TaskDesc::fixed_secs(10); 2]);
@@ -766,5 +852,56 @@ mod tests {
             (id, events_until_ends(&h, 1))
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// Drain events until `task` ends, keeping that event (and its
+    /// credit) alive.
+    fn hold_task_end(h: &SimHandle, task: TaskId) -> SimEvent {
+        loop {
+            let ev = h
+                .events()
+                .recv_timeout(Duration::from_secs(10))
+                .expect("event within 10s wall time");
+            if matches!(ev, SimEvent::TaskEnded { task: t, .. } if t == task) {
+                return ev;
+            }
+        }
+    }
+
+    #[test]
+    fn clock_does_not_pass_an_event_while_a_credit_is_alive() {
+        let h = start_testrig();
+        let job = h.submit_job(JobDescription::small());
+        let credit = h.hold();
+        // Ends a virtual second after its launch: the pace alone would
+        // step there in a tenth of a millisecond.
+        let task = h.launch_task(job, TaskDesc::fixed_secs(1));
+        let before = h.now();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(h.now(), before, "the clock moved under a live credit");
+        let ended = std::iter::from_fn(|| h.events().try_recv().ok())
+            .any(|ev| matches!(ev, SimEvent::TaskEnded { task: t, .. } if t == task));
+        assert!(!ended, "an event past a live credit was sent");
+        drop(credit);
+        let (end, _) = wait_task_end(&h, task);
+        assert_eq!(end, before + SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn a_late_reaction_under_its_event_credit_lands_at_that_instant() {
+        let h = start_testrig();
+        let job = h.submit_job(JobDescription::small());
+        let credit = h.hold();
+        let first = h.launch_task(job, TaskDesc::fixed_secs(1));
+        // Ends a second after `first`: 0.1 ms of pace away.
+        let other = h.launch_task(job, TaskDesc::fixed_secs(2));
+        drop(credit);
+        let ended = hold_task_end(&h, first);
+        std::thread::sleep(Duration::from_millis(50));
+        let (_, at) = h.launch_tasks(job, vec![TaskDesc::fixed_secs(1)]);
+        assert_eq!(at, ended.time(), "the reaction was applied late");
+        drop(ended);
+        let (other_end, _) = wait_task_end(&h, other);
+        assert!(other_end > at);
     }
 }

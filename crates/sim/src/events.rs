@@ -1,9 +1,14 @@
 //! Events emitted by the simulation to its (real-time) subscribers.
 
+use crate::engine::Credit;
 use crate::spec::{JobEndReason, JobId, StageId, TaskId, TaskOutcome};
 use crate::time::SimTime;
 
-/// An observable simulation event, stamped with virtual time.
+/// An observable simulation event, stamped with virtual time. Each carries
+/// the engine's [`Credit`]: the virtual clock stays at the event's instant
+/// until the event, or whatever its credit was moved into, is dropped. A
+/// subscriber that keeps events takes their credits out first
+/// ([`SimEvent::credit_mut`]); a clone clones the credit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
     /// A job left the batch queue and its nodes are allocated (pilot
@@ -13,6 +18,8 @@ pub enum SimEvent {
         job: JobId,
         /// Virtual time of activation.
         time: SimTime,
+        /// Holds the clock at this instant while alive.
+        credit: Credit,
     },
     /// The pilot agent finished bootstrapping and can accept tasks.
     JobReady {
@@ -20,6 +27,8 @@ pub enum SimEvent {
         job: JobId,
         /// Virtual time.
         time: SimTime,
+        /// Holds the clock at this instant while alive.
+        credit: Credit,
     },
     /// A job ended; all its running tasks were lost.
     JobEnded {
@@ -31,6 +40,8 @@ pub enum SimEvent {
         reason: JobEndReason,
         /// Tasks that were still running or queued and are now lost.
         lost_tasks: Vec<TaskId>,
+        /// Holds the clock at this instant while alive.
+        credit: Credit,
     },
     /// A task began executing (after placement, spawn and env setup).
     TaskStarted {
@@ -38,6 +49,8 @@ pub enum SimEvent {
         task: TaskId,
         /// Virtual time execution began.
         time: SimTime,
+        /// Holds the clock at this instant while alive.
+        credit: Credit,
     },
     /// A task reached a terminal state.
     TaskEnded {
@@ -51,6 +64,8 @@ pub enum SimEvent {
         submitted_at: SimTime,
         /// When the executable actually started (None if it never started).
         started_at: Option<SimTime>,
+        /// Holds the clock at this instant while alive.
+        credit: Credit,
     },
     /// A staging operation completed.
     StageEnded {
@@ -60,6 +75,8 @@ pub enum SimEvent {
         time: SimTime,
         /// When the operation was accepted.
         submitted_at: SimTime,
+        /// Holds the clock at this instant while alive.
+        credit: Credit,
     },
 }
 
@@ -75,6 +92,18 @@ impl SimEvent {
             | SimEvent::StageEnded { time, .. } => *time,
         }
     }
+
+    /// The event's credit, e.g. to move it on to whoever reacts.
+    pub fn credit_mut(&mut self) -> &mut Credit {
+        match self {
+            SimEvent::JobActive { credit, .. }
+            | SimEvent::JobReady { credit, .. }
+            | SimEvent::JobEnded { credit, .. }
+            | SimEvent::TaskStarted { credit, .. }
+            | SimEvent::TaskEnded { credit, .. }
+            | SimEvent::StageEnded { credit, .. } => credit,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -88,20 +117,24 @@ mod tests {
             SimEvent::JobActive {
                 job: JobId(1),
                 time: t,
+                credit: Credit::default(),
             },
             SimEvent::JobReady {
                 job: JobId(1),
                 time: t,
+                credit: Credit::default(),
             },
             SimEvent::JobEnded {
                 job: JobId(1),
                 time: t,
                 reason: JobEndReason::Canceled,
                 lost_tasks: vec![],
+                credit: Credit::default(),
             },
             SimEvent::TaskStarted {
                 task: TaskId(1),
                 time: t,
+                credit: Credit::default(),
             },
             SimEvent::TaskEnded {
                 task: TaskId(1),
@@ -109,11 +142,13 @@ mod tests {
                 outcome: TaskOutcome::Completed,
                 submitted_at: SimTime::ZERO,
                 started_at: Some(SimTime::ZERO),
+                credit: Credit::default(),
             },
             SimEvent::StageEnded {
                 stage: StageId(1),
                 time: t,
                 submitted_at: SimTime::ZERO,
+                credit: Credit::default(),
             },
         ];
         for e in events {

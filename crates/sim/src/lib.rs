@@ -22,10 +22,13 @@
 //! Virtual time advances in jumps (no real sleeping), so experiments with
 //! thousands of 600-second tasks complete in milliseconds of wall time while
 //! the middleware above still does its real work in real threads. Commands
-//! are injected from real threads through a channel; the engine stamps them
-//! with the current virtual time and only advances the clock when no command
-//! has arrived within a small grace window. A burst of launches is one
-//! command ([`SimCommander::launch_tasks`]), and reading the clock
+//! are injected from real threads through a channel and applied at the
+//! current virtual instant. The clock advances on quiescence: every event
+//! carries a reaction [`Credit`], and the engine steps only when no credit
+//! is alive and no command is queued — so a reaction sent under its event's
+//! credit lands at the event's instant, however loaded the host — and no
+//! faster than 10 000 virtual seconds per real second. A burst of launches
+//! is one command ([`SimCommander::launch_tasks`]), and reading the clock
 //! ([`SimCommander::now`]) is a load of a value the engine publishes, not a
 //! command.
 
@@ -39,7 +42,7 @@ pub mod platform;
 pub mod spec;
 pub mod time;
 
-pub use engine::{SimCommander, SimConfig, SimHandle, Simulation};
+pub use engine::{Credit, SimCommander, SimConfig, SimHandle, Simulation};
 pub use events::SimEvent;
 pub use fs::{FsModel, StageUnit};
 pub use platform::{FsProfile, HostProfile, LauncherProfile, Platform, PlatformId};

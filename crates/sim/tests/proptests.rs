@@ -27,18 +27,16 @@ fn task_strategy() -> impl Strategy<Value = RandTask> {
 }
 
 /// Run `tasks` on a fresh 4-node pilot and return every task event in
-/// order. `one_command` sends the burst as one `launch_tasks`; otherwise
-/// each task is its own `launch_task`, and a real-time pause longer than the
-/// engine's grace window between two of them may let the clock move
-/// mid-burst.
+/// order, with its credit released. `one_command` sends the burst as one
+/// `launch_tasks`; otherwise each task is its own `launch_task`. A credit
+/// held across the burst keeps the clock from moving mid-burst either way.
 fn run_workload(tasks: &[RandTask], seed: u64, one_command: bool) -> Vec<(TaskId, SimEvent)> {
     let h =
         Simulation::start(SimConfig::new(Platform::catalog(PlatformId::TestRig)).with_seed(seed));
+    let credit = h.hold();
     // A one-command burst queues while the pilot bootstraps and starts when
-    // it turns Ready, wherever the clock was when it arrived. With no
-    // bootstrap a burst that trailed the job by two grace windows found the
-    // clock moved on toward the walltime, and started later. One-by-one
-    // launches keep a ready pilot, so later ones reach a running scheduler.
+    // it turns Ready. One-by-one launches keep a ready pilot, so later ones
+    // reach a running scheduler.
     let job = h.submit_job(JobDescription {
         nodes: 4,
         walltime: SimDuration::from_secs(1_000_000),
@@ -68,13 +66,15 @@ fn run_workload(tasks: &[RandTask], seed: u64, one_command: bool) -> Vec<(TaskId
             h.launch_task(job, desc);
         }
     }
+    drop(credit);
     let mut events = Vec::new();
     let mut ended = 0;
     while ended < tasks.len() {
-        let ev = h
+        let mut ev = h
             .events()
             .recv_timeout(Duration::from_secs(20))
             .expect("workload must terminate");
+        drop(std::mem::take(ev.credit_mut()));
         match &ev {
             SimEvent::TaskEnded { task, .. } => {
                 ended += 1;

@@ -13,7 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== no polling sleeps =="
 # The per-workflow path waits on events (DESIGN.md §3k): condvars, queue
-# close, channel disconnect. A `thread::sleep(` in non-test code of these
+# close, channel disconnect; the simulator engine on commands and credit
+# releases, its pace on a deadline. A `thread::sleep(` in non-test code of these
 # files fails the check unless its line names one of the allowed sites with
 # a trailing `// sleep-ok: <site>` marker:
 #   failpoint       delay or recovery poll that only runs under an armed
@@ -31,7 +32,8 @@ polling=$(awk '
     }
 ' crates/core/src/appmanager.rs crates/core/src/wfprocessor.rs \
   crates/core/src/execmanager.rs crates/core/src/synchronizer.rs \
-  crates/service/src/service.rs crates/observe/src/http.rs)
+  crates/service/src/service.rs crates/observe/src/http.rs \
+  crates/sim/src/engine.rs crates/rts/src/sim_runtime.rs)
 if [ -n "$polling" ]; then
     echo "$polling"
     echo "polling sleep on the per-workflow path: wake on an event instead"

@@ -44,6 +44,98 @@ fn concurrent_pipelines_execute_independently() {
     assert!(report.rts_profile.exec_makespan_secs < 260.0);
 }
 
+/// Every attempt's virtual timeline, keyed by task name: per task its
+/// attempt count and each unit's submitted/started/ended virtual seconds.
+type Timeline = Vec<(String, u32, Vec<(f64, Option<f64>, Option<f64>)>)>;
+
+/// A 4 × 8 × 4 workflow of I/O-heavy forward simulations on one Titan
+/// node: 16 concurrent tasks overload the shared filesystem, whose hazard
+/// dooms tasks at seeded random points, and unlimited retries re-run them.
+/// Durations are seeded draws too, distinct per pipeline, so no two
+/// reactions share an instant.
+fn seeded_unreliable_run() -> Timeline {
+    let mut wf = Workflow::new();
+    for p in 0..4 {
+        let mut pipeline = Pipeline::new(format!("p{p}"));
+        for s in 0..8 {
+            let mut stage = Stage::new(format!("p{p}s{s}"));
+            for t in 0..4 {
+                stage.add_task(Task::new(
+                    format!("p{p}s{s}t{t}"),
+                    Executable::SpecfemForward {
+                        nominal_secs: 100.0 + 7.0 * p as f64,
+                        io_demand_bps: 3e9,
+                    },
+                ));
+            }
+            pipeline.add_stage(stage);
+        }
+        wf.add_pipeline(pipeline);
+    }
+    let mut amgr = AppManager::new(
+        AppManagerConfig::new(
+            ResourceDescription::sim(PlatformId::Titan, 1, 1_000_000).with_seed(9),
+        )
+        .with_task_retries(None)
+        .with_run_timeout(timeout()),
+    );
+    let report = amgr.run(wf).expect("run completes");
+    assert!(report.succeeded);
+    let mut units: std::collections::HashMap<&str, Vec<_>> = Default::default();
+    for r in &report.unit_records {
+        units.entry(r.tag.as_str()).or_default().push((
+            r.submitted_secs,
+            r.started_secs,
+            r.ended_secs,
+        ));
+    }
+    let mut timeline = Timeline::new();
+    for task in report
+        .workflow
+        .pipelines()
+        .iter()
+        .flat_map(|p| p.stages())
+        .flat_map(|s| s.tasks())
+    {
+        let mut attempts = units.remove(task.uid()).unwrap_or_default();
+        attempts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        timeline.push((task.name().to_string(), task.attempts(), attempts));
+    }
+    timeline
+}
+
+/// Virtual time advances only when every reaction to the last instant has
+/// reached the simulator, so a starved host slows the run down without
+/// moving a single virtual timestamp.
+#[test]
+fn virtual_timeline_is_independent_of_host_load() {
+    let quiet = seeded_unreliable_run();
+    assert!(
+        quiet.iter().any(|(_, attempts, _)| *attempts > 1),
+        "the filesystem overload never failed a task"
+    );
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let spinners: Vec<_> = (0..2)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        })
+        .collect();
+    let loaded = seeded_unreliable_run();
+    stop.store(true, Ordering::Relaxed);
+    for s in spinners {
+        s.join().unwrap();
+    }
+    assert_eq!(quiet.len(), loaded.len());
+    for (q, l) in quiet.iter().zip(&loaded) {
+        assert_eq!(q, l, "timeline moved under host load");
+    }
+}
+
 #[test]
 fn stage_ordering_is_enforced_in_virtual_time() {
     // The analysis stage's task must start only after both simulation tasks

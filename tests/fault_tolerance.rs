@@ -107,8 +107,9 @@ fn rts_death_is_survived_by_restart(batched: bool) {
     // tear it down, start a new incarnation, re-acquire the pilot, and
     // re-execute the lost tasks — "loosing only those tasks that were in
     // execution at the time of the RTS failure".
-    // 5,000 virtual seconds cost ~0.5 s of wall time through the bounded
-    // idle jump (5 s per 0.5 ms), so a kill at 100 ms lands mid-execution.
+    // 5,000 virtual seconds cost ~0.5 s of wall time at the simulator's
+    // pace (virtual time at most 10,000× real time), so a kill at 100 ms
+    // lands mid-execution.
     let mut stage = Stage::new("work");
     for i in 0..8 {
         stage.add_task(Task::new(
