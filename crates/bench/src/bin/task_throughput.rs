@@ -1,4 +1,4 @@
-//! Task throughput: the per-task data path vs the batched data path.
+//! Task throughput: the per-task data path (a batch of one) vs batches.
 //!
 //! The paper's Fig. 6 prototype moves every task through the broker with one
 //! publish/get/ack per message; §IV-A attributes most of EnTK's management
@@ -13,8 +13,9 @@
 //!   10³/10⁴/10⁵ tasks;
 //! * `sweep`: throughput as a function of batch size at the largest scale;
 //! * `e2e`: a full AppManager run (Fig. 7 style) with the trace recorder
-//!   attached, comparing the management-overhead decomposition of the
-//!   per-task path (`with_batched(false)`) against the default batched path;
+//!   attached, comparing the management-overhead decomposition of a batch
+//!   limit of 1 (the per-task path) against the default limit, both through
+//!   the same code;
 //! * `wide_scaling`: untraced 1×1×N runs at N = 8 192 and 32 768 (plus
 //!   131 072 outside `--quick`). Settlement is O(1) per transition, so each
 //!   4× step in N must cost at most 6× the wall time (linear is 4×; a
@@ -23,7 +24,7 @@
 //! Usage: `task_throughput [--quick] [--batch N] [--e2e-tasks N] [--out PATH]`
 
 use entk_bench::{argv, flag_num, flag_value, has_flag};
-use entk_core::{AppManager, AppManagerConfig, Recorder, ResourceDescription};
+use entk_core::{AppManager, AppManagerConfig, ExecManagerConfig, Recorder, ResourceDescription};
 use entk_mq::proto::{run_prototype, PrototypeConfig};
 use entk_observe::{TraceStore, TraceStoreConfig};
 use hpc_sim::PlatformId;
@@ -116,16 +117,19 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// One AppManager run of `tasks` concurrent sleep tasks on the simulated
-/// TestRig with the trace recorder attached, on the batched or per-task
-/// path, optionally offering every settled timeline to a [`TraceStore`]
-/// (the tail-sampling overhead the trace gate below measures). Returns the
-/// profiler- and trace-derived management overheads plus the
-/// task-turnaround distribution from the unit records.
-fn run_e2e(tasks: usize, batched: bool, traces: Option<TraceStoreConfig>) -> E2e {
+/// TestRig with the trace recorder attached, under the batch limit
+/// `max_batch` (1 is the per-task path), optionally offering every settled
+/// timeline to a [`TraceStore`] (the tail-sampling overhead the trace gate
+/// below measures). Returns the profiler- and trace-derived management
+/// overheads plus the task-turnaround distribution from the unit records.
+fn run_e2e(tasks: usize, max_batch: usize, traces: Option<TraceStoreConfig>) -> E2e {
     let wf = entk_apps::synthetic::sleep_workflow(1, 1, tasks, 1.0);
     let start = Instant::now();
     let mut cfg = AppManagerConfig::new(ResourceDescription::sim(PlatformId::TestRig, 4, 4 * 3600))
-        .with_batched(batched)
+        .with_exec_manager(ExecManagerConfig {
+            max_batch,
+            ..Default::default()
+        })
         .with_recorder(Recorder::new())
         .with_run_timeout(TIMEOUT);
     if let Some(traces) = traces {
@@ -133,7 +137,7 @@ fn run_e2e(tasks: usize, batched: bool, traces: Option<TraceStoreConfig>) -> E2e
     }
     let mut amgr = AppManager::new(cfg);
     let report = amgr.run(wf).expect("e2e run completes");
-    assert!(report.succeeded, "e2e run (batched={batched}) failed");
+    assert!(report.succeeded, "e2e run (max_batch={max_batch}) failed");
     assert_eq!(report.overheads.tasks_done as usize, tasks);
     let mut turnarounds: Vec<f64> = report
         .unit_records
@@ -263,9 +267,10 @@ fn main() {
     println!("shard speedup (4 vs 1): {shard_speedup:.2}x");
 
     // ---- End-to-end: Fig. 7 management-overhead decomposition ----------
-    println!("\n# e2e AppManager: {e2e_tasks} tasks, per-task vs batched path");
-    let per_task = run_e2e(e2e_tasks, false, None);
-    let batched = run_e2e(e2e_tasks, true, None);
+    println!("\n# e2e AppManager: {e2e_tasks} tasks, batch of one vs default batch limit");
+    let default_batch = ExecManagerConfig::default().max_batch;
+    let per_task = run_e2e(e2e_tasks, 1, None);
+    let batched = run_e2e(e2e_tasks, default_batch, None);
     let mgmt_speedup = per_task.management_secs / batched.management_secs.max(1e-9);
     let trace_speedup = per_task.trace_management_secs / batched.trace_management_secs.max(1e-9);
     println!(
@@ -293,7 +298,7 @@ fn main() {
     let trace_reps = 3;
     let best_wall = |traces: Option<TraceStoreConfig>| -> f64 {
         (0..trace_reps)
-            .map(|_| run_e2e(e2e_tasks, true, traces.clone()).wall_secs)
+            .map(|_| run_e2e(e2e_tasks, default_batch, traces.clone()).wall_secs)
             .fold(f64::INFINITY, f64::min)
     };
     let wall_plain = best_wall(None);

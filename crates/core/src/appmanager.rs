@@ -266,13 +266,10 @@ pub struct AppManagerConfig {
     /// Cooperative cancellation token. Cloning the config shares the token,
     /// so a handle cloned before `run` can cancel the running workflow.
     pub cancel_token: CancelToken,
-    /// Batched data path (default): components move tasks through the
-    /// queues, the Synchronizer, and into the RTS in bulk — one broker
-    /// operation and one sync round-trip per batch instead of per task.
-    /// Disable to fall back to the paper's per-task data path.
-    pub batched: bool,
-    /// ExecManager tuning: the maximum batch size used by every batched
-    /// component loop.
+    /// ExecManager tuning: the maximum batch size used by every component
+    /// loop. Components move tasks through the queues, the Synchronizer and
+    /// into the RTS in bulk — one broker operation and one sync round-trip
+    /// per batch; `max_batch: 1` is the paper's per-task data path.
     pub exec_manager: ExecManagerConfig,
     /// Wire-side trace hops stamped before the run started (gateway receive,
     /// parse, admission, journal append). Every per-task timeline is seeded
@@ -301,17 +298,10 @@ impl AppManagerConfig {
             recorder: None,
             trace_path: None,
             cancel_token: CancelToken::new(),
-            batched: true,
             exec_manager: ExecManagerConfig::default(),
             wire_trace: None,
             trace_store: None,
         }
-    }
-
-    /// Builder: toggle the batched data path (on by default).
-    pub fn with_batched(mut self, batched: bool) -> Self {
-        self.batched = batched;
-        self
     }
 
     /// Builder: ExecManager batch tuning.
@@ -440,9 +430,7 @@ pub(crate) struct Ctx {
     pub concurrency_cap: std::sync::atomic::AtomicUsize,
     /// The configured strategy (Dequeue adapts the cap when AIMD).
     pub strategy: ExecutionStrategy,
-    /// Batched data path toggle (see [`AppManagerConfig::batched`]).
-    pub batched: bool,
-    /// ExecManager batch tuning, also used by the batched WFProcessor and
+    /// ExecManager batch tuning, also used by the WFProcessor and
     /// Synchronizer loops.
     pub exec: ExecManagerConfig,
     /// One lock per subcomponent serializing the publish→ack window on that
@@ -480,7 +468,6 @@ impl Ctx {
         default_retries: Option<u32>,
         strategy: ExecutionStrategy,
         recorder: Recorder,
-        batched: bool,
         exec: ExecManagerConfig,
         base_trace: Option<entk_observe::TraceCtx>,
         trace_store: Option<Arc<entk_observe::TraceStore>>,
@@ -502,7 +489,6 @@ impl Ctx {
             in_flight: std::sync::atomic::AtomicUsize::new(0),
             concurrency_cap: std::sync::atomic::AtomicUsize::new(strategy.initial_cap()),
             strategy,
-            batched,
             exec,
             sync_serial: std::array::from_fn(|_| Mutex::new(())),
             inline_sync: false,
@@ -555,7 +541,6 @@ impl Ctx {
             in_flight: std::sync::atomic::AtomicUsize::new(0),
             concurrency_cap: std::sync::atomic::AtomicUsize::new(usize::MAX),
             strategy: ExecutionStrategy::Eager,
-            batched: true,
             exec: ExecManagerConfig::default(),
             sync_serial: std::array::from_fn(|_| Mutex::new(())),
             inline_sync,
@@ -580,61 +565,12 @@ impl Ctx {
         &self.sync_serial[i]
     }
 
-    /// Request a task transition through the Synchronizer and wait for the
-    /// acknowledgement (arrows 6–7). Returns whether it was applied.
-    pub(crate) fn sync_task(&self, comp: &str, uid: &str, state: TaskState) -> bool {
-        if self.inline_sync {
-            return synchronizer::apply_task(self, uid, state);
-        }
-        let _serial = self.ack_serial(comp).lock();
-        if self
-            .broker
-            .publish(
-                self.ns.sync_shard(comp).as_ref(),
-                messages::sync_message(comp, crate::uid::Kind::Task, uid, state.name()),
-            )
-            .is_err()
-        {
-            return false;
-        }
-        let ack_queue = self.ns.ack(comp);
-        loop {
-            match self
-                .broker
-                .get_timeout(&ack_queue, Duration::from_millis(100))
-            {
-                Ok(Some(d)) => {
-                    let _ = self.broker.ack(&ack_queue, d.tag);
-                    let (acked_uid, ok) = messages::parse_ack(&d.message);
-                    if acked_uid != uid {
-                        // Straggler ack from an earlier sync on this
-                        // component that bailed out after publishing its
-                        // request: discard it and keep waiting for ours.
-                        continue;
-                    }
-                    return ok;
-                }
-                Ok(None) => {
-                    if !self.running.load(Ordering::Acquire) {
-                        // Our ack may still arrive after we give up; drop
-                        // anything already queued so a later sync on this
-                        // component cannot misattribute it.
-                        let _ = self.broker.purge(&ack_queue);
-                        return false;
-                    }
-                }
-                Err(_) => return false,
-            }
-        }
-    }
-
     /// Request the same transition for a batch of tasks through the
-    /// Synchronizer and wait for every acknowledgement (arrows 6–7,
-    /// batched). The requests travel as one broker batch on this
-    /// component's sync shard; the Synchronizer's per-shard drainer
-    /// processes that FIFO in order and acknowledges per component in
-    /// request order, so the i-th result reports the i-th uid. Returns one
-    /// applied-flag per task.
+    /// Synchronizer and wait for every acknowledgement (arrows 6–7). The
+    /// requests travel as one broker batch on this component's sync shard;
+    /// the Synchronizer's per-shard drainer processes that FIFO in order and
+    /// acknowledges per component in request order, so the i-th result
+    /// reports the i-th uid. Returns one applied-flag per task.
     pub(crate) fn sync_tasks(&self, comp: &str, uids: &[String], state: TaskState) -> Vec<bool> {
         if uids.is_empty() {
             return Vec::new();
@@ -1041,7 +977,6 @@ impl AppManager {
             self.config.default_task_retries,
             self.config.execution_strategy,
             recorder.clone(),
-            self.config.batched,
             self.config.exec_manager.clone(),
             self.config.wire_trace.clone(),
             self.config.trace_store.clone(),
@@ -1438,23 +1373,18 @@ mod tests {
             None,
             ExecutionStrategy::Eager,
             Recorder::disabled(),
-            true,
             ExecManagerConfig::default(),
             None,
             None,
         );
-        for batched in [true, false] {
-            let (ctx2, uids2) = (Arc::clone(&ctx), uids.clone());
+        // A full batch, then a batch of one.
+        for want in [uids.len(), 1] {
+            let (ctx2, uids2) = (Arc::clone(&ctx), uids[..want].to_vec());
             let requester = std::thread::spawn(move || {
-                if batched {
-                    ctx2.sync_tasks(component::ENQUEUE, &uids2, TaskState::Scheduling)
-                } else {
-                    vec![ctx2.sync_task(component::ENQUEUE, &uids2[0], TaskState::Scheduling)]
-                }
+                ctx2.sync_tasks(component::ENQUEUE, &uids2, TaskState::Scheduling)
             });
             // The requests are published: the requester now waits for acks.
             let sync_queue = ctx.ns.sync_shard(component::ENQUEUE).to_string();
-            let want = if batched { uids.len() } else { 1 };
             while ctx.broker.depth(&sync_queue).unwrap() < want {
                 std::thread::yield_now();
             }
@@ -1502,13 +1432,16 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_per_task_path_behind_flag() {
-        // `with_batched(false)` falls back to the paper's per-task data
-        // path; the run must behave identically.
+    fn end_to_end_batch_of_one() {
+        // A batch limit of 1 is the paper's per-task data path; the run
+        // must behave identically.
         let workflow = wf(&["a", "b", "c", "d"]);
         let mut amgr = AppManager::new(
             AppManagerConfig::new(ResourceDescription::local(2))
-                .with_batched(false)
+                .with_exec_manager(ExecManagerConfig {
+                    max_batch: 1,
+                    ..Default::default()
+                })
                 .with_run_timeout(Duration::from_secs(30)),
         );
         let report = amgr.run(workflow).expect("run succeeds");
@@ -1518,8 +1451,7 @@ mod tests {
 
     #[test]
     fn batched_path_is_the_default() {
-        assert!(AppManagerConfig::new(ResourceDescription::local(1)).batched);
-        let cfg = ExecManagerConfig::default();
+        let cfg = AppManagerConfig::new(ResourceDescription::local(1)).exec_manager;
         assert_eq!(cfg.max_batch, 256);
         assert_eq!(cfg.reconnect_sleep, Duration::from_millis(10));
     }

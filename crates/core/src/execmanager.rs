@@ -31,23 +31,23 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// ExecManager tuning: the maximum batch size used by every batched
-/// component loop (Enqueue, Emgr, Callback, Dequeue, Synchronizer) and the
-/// one interval left — no loop polls; each blocks on its queue, its channel
-/// or the run's stop signal (DESIGN.md §3k).
+/// ExecManager tuning: the maximum batch size used by every component loop
+/// (Enqueue, Emgr, Callback, Dequeue, Synchronizer) and the one interval
+/// left — no loop polls; each blocks on its queue, its channel or the run's
+/// stop signal (DESIGN.md §3k).
 #[derive(Debug, Clone)]
 pub struct ExecManagerConfig {
     /// How long the RTS Callback waits when its channel is disconnected
     /// (RTS died) before looking for the incarnation the Heartbeat installs.
     pub reconnect_sleep: Duration,
-    /// Maximum tasks moved per batched operation.
+    /// Maximum tasks moved per batched operation. `1` is the paper's
+    /// per-task data path: every hop moves one task through the same code.
     pub max_batch: usize,
     /// Optional live override of `max_batch`, shared with an external tuner
-    /// (the service's batch-size controller). When set, every batched
-    /// component loop reads the knob at batch-collection time, so a tuner
-    /// can walk the batch size against observed broker throughput and
-    /// in-flight runs pick the new value up mid-run. Values are clamped to
-    /// at least 1 on read.
+    /// (the service's batch-size controller). When set, every component
+    /// loop reads the knob at batch-collection time, so a tuner can walk the
+    /// batch size against observed broker throughput and in-flight runs pick
+    /// the new value up mid-run. Values are clamped to at least 1 on read.
     pub batch_knob: Option<Arc<std::sync::atomic::AtomicUsize>>,
 }
 
@@ -287,29 +287,12 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         // Read the (possibly tuner-driven) batch limit per iteration.
         let max_batch = cfg.batch_limit();
         // Collect a batch from the Pending queue.
-        let batch = if ctx.batched {
-            match ctx
-                .broker
-                .get_batch(ctx.ns.pending(), max_batch, UNTIL_CLOSED)
-            {
-                Ok(b) => b,
-                Err(_) => break,
-            }
-        } else {
-            match ctx.broker.get_timeout(ctx.ns.pending(), UNTIL_CLOSED) {
-                Ok(Some(d)) => {
-                    let mut b = vec![d];
-                    while b.len() < max_batch {
-                        match ctx.broker.get(ctx.ns.pending()) {
-                            Ok(Some(d)) => b.push(d),
-                            _ => break,
-                        }
-                    }
-                    b
-                }
-                Ok(None) => continue,
-                Err(_) => break,
-            }
+        let batch = match ctx
+            .broker
+            .get_batch(ctx.ns.pending(), max_batch, UNTIL_CLOSED)
+        {
+            Ok(b) => b,
+            Err(_) => break,
         };
         if batch.is_empty() {
             continue;
@@ -358,32 +341,20 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
                 .collect()
         };
 
-        // Tag Scheduled tasks Submitting — one bulk sync round-trip on the
-        // batched path. Tasks whose sync is refused, tasks already past
-        // Submitting, and unknown uids are stale: their messages are simply
-        // acknowledged (dropped).
-        if ctx.batched {
-            let to_tag: Vec<String> = items
-                .iter()
-                .filter(|i| i.state == Some(TaskState::Scheduled))
-                .map(|i| i.uid.clone())
-                .collect();
-            let applied = ctx.sync_tasks(component::EMGR, &to_tag, TaskState::Submitting);
-            let mut ok = applied.into_iter();
-            for item in &mut items {
-                if item.state == Some(TaskState::Scheduled)
-                    && !ok.next().expect("one flag per request")
-                {
-                    item.state = None; // refused: treat as stale
-                }
-            }
-        } else {
-            for item in &mut items {
-                if item.state == Some(TaskState::Scheduled)
-                    && !ctx.sync_task(component::EMGR, &item.uid, TaskState::Submitting)
-                {
-                    item.state = None;
-                }
+        // Tag Scheduled tasks Submitting — one bulk sync round-trip. Tasks
+        // whose sync is refused, tasks already past Submitting, and unknown
+        // uids are stale: their messages are simply acknowledged (dropped).
+        let to_tag: Vec<String> = items
+            .iter()
+            .filter(|i| i.state == Some(TaskState::Scheduled))
+            .map(|i| i.uid.clone())
+            .collect();
+        let applied = ctx.sync_tasks(component::EMGR, &to_tag, TaskState::Submitting);
+        let mut ok = applied.into_iter();
+        for item in &mut items {
+            if item.state == Some(TaskState::Scheduled) && !ok.next().expect("one flag per request")
+            {
+                item.state = None; // refused: treat as stale
             }
         }
 
@@ -391,19 +362,15 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         // covers both freshly tagged tasks and redeliveries after a failed
         // submit.
         let mut groups: HashMap<String, PoolBatch> = HashMap::new();
-        let mut stale: Vec<u64> = Vec::new();
         for item in items {
-            match item.state {
-                Some(TaskState::Scheduled | TaskState::Submitting) => {
-                    let slot_name = pools.slot_for(item.pool.as_deref()).name.clone();
-                    let entry = groups.entry(slot_name).or_insert_with(|| PoolBatch {
-                        units: Vec::new(),
-                        submitted: Vec::new(),
-                    });
-                    entry.units.push(item.unit.expect("task found above"));
-                    entry.submitted.push((item.tag, item.uid));
-                }
-                _ => stale.push(item.tag),
+            if let Some(TaskState::Scheduled | TaskState::Submitting) = item.state {
+                let slot_name = pools.slot_for(item.pool.as_deref()).name.clone();
+                let entry = groups.entry(slot_name).or_insert_with(|| PoolBatch {
+                    units: Vec::new(),
+                    submitted: Vec::new(),
+                });
+                entry.units.push(item.unit.expect("task found above"));
+                entry.submitted.push((item.tag, item.uid));
             }
         }
 
@@ -439,24 +406,14 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             // transition and be rejected as an illegal Submitting → Executed
             // edge, silently dropping the completion. Tasks whose sync is
             // refused (e.g. canceled concurrently) are not submitted.
-            let mut to_submit = Vec::with_capacity(group.units.len());
-            if ctx.batched {
-                let uids: Vec<String> =
-                    group.submitted.iter().map(|(_, uid)| uid.clone()).collect();
-                let applied = ctx.sync_tasks(component::EMGR, &uids, TaskState::Submitted);
-                for (unit, ok) in group.units.into_iter().zip(applied) {
-                    if ok {
-                        to_submit.push(unit);
-                    }
-                }
-            } else {
-                for (unit, (tag, uid)) in group.units.into_iter().zip(group.submitted.iter()) {
-                    if ctx.sync_task(component::EMGR, uid, TaskState::Submitted) {
-                        to_submit.push(unit);
-                    }
-                    let _ = ctx.broker.ack(ctx.ns.pending(), *tag);
-                }
-            }
+            let uids: Vec<String> = group.submitted.iter().map(|(_, uid)| uid.clone()).collect();
+            let applied = ctx.sync_tasks(component::EMGR, &uids, TaskState::Submitted);
+            let mut to_submit: Vec<UnitDescription> = group
+                .units
+                .into_iter()
+                .zip(applied)
+                .filter_map(|(unit, ok)| ok.then_some(unit))
+                .collect();
             if to_submit.is_empty() {
                 continue;
             }
@@ -488,21 +445,15 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             let linger = action.delay().unwrap_or(Duration::from_millis(150));
             std::thread::sleep(linger); // sleep-ok: failpoint
         }
-        if ctx.batched {
-            // The Emgr is the Pending queue's only consumer, so everything
-            // still unacked in this batch (stale + submitted) settles with
-            // one cumulative ack. Requeued (nacked) messages are no longer
-            // unacked and are unaffected by the boundary. Redeliveries carry
-            // old (smaller) tags and can land anywhere in the batch, so the
-            // boundary is the batch's maximum tag, not its last delivery.
-            if nacked < batch.len() {
-                let boundary = batch.iter().map(|d| d.tag).max().expect("non-empty batch");
-                let _ = ctx.broker.ack_multiple(ctx.ns.pending(), boundary);
-            }
-        } else {
-            for tag in stale {
-                let _ = ctx.broker.ack(ctx.ns.pending(), tag);
-            }
+        // The Emgr is the Pending queue's only consumer, so everything still
+        // unacked in this batch (stale + submitted) settles with one
+        // cumulative ack. Requeued (nacked) messages are no longer unacked
+        // and are unaffected by the boundary. Redeliveries carry old
+        // (smaller) tags and can land anywhere in the batch, so the boundary
+        // is the batch's maximum tag, not its last delivery.
+        if nacked < batch.len() {
+            let boundary = batch.iter().map(|d| d.tag).max().expect("non-empty batch");
+            let _ = ctx.broker.ack_multiple(ctx.ns.pending(), boundary);
         }
         drop(span);
         ctx.profiler.add_management(t0.elapsed());
@@ -538,7 +489,7 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
     while ctx.running.load(Ordering::Acquire) {
         let rts = slot.slot.read().0.clone();
         match rts.callbacks().try_recv() {
-            Ok(cb) if ctx.batched => {
+            Ok(cb) => {
                 // Coalesce whatever other completions are already waiting,
                 // then sync the whole batch with one round-trip and notify
                 // Dequeue with one batched publish.
@@ -577,26 +528,6 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                         .map(|m| messages::attached(m, &hold))
                         .collect();
                     let _ = ctx.broker.publish_batch(ctx.ns.done(), done);
-                }
-                drop(span);
-                ctx.profiler.add_management(t0.elapsed());
-            }
-            Ok(cb) => {
-                if !cb.state.is_terminal() {
-                    continue;
-                }
-                let t0 = Instant::now();
-                let span = ctx
-                    .recorder
-                    .span(obs::EMGR, "callback")
-                    .with_uid(cb.tag.clone());
-                // Mark the attempt Executed, then notify Dequeue.
-                if ctx.sync_task(component::CALLBACK, &cb.tag, TaskState::Executed) {
-                    let hold = Reaction::holding(vec![cb.credit.clone()]).attachment();
-                    let _ = ctx.broker.publish(
-                        ctx.ns.done(),
-                        messages::attached(traced_done_message(&ctx, &cb), &hold),
-                    );
                 }
                 drop(span);
                 ctx.profiler.add_management(t0.elapsed());

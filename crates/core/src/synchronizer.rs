@@ -44,13 +44,7 @@ pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
                 drainers.push(
                     std::thread::Builder::new()
                         .name(format!("entk-sync-{i}"))
-                        .spawn(move || {
-                            if ctx.batched {
-                                run_batched(ctx, &queue)
-                            } else {
-                                run(ctx, &queue)
-                            }
-                        })
+                        .spawn(move || run(ctx, &queue))
                         .expect("spawn sync drainer"),
                 );
             }
@@ -61,14 +55,14 @@ pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
         .expect("spawn synchronizer")
 }
 
-/// Batched fast path: drain one sync shard in one broker call, apply every
-/// transition in one pass (one recorder span per batch), settle the batch
-/// with one cumulative ack, and publish the acknowledgements grouped per
-/// requesting component — within a component the order matches the
-/// requests, which is what [`Ctx::sync_tasks`] relies on. (A shard carries
-/// one component's requests by construction; the grouping also tolerates
-/// custom components routed onto a shared fallback name.)
-fn run_batched(ctx: Arc<Ctx>, sync_queue: &str) {
+/// Drain one sync shard in one broker call, apply every transition in one
+/// pass (one recorder span per batch), settle the batch with one cumulative
+/// ack, and publish the acknowledgements grouped per requesting component —
+/// within a component the order matches the requests, which is what
+/// [`Ctx::sync_tasks`] relies on. (A shard carries one component's requests
+/// by construction; the grouping also tolerates custom components routed
+/// onto a shared fallback name.)
+fn run(ctx: Arc<Ctx>, sync_queue: &str) {
     // Until the shard closes, not until the run flag clears: tear-down joins
     // the requesters first, and their last round-trips need a live drainer.
     loop {
@@ -110,44 +104,6 @@ fn run_batched(ctx: Arc<Ctx>, sync_queue: &str) {
         for (comp, msgs) in acks {
             let _ = ctx.broker.publish_batch(&ctx.ns.ack(&comp), msgs);
         }
-        drop(span);
-        ctx.profiler.add_management(t0.elapsed());
-    }
-}
-
-fn run(ctx: Arc<Ctx>, sync_queue: &str) {
-    loop {
-        let delivery = match ctx.broker.get_timeout(sync_queue, UNTIL_CLOSED) {
-            Ok(Some(d)) => d,
-            Ok(None) => continue,
-            Err(_) => break, // queue closed: shutting down
-        };
-        let t0 = Instant::now();
-        let Some(req) = parse_sync(&delivery.message) else {
-            let _ = ctx.broker.ack(sync_queue, delivery.tag);
-            continue;
-        };
-        // Transition latency: request dequeued → applied → acknowledged
-        // (histogram span.sync.apply gives p50/p95/p99).
-        let span = ctx
-            .recorder
-            .span(entk_observe::components::SYNC, "apply")
-            .with_uid(req.uid.clone())
-            .with_payload(req.state.clone());
-        let ok = apply(&ctx, &req);
-        if ok {
-            ctx.recorder.record(
-                entk_observe::components::SYNC,
-                "transition",
-                req.uid.clone(),
-                req.state.clone(),
-            );
-        }
-        let _ = ctx.broker.ack(sync_queue, delivery.tag);
-        let _ = ctx.broker.publish(
-            &ctx.ns.ack(&req.component),
-            messages::ack_message(&req.uid, ok),
-        );
         drop(span);
         ctx.profiler.add_management(t0.elapsed());
     }

@@ -71,11 +71,7 @@ fn enqueue_loop(ctx: Arc<Ctx>) {
             .recorder
             .span(obs::ENQ, "batch")
             .with_payload(ready.len().to_string());
-        let alive = if ctx.batched {
-            enqueue_batched(&ctx, &ready, &mut reaction)
-        } else {
-            enqueue_per_task(&ctx, &ready, &mut reaction)
-        };
+        let alive = enqueue(&ctx, &ready, &mut reaction);
         drop(span);
         ctx.profiler.add_management(t0.elapsed());
         if !alive {
@@ -126,14 +122,14 @@ fn free_slots(ctx: &Ctx, reaction: &mut Reaction) -> Option<usize> {
     Some(free)
 }
 
-/// Batched fast path: tag a chunk of ready tasks Scheduling → Scheduled
-/// with two bulk sync round-trips and make the chunk visible to the Emgr as
-/// one batched Pending publish, carrying `reaction`. Chunks are sized by the
-/// free concurrency budget so the execution-strategy throttle still holds.
-/// `Scheduled` is synchronized *before* the publish so the Emgr can never
-/// see a task that is still mid-transition. Returns whether the loop should
-/// keep running.
-fn enqueue_batched(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
+/// Tag a chunk of ready tasks Scheduling → Scheduled with two bulk sync
+/// round-trips and make the chunk visible to the Emgr as one batched
+/// Pending publish, carrying `reaction`. Chunks are sized by the batch limit
+/// and the free concurrency budget, so the execution-strategy throttle still
+/// holds. `Scheduled` is synchronized *before* the publish so the Emgr can
+/// never see a task that is still mid-transition. Returns whether the loop
+/// should keep running.
+fn enqueue(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
     let max_batch = ctx.exec.batch_limit();
     let mut idx = 0;
     while idx < ready.len() {
@@ -164,31 +160,6 @@ fn enqueue_batched(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool
     true
 }
 
-/// The paper's per-task data path: two sync round-trips and one publish per
-/// task, each carrying `reaction`. Returns whether the loop should keep
-/// running.
-fn enqueue_per_task(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
-    for uid in ready {
-        if free_slots(ctx, reaction).is_none() {
-            return false;
-        }
-        // Tag for execution, then make visible to the Emgr. `Scheduled`
-        // is synchronized *before* the publish so the Emgr can never see
-        // a task that is still mid-transition.
-        if !ctx.sync_task(component::ENQUEUE, uid, TaskState::Scheduling) {
-            continue;
-        }
-        if !ctx.sync_task(component::ENQUEUE, uid, TaskState::Scheduled) {
-            continue;
-        }
-        let _ = ctx.broker.publish(
-            ctx.ns.pending(),
-            messages::attached(traced_pending_message(ctx, uid), &reaction.attachment()),
-        );
-    }
-    true
-}
-
 /// Pending-queue message for a tagged task, with the causal trace's first
 /// hop stamped when tracing is on. Untraced runs publish the plain message —
 /// the whole trace plane costs nothing when the recorder is disabled.
@@ -210,12 +181,7 @@ fn traced_pending_message(ctx: &Ctx, uid: &str) -> Message {
 
 fn dequeue_loop(ctx: Arc<Ctx>) {
     while ctx.running.load(Ordering::Acquire) {
-        // The per-task path is a batch of one through the same code.
-        let max_batch = if ctx.batched {
-            ctx.exec.batch_limit()
-        } else {
-            1
-        };
+        let max_batch = ctx.exec.batch_limit();
         let batch = match ctx.broker.get_batch(ctx.ns.done(), max_batch, UNTIL_CLOSED) {
             Ok(b) if !b.is_empty() => b,
             Ok(_) => continue,
@@ -428,7 +394,7 @@ mod tests {
             TaskState::Submitted,
             TaskState::Executed,
         ] {
-            assert!(ctx.sync_task("test", uid, s));
+            assert_eq!(ctx.sync_tasks("test", &[uid.to_string()], s), [true]);
         }
     }
 
@@ -505,7 +471,10 @@ mod tests {
             TaskState::Submitting,
             TaskState::Submitted,
         ] {
-            assert!(ctx.sync_task("test", uid.as_str(), s));
+            assert_eq!(
+                ctx.sync_tasks("test", std::slice::from_ref(&uid), s),
+                [true]
+            );
         }
         handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Lost, None)]);
         // Lost does not consume the (zero) retry budget.
@@ -596,20 +565,20 @@ mod tests {
             handle_outcomes(&per_task, [d]);
         }
 
-        let batched = Ctx::for_tests_queued(wf.clone(), Some(1));
-        let sync = crate::synchronizer::spawn(Arc::clone(&batched));
-        prepare(&batched);
-        handle_outcomes(&batched, deliveries());
-        let publishes = batched
+        let queued = Ctx::for_tests_queued(wf.clone(), Some(1));
+        let sync = crate::synchronizer::spawn(Arc::clone(&queued));
+        prepare(&queued);
+        handle_outcomes(&queued, deliveries());
+        let publishes = queued
             .broker
-            .queue_stats(&batched.ns.sync_shard(component::DEQUEUE))
+            .queue_stats(&queued.ns.sync_shard(component::DEQUEUE))
             .unwrap()
             .batch_publishes;
-        batched.stop();
-        batched.broker.close();
+        queued.stop();
+        queued.broker.close();
         sync.join().unwrap();
 
-        let got = outcome(&batched);
+        let got = outcome(&queued);
         assert_eq!(got, outcome(&per_task));
         assert_eq!(
             got,
@@ -625,7 +594,7 @@ mod tests {
             ]
         );
         assert_eq!(publishes, RUNS, "one sync publish per run of equal states");
-        for ctx in [&per_task, &batched] {
+        for ctx in [&per_task, &queued] {
             assert_eq!(
                 ctx.critical_path.lock().tasks(),
                 2,

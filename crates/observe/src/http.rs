@@ -459,34 +459,16 @@ impl std::fmt::Debug for ObserveServer {
 }
 
 impl ObserveServer {
-    /// Bind `addr` and start serving the built-in routes.
+    /// Bind `addr` and start serving the built-in routes plus two kinds of
+    /// extra ones (pass `Vec::new()` for either when unused). `routes` are
+    /// exact `(path, application/json producer)` endpoints, e.g.
+    /// `/debug/decisions` for the control plane's flight recorder.
+    /// `handlers` are request-aware prefix handlers: an entry
+    /// `("/v1/traces", h)` serves `GET /v1/traces` and every path under
+    /// `/v1/traces/`, and `h` sees the full [`HttpRequest`] (path suffix,
+    /// query string, headers). Built-ins win over exact `routes`, which win
+    /// over prefix `handlers`.
     pub fn start(
-        addr: SocketAddr,
-        metrics: Arc<Metrics>,
-        statusz: StatuszFn,
-    ) -> std::io::Result<ObserveServer> {
-        Self::start_with_routes(addr, metrics, statusz, Vec::new())
-    }
-
-    /// Bind `addr` and start serving; `routes` adds extra
-    /// `(path, application/json producer)` endpoints beyond the built-ins
-    /// (e.g. `/debug/decisions` for the control plane's flight recorder).
-    /// Built-in paths win on conflict.
-    pub fn start_with_routes(
-        addr: SocketAddr,
-        metrics: Arc<Metrics>,
-        statusz: StatuszFn,
-        routes: Vec<(String, StatuszFn)>,
-    ) -> std::io::Result<ObserveServer> {
-        Self::start_with_handlers(addr, metrics, statusz, routes, Vec::new())
-    }
-
-    /// [`ObserveServer::start_with_routes`] plus request-aware prefix
-    /// handlers: an entry `("/v1/traces", h)` serves `GET /v1/traces` and
-    /// every path under `/v1/traces/`, and `h` sees the full
-    /// [`HttpRequest`] (path suffix, query string, headers). Exact-match
-    /// `routes` win over prefix `handlers`; built-ins win over both.
-    pub fn start_with_handlers(
         addr: SocketAddr,
         metrics: Arc<Metrics>,
         statusz: StatuszFn,
@@ -620,6 +602,8 @@ mod tests {
             "127.0.0.1:0".parse().unwrap(),
             Arc::clone(&metrics),
             statusz,
+            Vec::new(),
+            Vec::new(),
         )
         .expect("bind");
         (srv, metrics)
@@ -661,11 +645,12 @@ mod tests {
         let metrics = Arc::new(Metrics::default());
         let statusz: StatuszFn = Arc::new(|| "{}".to_string());
         let decisions: StatuszFn = Arc::new(|| "[{\"kind\":\"scale_up\"}]".to_string());
-        let srv = ObserveServer::start_with_routes(
+        let srv = ObserveServer::start(
             "127.0.0.1:0".parse().unwrap(),
             metrics,
             statusz,
             vec![("/debug/decisions".to_string(), decisions)],
+            Vec::new(),
         )
         .expect("bind");
         let (head, body) = get(srv.local_addr(), "/debug/decisions");
@@ -713,7 +698,7 @@ mod tests {
                 req.path, req.query
             ))
         });
-        let srv = ObserveServer::start_with_handlers(
+        let srv = ObserveServer::start(
             "127.0.0.1:0".parse().unwrap(),
             metrics,
             statusz,

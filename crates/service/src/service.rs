@@ -87,10 +87,8 @@ pub struct ServiceConfig {
     /// Pending-queue bound; submissions beyond it are rejected with a
     /// retry-after hint.
     pub max_pending: usize,
-    /// Fair-share weight for tenants not listed in `weights`.
+    /// Fair-share weight for tenants whose submissions carry none.
     pub default_weight: u32,
-    /// Per-tenant fair-share weight overrides.
-    pub weights: Vec<(String, u32)>,
     /// Per-run wall-clock timeout (`None` = AppManager default).
     pub run_timeout: Option<Duration>,
     /// Per-task retry budget passed to every run.
@@ -112,8 +110,6 @@ pub struct ServiceConfig {
     /// Enable the telemetry-driven controllers (pool prescaler, batch
     /// tuner, tail-guard admission). Implies a live recorder and sampler.
     pub adaptive: bool,
-    /// Watchdog thresholds (stall factor, stuck-queue scans, ...).
-    pub watchdog: WatchdogConfig,
     /// Initial shared batch limit for the broker data path. Static unless
     /// `adaptive` is on, in which case the batch tuner walks it online.
     pub batch_limit: usize,
@@ -124,12 +120,6 @@ pub struct ServiceConfig {
     /// [`EnsembleService::start`] begins a fresh epoch (existing journal
     /// files are removed); use `recover` to resume a previous one.
     pub journal_dir: Option<PathBuf>,
-    /// Broker shard count: queues are hash-partitioned onto this many
-    /// independently locked shards, each with its own journal segment
-    /// (`broker.journal`, `broker-1.journal`, ...). `0` (the default) sizes
-    /// the shard pool automatically from the host's core count; `1`
-    /// restores the single-broker, single-journal-file layout.
-    pub broker_shards: usize,
     /// Settled-timeline capture policy: tail-sampled per-task timelines
     /// queryable on `GET /v1/traces/<id>`. `None` (the default) disables
     /// capture entirely — `offer` degenerates to one boolean test.
@@ -145,7 +135,6 @@ impl ServiceConfig {
             max_active: 4,
             max_pending: 32,
             default_weight: 1,
-            weights: Vec::new(),
             run_timeout: None,
             task_retries: None,
             max_rts_restarts: 1,
@@ -153,10 +142,8 @@ impl ServiceConfig {
             observe: ObserveConfig::default(),
             slo: None,
             adaptive: false,
-            watchdog: WatchdogConfig::default(),
             batch_limit: DEFAULT_BATCH_LIMIT,
             journal_dir: None,
-            broker_shards: 0,
             traces: None,
         }
     }
@@ -182,12 +169,6 @@ impl ServiceConfig {
     /// Builder: pending-queue bound.
     pub fn with_max_pending(mut self, n: usize) -> Self {
         self.max_pending = n;
-        self
-    }
-
-    /// Builder: fair-share weight for one tenant.
-    pub fn with_weight(mut self, tenant: impl Into<String>, weight: u32) -> Self {
-        self.weights.push((tenant.into(), weight));
         self
     }
 
@@ -234,22 +215,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Builder: watchdog thresholds.
-    pub fn with_watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.watchdog = watchdog;
-        self
-    }
-
     /// Builder: initial batch limit for the broker data path.
     pub fn with_batch_limit(mut self, n: usize) -> Self {
         self.batch_limit = n.max(1);
-        self
-    }
-
-    /// Builder: broker shard count (`0` = auto-size from core count, `1` =
-    /// legacy single-broker layout).
-    pub fn with_broker_shards(mut self, n: usize) -> Self {
-        self.broker_shards = n;
         self
     }
 
@@ -706,7 +674,7 @@ impl EnsembleService {
                 depth_sample_interval: recorder
                     .is_enabled()
                     .then_some(config.observe.sample_interval),
-                shards: config.broker_shards,
+                ..Default::default()
             };
             if prefill.recover_broker {
                 Broker::recover_with_config(broker_cfg)?
@@ -749,7 +717,7 @@ impl EnsembleService {
             .clone()
             .map(|slo| SloTracker::new(slo, Arc::clone(&metrics)));
         let watchdog = Mutex::new(Watchdog::new(
-            config.watchdog.clone(),
+            WatchdogConfig::default(),
             Arc::clone(&metrics),
             Arc::clone(&ring),
         ));
@@ -788,7 +756,7 @@ impl EnsembleService {
             prewarmer: parking_lot::Mutex::new(None),
         };
 
-        let mut queue = FairShare::new(config.default_weight, config.weights.iter().cloned());
+        let mut queue = FairShare::new(config.default_weight, []);
         for (tenant, weight) in &prefill.weights {
             queue.set_weight(tenant, *weight);
         }
@@ -853,7 +821,7 @@ impl EnsembleService {
             let decisions: entk_observe::StatuszFn = Arc::new(move || ring.to_json());
             let store = Arc::clone(&inner.trace_store);
             let traces: entk_observe::Handler = Arc::new(move |req| store.serve("/v1/traces", req));
-            ObserveServer::start_with_handlers(
+            ObserveServer::start(
                 addr,
                 inner.recorder.metrics_arc(),
                 statusz,

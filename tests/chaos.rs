@@ -294,8 +294,9 @@ fn repeated_mid_replay_crashes_converge_on_exact_unacked_set() {
 // ---------------------------------------------------------------------------
 
 /// Expand one `fn(batched: bool)` scenario into `<name>::batched` and
-/// `<name>::per_task` test cases (the `both_modes!` pattern from the
-/// fault-tolerance suite, local to this file).
+/// `<name>::per_task` test cases. The flag picks the broker's settlement
+/// APIs — `publish_batch`/`get_batch`/`ack_multiple` against per-message
+/// `publish`/`get`/`ack` — both of which the broker keeps.
 macro_rules! both_settlement_modes {
     ($($name:ident),+ $(,)?) => {
         $(

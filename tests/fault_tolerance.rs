@@ -1,36 +1,42 @@
 //! Fault-tolerance integration tests: the §II-B4 failure model exercised
 //! end to end — task failures, RTS death and restart, journal recovery.
 //!
-//! Every scenario is a plain function over `batched: bool` and runs twice:
-//! once on the batched data path (the default) and once on the paper's
-//! per-task path (`with_batched(false)`). The recovery guarantees must hold
-//! identically on both.
+//! Every scenario is a plain function over an [`ExecManagerConfig`] and runs
+//! twice through the one data path: once with the default batch limit and
+//! once with `max_batch: 1`, the paper's per-task path. The recovery
+//! guarantees must hold identically on both.
 
+use entk::core::ExecManagerConfig;
 use entk::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Expand one scenario function into `<name>_batched` and `<name>_per_task`
-/// test cases sharing its body.
-macro_rules! both_modes {
+/// Expand one scenario function into `<name>::batched` (the default batch
+/// limit) and `<name>::per_task` (a batch limit of 1) test cases sharing its
+/// body.
+macro_rules! both_batch_limits {
     ($($name:ident),+ $(,)?) => {
         $(
             mod $name {
+                use super::ExecManagerConfig;
                 #[test]
                 fn batched() {
-                    super::$name(true);
+                    super::$name(ExecManagerConfig::default());
                 }
                 #[test]
                 fn per_task() {
-                    super::$name(false);
+                    super::$name(ExecManagerConfig {
+                        max_batch: 1,
+                        ..Default::default()
+                    });
                 }
             }
         )+
     };
 }
 
-both_modes!(
+both_batch_limits!(
     failed_tasks_are_resubmitted_within_budget,
     retry_budget_exhaustion_fails_pipeline_cleanly,
     rts_death_is_survived_by_restart,
@@ -41,7 +47,7 @@ both_modes!(
     cancel_wakes_a_throttled_enqueue_and_an_idle_emgr,
 );
 
-fn failed_tasks_are_resubmitted_within_budget(batched: bool) {
+fn failed_tasks_are_resubmitted_within_budget(exec: ExecManagerConfig) {
     let attempts = Arc::new(AtomicU32::new(0));
     let a = Arc::clone(&attempts);
     let wf = Workflow::new().with_pipeline(
@@ -63,7 +69,7 @@ fn failed_tasks_are_resubmitted_within_budget(batched: bool) {
     );
     let mut amgr = AppManager::new(
         AppManagerConfig::new(ResourceDescription::local(1))
-            .with_batched(batched)
+            .with_exec_manager(exec)
             .with_run_timeout(Duration::from_secs(300)),
     );
     let report = amgr.run(wf).expect("run completes");
@@ -73,7 +79,7 @@ fn failed_tasks_are_resubmitted_within_budget(batched: bool) {
     assert_eq!(report.overheads.tasks_done, 1);
 }
 
-fn retry_budget_exhaustion_fails_pipeline_cleanly(batched: bool) {
+fn retry_budget_exhaustion_fails_pipeline_cleanly(exec: ExecManagerConfig) {
     let wf = Workflow::new().with_pipeline(
         Pipeline::new("p").with_stage(
             Stage::new("s")
@@ -86,7 +92,7 @@ fn retry_budget_exhaustion_fails_pipeline_cleanly(batched: bool) {
     );
     let mut amgr = AppManager::new(
         AppManagerConfig::new(ResourceDescription::local(2))
-            .with_batched(batched)
+            .with_exec_manager(exec)
             .with_run_timeout(Duration::from_secs(300)),
     );
     let report = amgr.run(wf).expect("run completes (unsuccessfully)");
@@ -102,7 +108,7 @@ fn retry_budget_exhaustion_fails_pipeline_cleanly(batched: bool) {
     );
 }
 
-fn rts_death_is_survived_by_restart(batched: bool) {
+fn rts_death_is_survived_by_restart(exec: ExecManagerConfig) {
     // Kill the RTS 150 ms into a run with long tasks; the Heartbeat must
     // tear it down, start a new incarnation, re-acquire the pilot, and
     // re-execute the lost tasks — "loosing only those tasks that were in
@@ -122,7 +128,7 @@ fn rts_death_is_survived_by_restart(batched: bool) {
         AppManagerConfig::new(
             ResourceDescription::sim(PlatformId::TestRig, 1, 3 * 3600).with_seed(5),
         )
-        .with_batched(batched)
+        .with_exec_manager(exec)
         .with_chaos_rts_kill(Duration::from_millis(100))
         .with_run_timeout(Duration::from_secs(300)),
     );
@@ -135,14 +141,14 @@ fn rts_death_is_survived_by_restart(batched: bool) {
     assert_eq!(report.overheads.tasks_done, 8);
 }
 
-fn rts_restart_budget_exhaustion_is_a_clean_error(batched: bool) {
+fn rts_restart_budget_exhaustion_is_a_clean_error(exec: ExecManagerConfig) {
     let wf = Workflow::new()
         .with_pipeline(Pipeline::new("p").with_stage(
             Stage::new("s").with_task(Task::new("t", Executable::Sleep { secs: 1e6 })),
         ));
     let mut cfg =
         AppManagerConfig::new(ResourceDescription::sim(PlatformId::TestRig, 1, 7200).with_seed(6))
-            .with_batched(batched)
+            .with_exec_manager(exec)
             .with_chaos_rts_kill(Duration::from_millis(100))
             .with_run_timeout(Duration::from_secs(300));
     cfg.max_rts_restarts = 0;
@@ -151,11 +157,12 @@ fn rts_restart_budget_exhaustion_is_a_clean_error(batched: bool) {
     assert!(msg.contains("restart budget"), "unexpected error: {msg}");
 }
 
-fn journal_recovery_skips_completed_tasks_mid_pipeline(batched: bool) {
+fn journal_recovery_skips_completed_tasks_mid_pipeline(exec: ExecManagerConfig) {
     let journal = std::env::temp_dir().join(format!(
-        "entk-it-journal-{}-{:?}-{batched}.log",
+        "entk-it-journal-{}-{:?}-{}.log",
         std::process::id(),
-        std::thread::current().id()
+        std::thread::current().id(),
+        exec.max_batch
     ));
     let _ = std::fs::remove_file(&journal);
 
@@ -194,7 +201,7 @@ fn journal_recovery_skips_completed_tasks_mid_pipeline(batched: bool) {
 
     let mut amgr = AppManager::new(
         AppManagerConfig::new(ResourceDescription::local(2))
-            .with_batched(batched)
+            .with_exec_manager(exec.clone())
             .with_journal(&journal)
             .with_run_timeout(Duration::from_secs(300)),
     );
@@ -208,7 +215,7 @@ fn journal_recovery_skips_completed_tasks_mid_pipeline(batched: bool) {
     // the stage-2 task executes.
     let mut amgr = AppManager::new(
         AppManagerConfig::new(ResourceDescription::local(2))
-            .with_batched(batched)
+            .with_exec_manager(exec)
             .with_journal(&journal)
             .with_run_timeout(Duration::from_secs(300)),
     );
@@ -225,7 +232,7 @@ fn journal_recovery_skips_completed_tasks_mid_pipeline(batched: bool) {
     let _ = std::fs::remove_file(&journal);
 }
 
-fn pilot_walltime_expiry_triggers_pilot_reacquisition(batched: bool) {
+fn pilot_walltime_expiry_triggers_pilot_reacquisition(exec: ExecManagerConfig) {
     // The pilot's walltime (60 virtual s) is far too short for the 200 s
     // task; the Heartbeat re-acquires a pilot and the task is retried until
     // it fits... it never fits, so the retry budget must eventually cancel
@@ -236,7 +243,7 @@ fn pilot_walltime_expiry_triggers_pilot_reacquisition(batched: bool) {
         )));
     let mut cfg =
         AppManagerConfig::new(ResourceDescription::sim(PlatformId::TestRig, 1, 60).with_seed(8))
-            .with_batched(batched)
+            .with_exec_manager(exec)
             .with_run_timeout(Duration::from_secs(300));
     cfg.max_rts_restarts = 5;
     let report = AppManager::new(cfg).run(wf).expect("run terminates");
@@ -244,7 +251,7 @@ fn pilot_walltime_expiry_triggers_pilot_reacquisition(batched: bool) {
     assert!(report.rts_restarts >= 1, "pilot must have been re-acquired");
 }
 
-fn unreliable_ci_is_survived_end_to_end(batched: bool) {
+fn unreliable_ci_is_survived_end_to_end(exec: ExecManagerConfig) {
     // CI-level faults (§II-B4): node crashes kill tasks and occasionally the
     // whole pilot. With unlimited task retries and pilot re-acquisition the
     // ensemble still completes.
@@ -273,7 +280,7 @@ fn unreliable_ci_is_survived_end_to_end(batched: bool) {
         db_op_latency: Duration::ZERO,
     };
     let mut cfg = AppManagerConfig::new(resource)
-        .with_batched(batched)
+        .with_exec_manager(exec)
         .with_task_retries(None)
         .with_run_timeout(Duration::from_secs(300));
     cfg.max_rts_restarts = 50;
@@ -286,7 +293,7 @@ fn unreliable_ci_is_survived_end_to_end(batched: bool) {
     );
 }
 
-fn cancel_wakes_a_throttled_enqueue_and_an_idle_emgr(batched: bool) {
+fn cancel_wakes_a_throttled_enqueue_and_an_idle_emgr(exec: ExecManagerConfig) {
     // Two of eight tasks fit under the cap and never end within the test
     // (10^7 virtual seconds). Once both execute, Enqueue is parked on the
     // throttle, the Emgr on an empty Pending queue and the AppManager on
@@ -306,7 +313,7 @@ fn cancel_wakes_a_throttled_enqueue_and_an_idle_emgr(batched: bool) {
             1,
             1_000_000_000,
         ))
-        .with_batched(batched)
+        .with_exec_manager(exec)
         .with_recorder(recorder.clone())
         .with_execution_strategy(ExecutionStrategy::FixedConcurrency(2))
         .with_run_timeout(Duration::from_secs(300)),
