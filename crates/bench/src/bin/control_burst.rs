@@ -1,16 +1,15 @@
-//! Control burst: adaptive telemetry-driven control vs a static-config sweep
+//! Control burst: demand-driven pool sizing vs a static warm-pilot sweep
 //! under bursty multi-tenant load.
 //!
 //! The closed telemetry loop's proof point: the same burst workload is run
-//! against a grid of static configurations (warm-pilot count x batch limit)
-//! and once with the adaptive controllers enabled (pool prescaler, batch
-//! tuner, tail guard, starting from the *smallest* static footprint). Each
-//! scenario reports p50/p99 turnaround and pilot-seconds — the integral of
-//! allocated pilots (warm + leased) over the scenario's wall clock, i.e.
-//! what the resource provider would bill. The claim under test: the
-//! controllers match or beat the best static config on p99 turnaround
+//! against a grid of static warm-pilot counts and once with the pool
+//! prescaler enabled, starting from the *smallest* static footprint (one
+//! warm pilot). Each scenario reports p50/p99 turnaround and pilot-seconds —
+//! the integral of allocated pilots (warm + leased) over the scenario's wall
+//! clock, i.e. what the resource provider would bill. The claim under test:
+//! the prescaler matches or beats the best static config on p99 turnaround
 //! without hand-picking it in advance, at an equal-or-lower pilot-seconds
-//! cost than the static configs they beat.
+//! cost than the static configs it beats.
 //!
 //! Emits `BENCH_control.json` and exits nonzero if the adaptive p99 regresses
 //! more than `--gate-pct` (default 10%) past the best static config.
@@ -46,7 +45,7 @@ fn workflow(label: &str, tasks: usize) -> Workflow {
 }
 
 /// Simulated TestRig with remote-DB latency and a real pilot bootstrap cost:
-/// the things pool capacity and batch size actually trade against.
+/// the things pool capacity actually trades against.
 fn resource() -> ResourceDescription {
     let mut r = ResourceDescription::sim(PlatformId::TestRig, 2, 1_000_000_000)
         .with_db_latency(Duration::from_millis(5));
@@ -74,7 +73,6 @@ struct Load {
 struct Scenario {
     label: String,
     warm: usize,
-    batch: usize,
     adaptive: bool,
     mean_ms: f64,
     p50_ms: f64,
@@ -85,8 +83,8 @@ struct Scenario {
     decisions: u64,
 }
 
-/// Submit with shed/saturation retry (the tail guard answers `Saturated`
-/// with a retry-after; a well-behaved client backs off and resubmits).
+/// Submit with saturation retry (admission answers `Saturated` with a
+/// retry-after; a well-behaved client backs off and resubmits).
 fn submit_retry(
     client: &ServiceClient,
     tenant: &str,
@@ -105,16 +103,15 @@ fn submit_retry(
     }
 }
 
-fn run_scenario(label: &str, warm: usize, batch: usize, adaptive: bool, load: Load) -> Scenario {
+fn run_scenario(label: &str, warm: usize, adaptive: bool, load: Load) -> Scenario {
     // Every scenario runs with the same SLO/telemetry plane (recorder,
     // samplers, watchdog) so the comparison isolates the control policy,
-    // not the cost of observation; only `adaptive` flips the controllers on.
+    // not the cost of observation; only `adaptive` turns the prescaler on.
     let cfg = ServiceConfig::new(resource())
         .with_warm_pilots(warm)
         .with_max_active(4)
         .with_max_pending(256)
         .with_run_timeout(TIMEOUT)
-        .with_batch_limit(batch)
         .with_observe(ObserveConfig::default().with_sample_interval(Duration::from_millis(5)))
         .with_slo(
             SloConfig::default()
@@ -148,8 +145,8 @@ fn run_scenario(label: &str, warm: usize, batch: usize, adaptive: bool, load: Lo
     };
 
     // Untimed warmup burst (same shape as a measured one): lets static pools
-    // pay first-touch costs and the adaptive controllers find their
-    // operating point before measurement.
+    // pay first-touch costs and the prescaler find its operating point
+    // before measurement.
     let mut ids = Vec::new();
     for t in 0..load.tenants {
         for w in 0..load.wf_per_tenant {
@@ -207,7 +204,6 @@ fn run_scenario(label: &str, warm: usize, batch: usize, adaptive: bool, load: Lo
     let s = Scenario {
         label: label.to_string(),
         warm,
-        batch,
         adaptive,
         mean_ms,
         p50_ms: quantile(&turnarounds_ms, 0.50),
@@ -218,11 +214,10 @@ fn run_scenario(label: &str, warm: usize, batch: usize, adaptive: bool, load: Lo
         decisions,
     };
     println!(
-        "{:<14} warm={} batch={:<4} mean {:8.1} ms  p50 {:8.1} ms  p99 {:8.1} ms  \
+        "{:<10} warm={} mean {:8.1} ms  p50 {:8.1} ms  p99 {:8.1} ms  \
          pilot-s {:7.2}  wall {:6.2} s  retries {}  decisions {}",
         s.label,
         s.warm,
-        s.batch,
         s.mean_ms,
         s.p50_ms,
         s.p99_ms,
@@ -236,12 +231,11 @@ fn run_scenario(label: &str, warm: usize, batch: usize, adaptive: bool, load: Lo
 
 fn scenario_json(s: &Scenario) -> String {
     format!(
-        "{{\"label\": \"{}\", \"warm_pilots\": {}, \"batch\": {}, \"adaptive\": {}, \
+        "{{\"label\": \"{}\", \"warm_pilots\": {}, \"adaptive\": {}, \
          \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"wall_s\": {:.3}, \
          \"pilot_seconds\": {:.3}, \"shed_retries\": {}, \"decisions\": {}}}",
         s.label,
         s.warm,
-        s.batch,
         s.adaptive,
         s.mean_ms,
         s.p50_ms,
@@ -271,25 +265,15 @@ fn main() {
         load.bursts, load.tenants, load.wf_per_tenant, load.tasks, load.gap
     );
 
-    // Static sweep: every (warm-pilot, batch) corner someone might hand-pick.
-    let grid: Vec<(usize, usize)> = if quick {
-        vec![(1, 256), (4, 256)]
-    } else {
-        vec![(1, 16), (1, 256), (2, 256), (4, 16), (4, 256)]
-    };
-    let mut statics = Vec::new();
-    for (warm, batch) in grid {
-        statics.push(run_scenario(
-            &format!("static-w{warm}b{batch}"),
-            warm,
-            batch,
-            false,
-            load,
-        ));
-    }
+    // Static sweep: every warm-pilot count someone might hand-pick.
+    let grid: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4] };
+    let statics: Vec<Scenario> = grid
+        .iter()
+        .map(|&warm| run_scenario(&format!("static-w{warm}"), warm, false, load))
+        .collect();
     // Adaptive starts from the smallest static footprint and must find its
     // own operating point.
-    let adaptive = run_scenario("adaptive", 1, 256, true, load);
+    let adaptive = run_scenario("adaptive", 1, true, load);
 
     let best = statics
         .iter()
@@ -314,11 +298,15 @@ fn main() {
         gate_pct
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"quick\": {},\n  \"load\": {{\"bursts\": {}, \"tenants\": {}, \
-         \"wf_per_tenant\": {}, \"tasks\": {}, \"gap_ms\": {}}},\n  \"static\": [\n",
+        "{{\n  \"host\": {{\"cores\": {}, \"broker_shards\": {}}},\n  \"quick\": {},\n  \
+         \"load\": {{\"bursts\": {}, \"tenants\": {}, \"wf_per_tenant\": {}, \"tasks\": {}, \
+         \"gap_ms\": {}}},\n  \"static\": [\n",
+        cores,
+        cores.min(8),
         quick,
         load.bursts,
         load.tenants,

@@ -179,10 +179,8 @@ fn main() {
         "slo_p50_burn",
         "slo_p99_burn",
         "slo_queue_wait_burn",
-        // Control plane: knob mirrors + actuation counter.
+        // Control plane: pool-capacity mirror + actuation counter.
         "control_pool_capacity",
-        "control_batch_limit",
-        "control_shed",
         "control_actuations_total",
     ] {
         if !has(series) {

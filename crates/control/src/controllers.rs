@@ -1,7 +1,6 @@
-//! The three stock controllers: pool prescaler, batch tuner, tail guard.
+//! The pool prescaler: demand-driven warm pilot-pool capacity.
 
-use crate::{Actuation, ControlAction, ControlObservation, Controller};
-use entk_observe::slo::BURN_SCALE;
+use crate::ControlObservation;
 
 /// [`PoolPrescaler`] thresholds.
 #[derive(Debug, Clone)]
@@ -56,14 +55,10 @@ impl PoolPrescaler {
             cooldown: 0,
         }
     }
-}
 
-impl Controller for PoolPrescaler {
-    fn name(&self) -> &'static str {
-        "prescaler"
-    }
-
-    fn tick(&mut self, obs: &ControlObservation) -> Vec<Actuation> {
+    /// Observe one sampler tick. Returns the new pool capacity and the
+    /// evidence that justified it, or `None` to leave the pool as it is.
+    pub fn tick(&mut self, obs: &ControlObservation) -> Option<(usize, String)> {
         let capacity = obs.pool_capacity.max(0) as usize;
         // Pressure: work is waiting and the warm pool can't cover it.
         let pressured = obs.queued > 0 && obs.warm_pilots == 0;
@@ -73,7 +68,7 @@ impl Controller for PoolPrescaler {
         self.idle = if idle { self.idle + 1 } else { 0 };
         if self.cooldown > 0 {
             self.cooldown -= 1;
-            return Vec::new();
+            return None;
         }
         if self.pressure >= self.config.grow_ticks && capacity < self.config.max_capacity {
             // Target peak concurrency — running plus waiting submissions —
@@ -91,266 +86,38 @@ impl Controller for PoolPrescaler {
             if demand > capacity {
                 let target = demand.min(self.config.max_capacity);
                 self.cooldown = self.config.cooldown_ticks;
-                return vec![Actuation {
-                    action: ControlAction::SetPoolCapacity(target),
-                    evidence: format!(
+                return Some((
+                    target,
+                    format!(
                         "queued={} active={} warm=0 for {} ticks: capacity {}->{}",
                         obs.queued, obs.active, self.config.grow_ticks, capacity, target
                     ),
-                }];
+                ));
             }
         }
         if self.idle >= self.config.shrink_ticks && capacity > self.config.min_capacity {
             let target = capacity - 1;
             self.idle = 0;
             self.cooldown = self.config.cooldown_ticks;
-            return vec![Actuation {
-                action: ControlAction::SetPoolCapacity(target),
-                evidence: format!(
+            return Some((
+                target,
+                format!(
                     "idle (queued=0, warm={}) for {} ticks: capacity {}->{}",
                     obs.warm_pilots, self.config.shrink_ticks, capacity, target
                 ),
-            }];
+            ));
         }
-        Vec::new()
-    }
-}
-
-/// [`BatchTuner`] knobs.
-#[derive(Debug, Clone)]
-pub struct BatchTunerConfig {
-    /// Smallest batch limit the tuner will set.
-    pub min_batch: usize,
-    /// Largest batch limit the tuner will set.
-    pub max_batch: usize,
-    /// Ticks between moves, letting throughput respond to the last one.
-    pub settle_ticks: u32,
-    /// Relative throughput change treated as signal rather than noise.
-    pub epsilon: f64,
-    /// EMA weight applied to each dequeue-rate reading (1.0 = unsmoothed).
-    pub smoothing: f64,
-    /// Once converged, resume probing only when the smoothed rate moves by
-    /// this factor from the rate at convergence (a workload regime shift).
-    pub reprobe_factor: f64,
-}
-
-impl Default for BatchTunerConfig {
-    fn default() -> Self {
-        BatchTunerConfig {
-            min_batch: 4,
-            max_batch: 1024,
-            // Long settling: the dequeue-rate gauge is itself sampled, so a
-            // move's effect takes several sampler periods to show up; moving
-            // faster just chases noise.
-            settle_ticks: 10,
-            epsilon: 0.05,
-            smoothing: 0.2,
-            reprobe_factor: 4.0,
-        }
-    }
-}
-
-/// Online hill-climber over the shared batch-size knob: doubles or halves
-/// the limit, watches the broker delivery rate respond, keeps the direction
-/// while throughput improves and reverses it when throughput drops.
-/// `BENCH_batching.json` showed the optimum is workload-dependent; this
-/// finds it at runtime instead of freezing one value into the config.
-///
-/// Under bursty load the instantaneous dequeue rate reflects burst phase far
-/// more than batch-size effect, so a naive climber oscillates forever. Three
-/// defenses keep it stable: readings are EMA-smoothed; a move that changes
-/// nothing measurable (plateau), or two consecutive reversals (oscillating
-/// around the optimum), mark the knob *converged* and the tuner holds still;
-/// probing resumes only when throughput shifts regime by `reprobe_factor`.
-#[derive(Debug)]
-pub struct BatchTuner {
-    config: BatchTunerConfig,
-    /// +1 = growing the batch, -1 = shrinking.
-    direction: i8,
-    /// Smoothed throughput observed when the last move was made.
-    rate_at_move: f64,
-    ticks_since_move: u32,
-    /// EMA of the dequeue rate across ticks.
-    ema: f64,
-    /// Consecutive direction reversals; two in a row means the optimum is
-    /// bracketed and further moves are churn.
-    reversals: u32,
-    converged: bool,
-}
-
-impl BatchTuner {
-    /// Tuner with the given knobs.
-    pub fn new(config: BatchTunerConfig) -> Self {
-        BatchTuner {
-            config,
-            direction: 1,
-            rate_at_move: 0.0,
-            ticks_since_move: 0,
-            ema: 0.0,
-            reversals: 0,
-            converged: false,
-        }
-    }
-}
-
-impl Controller for BatchTuner {
-    fn name(&self) -> &'static str {
-        "batch_tuner"
-    }
-
-    fn tick(&mut self, obs: &ControlObservation) -> Vec<Actuation> {
-        // Only tune under traffic; an idle broker gives no gradient.
-        if obs.dequeue_rate <= 0.0 {
-            return Vec::new();
-        }
-        self.ema = if self.ema > 0.0 {
-            self.ema + self.config.smoothing * (obs.dequeue_rate - self.ema)
-        } else {
-            obs.dequeue_rate
-        };
-        self.ticks_since_move += 1;
-        if self.ticks_since_move < self.config.settle_ticks {
-            return Vec::new();
-        }
-        self.ticks_since_move = 0;
-        let rate = self.ema;
-        let prev_rate = self.rate_at_move;
-        if self.converged {
-            let shifted = prev_rate > 0.0
-                && (rate > prev_rate * self.config.reprobe_factor
-                    || rate < prev_rate / self.config.reprobe_factor);
-            if !shifted {
-                return Vec::new();
-            }
-            self.converged = false;
-        }
-        if prev_rate > 0.0 {
-            let delta = (rate - prev_rate) / prev_rate;
-            if delta < -self.config.epsilon {
-                // Last move hurt throughput: walk back the other way.
-                self.direction = -self.direction;
-                self.reversals += 1;
-                if self.reversals >= 2 {
-                    self.reversals = 0;
-                    self.converged = true;
-                    self.rate_at_move = rate;
-                    return Vec::new();
-                }
-            } else if delta <= self.config.epsilon {
-                // The last move changed nothing measurable: hold here.
-                self.converged = true;
-                self.rate_at_move = rate;
-                return Vec::new();
-            } else {
-                self.reversals = 0;
-            }
-        }
-        self.rate_at_move = rate;
-        let current = obs.batch_limit.max(1);
-        let target = if self.direction > 0 {
-            (current * 2).min(self.config.max_batch)
-        } else {
-            (current / 2).max(self.config.min_batch)
-        };
-        if target == current {
-            return Vec::new();
-        }
-        vec![Actuation {
-            action: ControlAction::SetBatchLimit(target),
-            evidence: format!(
-                "throughput {rate:.0}/s (was {prev_rate:.0}/s at last move): batch {current}->{target}"
-            ),
-        }]
-    }
-}
-
-/// [`TailGuard`] thresholds, in burn-rate permille ([`BURN_SCALE`] = at the
-/// SLO target).
-#[derive(Debug, Clone)]
-pub struct TailGuardConfig {
-    /// Engage shedding when the p99 burn exceeds this.
-    pub engage_burn: i64,
-    /// Disengage once the p99 burn falls below this (hysteresis).
-    pub disengage_burn: i64,
-    /// Additionally require p99 >= this multiple of p50, so a uniformly
-    /// slow (but even) service doesn't shed — the guard targets tail
-    /// *drift*, not overall slowness.
-    pub min_tail_ratio: u64,
-}
-
-impl Default for TailGuardConfig {
-    fn default() -> Self {
-        TailGuardConfig {
-            engage_burn: BURN_SCALE + BURN_SCALE / 5,
-            disengage_burn: BURN_SCALE - BURN_SCALE / 10,
-            min_tail_ratio: 4,
-        }
-    }
-}
-
-/// Sheds (delays) admission while the p99 turnaround has drifted from the
-/// p50 beyond the SLO: new submissions get a retry-after instead of joining
-/// a queue that is already violating its tail objective. Reuses the
-/// admission policy's EWMA retry-after machinery on the service side.
-#[derive(Debug)]
-pub struct TailGuard {
-    config: TailGuardConfig,
-    shedding: bool,
-}
-
-impl TailGuard {
-    /// Guard with the given thresholds.
-    pub fn new(config: TailGuardConfig) -> Self {
-        TailGuard {
-            config,
-            shedding: false,
-        }
-    }
-}
-
-impl Controller for TailGuard {
-    fn name(&self) -> &'static str {
-        "tail_guard"
-    }
-
-    fn tick(&mut self, obs: &ControlObservation) -> Vec<Actuation> {
-        let p50 = obs.turnaround.p50_ns.max(1);
-        let ratio = obs.turnaround.p99_ns / p50;
-        let over =
-            obs.slo.p99_permille >= self.config.engage_burn && ratio >= self.config.min_tail_ratio;
-        if over && !self.shedding {
-            self.shedding = true;
-            return vec![Actuation {
-                action: ControlAction::SetAdmissionShed(true),
-                evidence: format!(
-                    "p99 burn {} permille >= {}, p99/p50 ratio {}x: shedding admission",
-                    obs.slo.p99_permille, self.config.engage_burn, ratio
-                ),
-            }];
-        }
-        if self.shedding && obs.slo.p99_permille <= self.config.disengage_burn {
-            self.shedding = false;
-            return vec![Actuation {
-                action: ControlAction::SetAdmissionShed(false),
-                evidence: format!(
-                    "p99 burn {} permille <= {}: admitting again",
-                    obs.slo.p99_permille, self.config.disengage_burn
-                ),
-            }];
-        }
-        Vec::new()
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use entk_observe::{HistogramSnapshot, SloBurn};
 
     fn obs() -> ControlObservation {
         ControlObservation {
             pool_capacity: 2,
-            batch_limit: 64,
             max_active: 4,
             ..Default::default()
         }
@@ -368,17 +135,15 @@ mod tests {
         o.queued = 3;
         o.active = 4;
         o.warm_pilots = 0;
-        assert!(p.tick(&o).is_empty(), "one pressured tick is a blip");
-        let acts = p.tick(&o);
-        assert_eq!(acts.len(), 1);
+        assert!(p.tick(&o).is_none(), "one pressured tick is a blip");
+        let (capacity, evidence) = p.tick(&o).expect("grows");
         assert_eq!(
-            acts[0].action,
-            ControlAction::SetPoolCapacity(4),
+            capacity, 4,
             "targets peak concurrency, capped by max_active(4)"
         );
-        assert!(acts[0].evidence.contains("queued=3"));
+        assert!(evidence.contains("queued=3"));
         // Cooldown holds the next actuation back even under pressure.
-        assert!(p.tick(&o).is_empty());
+        assert!(p.tick(&o).is_none());
     }
 
     #[test]
@@ -391,12 +156,11 @@ mod tests {
         let mut o = obs();
         o.queued = 50;
         o.warm_pilots = 0;
-        let acts = p.tick(&o);
-        assert_eq!(acts[0].action, ControlAction::SetPoolCapacity(3));
+        assert_eq!(p.tick(&o).map(|(c, _)| c), Some(3));
         // At the ceiling: no further growth.
         o.pool_capacity = 3;
         for _ in 0..5 {
-            assert!(p.tick(&o).is_empty());
+            assert!(p.tick(&o).is_none());
         }
     }
 
@@ -413,149 +177,12 @@ mod tests {
         o.warm_pilots = 4;
         o.queued = 0;
         o.active = 0;
-        assert!(p.tick(&o).is_empty());
-        assert!(p.tick(&o).is_empty());
-        let acts = p.tick(&o);
-        assert_eq!(acts.len(), 1);
-        assert_eq!(acts[0].action, ControlAction::SetPoolCapacity(3));
+        assert!(p.tick(&o).is_none());
+        assert!(p.tick(&o).is_none());
+        assert_eq!(p.tick(&o).map(|(c, _)| c), Some(3));
         // A lease resets the idle streak.
         o.active = 4;
         o.warm_pilots = 0;
-        assert!(p.tick(&o).is_empty());
-    }
-
-    /// Unsmoothed tuner config so assertions see instantaneous rates.
-    fn tuner_cfg(max_batch: usize) -> BatchTunerConfig {
-        BatchTunerConfig {
-            settle_ticks: 1,
-            min_batch: 8,
-            max_batch,
-            epsilon: 0.05,
-            smoothing: 1.0,
-            reprobe_factor: 4.0,
-        }
-    }
-
-    #[test]
-    fn tuner_climbs_then_reverses_on_throughput_drop() {
-        let mut t = BatchTuner::new(tuner_cfg(512));
-        let mut o = obs();
-        o.batch_limit = 64;
-        o.dequeue_rate = 1000.0;
-        // First move: no baseline yet, keeps the initial (grow) direction.
-        let acts = t.tick(&o);
-        assert_eq!(acts[0].action, ControlAction::SetBatchLimit(128));
-        o.batch_limit = 128;
-        // Throughput improved: keep growing.
-        o.dequeue_rate = 1200.0;
-        assert_eq!(t.tick(&o)[0].action, ControlAction::SetBatchLimit(256));
-        o.batch_limit = 256;
-        // Throughput collapsed: reverse and halve.
-        o.dequeue_rate = 700.0;
-        assert_eq!(t.tick(&o)[0].action, ControlAction::SetBatchLimit(128));
-    }
-
-    #[test]
-    fn tuner_is_silent_without_traffic_and_respects_bounds() {
-        let mut t = BatchTuner::new(tuner_cfg(128));
-        let mut o = obs();
-        o.dequeue_rate = 0.0;
-        assert!(t.tick(&o).is_empty());
-        o.dequeue_rate = 500.0;
-        o.batch_limit = 128;
-        assert!(t.tick(&o).is_empty(), "already at max, growing is a no-op");
-    }
-
-    #[test]
-    fn tuner_converges_on_plateau_and_reprobes_on_regime_shift() {
-        let mut t = BatchTuner::new(tuner_cfg(512));
-        let mut o = obs();
-        o.batch_limit = 64;
-        o.dequeue_rate = 1000.0;
-        assert_eq!(t.tick(&o)[0].action, ControlAction::SetBatchLimit(128));
-        o.batch_limit = 128;
-        // The move changed nothing measurable: converge and hold.
-        o.dequeue_rate = 1010.0;
-        assert!(t.tick(&o).is_empty());
-        // Ordinary noise while converged does not wake the tuner back up.
-        o.dequeue_rate = 1500.0;
-        assert!(t.tick(&o).is_empty());
-        o.dequeue_rate = 600.0;
-        assert!(t.tick(&o).is_empty());
-        // A 4x regime shift does: probing resumes in the last direction.
-        o.dequeue_rate = 5000.0;
-        assert_eq!(t.tick(&o)[0].action, ControlAction::SetBatchLimit(256));
-    }
-
-    #[test]
-    fn tuner_stops_after_oscillating_around_the_optimum() {
-        let mut t = BatchTuner::new(tuner_cfg(512));
-        let mut o = obs();
-        o.batch_limit = 64;
-        o.dequeue_rate = 1000.0;
-        assert_eq!(t.tick(&o)[0].action, ControlAction::SetBatchLimit(128));
-        o.batch_limit = 128;
-        // First reversal: growing hurt, walk back down.
-        o.dequeue_rate = 700.0;
-        assert_eq!(t.tick(&o)[0].action, ControlAction::SetBatchLimit(64));
-        o.batch_limit = 64;
-        // Second consecutive reversal: the optimum is bracketed; stop churning.
-        o.dequeue_rate = 400.0;
-        assert!(t.tick(&o).is_empty(), "two reversals in a row converge");
-        o.dequeue_rate = 420.0;
-        assert!(t.tick(&o).is_empty(), "and the tuner stays parked");
-    }
-
-    #[test]
-    fn tail_guard_engages_and_disengages_with_hysteresis() {
-        let mut g = TailGuard::new(TailGuardConfig::default());
-        let mut o = obs();
-        o.turnaround = HistogramSnapshot {
-            count: 100,
-            mean_ns: 0,
-            p50_ns: 1_000_000,
-            p95_ns: 5_000_000,
-            p99_ns: 10_000_000,
-            max_ns: 10_000_000,
-        };
-        o.slo = SloBurn {
-            p50_permille: 900,
-            p99_permille: 2_000,
-            queue_wait_permille: 0,
-        };
-        let acts = g.tick(&o);
-        assert_eq!(acts.len(), 1);
-        assert_eq!(acts[0].action, ControlAction::SetAdmissionShed(true));
-        // Still burning: no repeated actuation.
-        assert!(g.tick(&o).is_empty());
-        // Between disengage and engage thresholds: keep shedding.
-        o.slo.p99_permille = 1_000;
-        assert!(g.tick(&o).is_empty());
-        // Recovered: disengage once.
-        o.slo.p99_permille = 500;
-        let acts = g.tick(&o);
-        assert_eq!(acts[0].action, ControlAction::SetAdmissionShed(false));
-        assert!(g.tick(&o).is_empty());
-    }
-
-    #[test]
-    fn tail_guard_ignores_even_slowness() {
-        let mut g = TailGuard::new(TailGuardConfig::default());
-        let mut o = obs();
-        // p99 close to p50: uniformly slow, not tail drift.
-        o.turnaround = HistogramSnapshot {
-            count: 100,
-            mean_ns: 0,
-            p50_ns: 8_000_000,
-            p95_ns: 9_000_000,
-            p99_ns: 10_000_000,
-            max_ns: 10_000_000,
-        };
-        o.slo = SloBurn {
-            p50_permille: 3_000,
-            p99_permille: 3_000,
-            queue_wait_permille: 0,
-        };
-        assert!(g.tick(&o).is_empty());
+        assert!(p.tick(&o).is_none());
     }
 }

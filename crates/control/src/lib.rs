@@ -1,40 +1,30 @@
-//! # entk-control — telemetry-driven feedback controllers
+//! # entk-control — demand-driven pilot-pool sizing
 //!
-//! The read-out-and-react half of the telemetry loop: PR 5's observability
-//! plane measures (turnaround histograms, queue gauges, critical-path
-//! residency); this crate decides. A [`Controller`] is polled on the
-//! service's sampler tick with a [`ControlObservation`] assembled from live
-//! telemetry and returns [`Actuation`]s — knob movements with the evidence
-//! that justified them, which the embedder applies and records to the
-//! decision ring so every reaction is explainable after the fact.
+//! The read-out-and-react half of the telemetry loop: the observability
+//! plane measures, this crate decides. One policy ships here,
+//! [`PoolPrescaler`]: the service's sampler calls it on every tick with a
+//! [`ControlObservation`] of the submission queue and the warm pilot pool,
+//! and it answers with a new pool capacity and the evidence that justified
+//! it, which the service applies and records to its decision ring so every
+//! pool move is explainable after the fact.
 //!
-//! Three controllers ship with the crate:
+//! The prescaler grows the warm pool ahead of demand when submissions queue
+//! up with no warm pilot left, and shrinks it back one pilot at a time once
+//! the pool has sat idle, trading pilot-seconds for queue wait. Growing is
+//! fast and shrinking slow, because a cold pilot boot costs far more than an
+//! idle warm pilot.
 //!
-//! * [`PoolPrescaler`] — grows the warm pilot-pool capacity ahead of demand
-//!   when submissions queue up, and shrinks it back once the backlog drains,
-//!   trading pilot-seconds for queue-wait.
-//! * [`BatchTuner`] — an online hill-climber walking the shared batch-size
-//!   knob against observed broker throughput (the optimum is
-//!   workload-dependent; a static setting is wrong for someone).
-//! * [`TailGuard`] — sheds/delays admission when the p99 turnaround drifts
-//!   away from the p50 beyond the declared SLO, so a latency storm is
-//!   absorbed at the front door instead of compounding in the queue.
-//!
-//! The crate depends only on `entk-observe` types, so controllers stay unit
-//! testable with synthetic observations — no broker, pool, or service
-//! needed.
+//! The batch limit is not a control target: it is the constant
+//! `ExecManagerConfig::max_batch`. Admission refusals come only from the
+//! service's bounded-queue admission policy.
 
 #![warn(missing_docs)]
 
 pub mod controllers;
 
-pub use controllers::{
-    BatchTuner, BatchTunerConfig, PoolPrescaler, PrescalerConfig, TailGuard, TailGuardConfig,
-};
+pub use controllers::{PoolPrescaler, PrescalerConfig};
 
-use entk_observe::{HistogramSnapshot, SloBurn};
-
-/// One sampler-tick snapshot of everything a controller may react to.
+/// One sampler-tick snapshot of what the prescaler reacts to.
 #[derive(Debug, Clone, Default)]
 pub struct ControlObservation {
     /// Submissions waiting for a worker.
@@ -47,43 +37,4 @@ pub struct ControlObservation {
     pub warm_pilots: i64,
     /// Current pool capacity target.
     pub pool_capacity: i64,
-    /// Turnaround histogram snapshot (all sessions).
-    pub turnaround: HistogramSnapshot,
-    /// Broker-wide deliveries per second, summed over queues.
-    pub dequeue_rate: f64,
-    /// Current effective batch limit.
-    pub batch_limit: usize,
-    /// Latest SLO burn rates (zero when no SLO is declared).
-    pub slo: SloBurn,
-}
-
-/// A knob movement a controller wants applied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlAction {
-    /// Retarget the warm pilot-pool capacity (prewarm up to it eagerly).
-    SetPoolCapacity(usize),
-    /// Move the shared batch-size knob.
-    SetBatchLimit(usize),
-    /// Enable/disable tail-guard admission shedding.
-    SetAdmissionShed(bool),
-}
-
-/// An action paired with the evidence that triggered it — the embedder
-/// records both to the decision ring.
-#[derive(Debug, Clone)]
-pub struct Actuation {
-    /// What to do.
-    pub action: ControlAction,
-    /// Why (human-readable, goes to `/debug/decisions`).
-    pub evidence: String,
-}
-
-/// A feedback controller polled on every sampler tick.
-pub trait Controller: Send {
-    /// Stable name, used in metrics (`control.<name>.actuations`) and the
-    /// decision ring.
-    fn name(&self) -> &'static str;
-
-    /// Observe one tick; return the actuations to apply (usually empty).
-    fn tick(&mut self, obs: &ControlObservation) -> Vec<Actuation>;
 }

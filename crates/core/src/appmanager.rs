@@ -489,7 +489,10 @@ impl Ctx {
             in_flight: std::sync::atomic::AtomicUsize::new(0),
             concurrency_cap: std::sync::atomic::AtomicUsize::new(strategy.initial_cap()),
             strategy,
-            exec,
+            exec: ExecManagerConfig {
+                max_batch: exec.max_batch.max(1),
+                ..exec
+            },
             sync_serial: std::array::from_fn(|_| Mutex::new(())),
             inline_sync: false,
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),

@@ -40,15 +40,10 @@ pub struct ExecManagerConfig {
     /// How long the RTS Callback waits when its channel is disconnected
     /// (RTS died) before looking for the incarnation the Heartbeat installs.
     pub reconnect_sleep: Duration,
-    /// Maximum tasks moved per batched operation. `1` is the paper's
-    /// per-task data path: every hop moves one task through the same code.
+    /// Maximum tasks moved per batched operation (0 is read as 1). `1` is
+    /// the paper's per-task data path: every hop moves one task through the
+    /// same code.
     pub max_batch: usize,
-    /// Optional live override of `max_batch`, shared with an external tuner
-    /// (the service's batch-size controller). When set, every component
-    /// loop reads the knob at batch-collection time, so a tuner can walk the
-    /// batch size against observed broker throughput and in-flight runs pick
-    /// the new value up mid-run. Values are clamped to at least 1 on read.
-    pub batch_knob: Option<Arc<std::sync::atomic::AtomicUsize>>,
 }
 
 impl Default for ExecManagerConfig {
@@ -56,24 +51,6 @@ impl Default for ExecManagerConfig {
         ExecManagerConfig {
             reconnect_sleep: Duration::from_millis(10),
             max_batch: 256,
-            batch_knob: None,
-        }
-    }
-}
-
-impl ExecManagerConfig {
-    /// Install a shared live batch-size knob (see `batch_knob`).
-    pub fn with_batch_knob(mut self, knob: Arc<std::sync::atomic::AtomicUsize>) -> Self {
-        self.batch_knob = Some(knob);
-        self
-    }
-
-    /// Effective batch limit right now: the live knob when installed,
-    /// `max_batch` otherwise; always at least 1.
-    pub fn batch_limit(&self) -> usize {
-        match &self.batch_knob {
-            Some(k) => k.load(Ordering::Relaxed).max(1),
-            None => self.max_batch.max(1),
         }
     }
 }
@@ -276,7 +253,6 @@ struct PendingItem {
 }
 
 fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
-    let cfg = ctx.exec.clone();
     while ctx.running.load(Ordering::Acquire) {
         // Cooperative cancellation: stop submitting; queued messages become
         // stale once the cancel sweep settles their tasks and are dropped on
@@ -284,12 +260,10 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         if ctx.cancel.is_canceled() {
             break;
         }
-        // Read the (possibly tuner-driven) batch limit per iteration.
-        let max_batch = cfg.batch_limit();
         // Collect a batch from the Pending queue.
         let batch = match ctx
             .broker
-            .get_batch(ctx.ns.pending(), max_batch, UNTIL_CLOSED)
+            .get_batch(ctx.ns.pending(), ctx.exec.max_batch, UNTIL_CLOSED)
         {
             Ok(b) => b,
             Err(_) => break,
@@ -485,7 +459,6 @@ fn traced_done_message(ctx: &Ctx, cb: &UnitCallback) -> Message {
 }
 
 fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
-    let cfg = ctx.exec.clone();
     while ctx.running.load(Ordering::Acquire) {
         let rts = slot.slot.read().0.clone();
         match rts.callbacks().try_recv() {
@@ -494,7 +467,7 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                 // then sync the whole batch with one round-trip and notify
                 // Dequeue with one batched publish.
                 let mut cbs = vec![cb];
-                while cbs.len() < cfg.batch_limit() {
+                while cbs.len() < ctx.exec.max_batch {
                     match rts.callbacks().try_recv() {
                         Ok(c) => cbs.push(c),
                         Err(_) => break,
@@ -545,7 +518,7 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
             Err(TryRecvError::Disconnected) => {
                 // The RTS died; give the Heartbeat time to install a new one
                 // (cut short when the run stops).
-                let _ = ctx.stopped.recv_timeout(cfg.reconnect_sleep);
+                let _ = ctx.stopped.recv_timeout(ctx.exec.reconnect_sleep);
             }
         }
     }

@@ -66,7 +66,7 @@ fn run(ctx: Arc<Ctx>, sync_queue: &str) {
     // Until the shard closes, not until the run flag clears: tear-down joins
     // the requesters first, and their last round-trips need a live drainer.
     loop {
-        let max_batch = ctx.exec.batch_limit();
+        let max_batch = ctx.exec.max_batch;
         let batch = match ctx.broker.get_batch(sync_queue, max_batch, UNTIL_CLOSED) {
             Ok(b) if !b.is_empty() => b,
             Ok(_) => continue,

@@ -130,7 +130,7 @@ fn free_slots(ctx: &Ctx, reaction: &mut Reaction) -> Option<usize> {
 /// never see a task that is still mid-transition. Returns whether the loop
 /// should keep running.
 fn enqueue(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
-    let max_batch = ctx.exec.batch_limit();
+    let max_batch = ctx.exec.max_batch;
     let mut idx = 0;
     while idx < ready.len() {
         let Some(free) = free_slots(ctx, reaction) else {
@@ -181,7 +181,7 @@ fn traced_pending_message(ctx: &Ctx, uid: &str) -> Message {
 
 fn dequeue_loop(ctx: Arc<Ctx>) {
     while ctx.running.load(Ordering::Acquire) {
-        let max_batch = ctx.exec.batch_limit();
+        let max_batch = ctx.exec.max_batch;
         let batch = match ctx.broker.get_batch(ctx.ns.done(), max_batch, UNTIL_CLOSED) {
             Ok(b) if !b.is_empty() => b,
             Ok(_) => continue,

@@ -29,6 +29,8 @@ enum Op {
     NackMultiple {
         back: usize,
     },
+    /// Consumer recovery: requeue every unacked message.
+    RecoverUnacked,
     Purge,
 }
 
@@ -44,6 +46,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0usize..6).prop_map(Op::GetBatch),
         2 => boundary_strategy().prop_map(|back| Op::AckMultiple { back }),
         2 => boundary_strategy().prop_map(|back| Op::NackMultiple { back }),
+        1 => Just(Op::RecoverUnacked),
         1 => Just(Op::Purge),
     ]
 }
@@ -61,8 +64,9 @@ struct Entry {
 /// a partial cumulative nack lets a low tag be delivered again after higher
 /// ones. Tags count up from 1 in publish order. A single nack returns the
 /// popped entry to the front; a cumulative nack returns every covered
-/// unacked entry to the front in its original order. Acks drop entries;
-/// purge clears ready entries only.
+/// unacked entry to the front in its original order, and so does recovery
+/// for every unacked entry. Acks drop entries; purge clears ready entries
+/// only.
 struct Model {
     next_tag: u64,
     ready: VecDeque<Entry>,
@@ -139,9 +143,9 @@ proptest! {
 
     /// The broker behaves exactly like the reference model under any
     /// sequence of publish / publish_batch / pop+ack / pop+nack / get_batch
-    /// / ack_multiple / nack_multiple / purge: every delivery carries the
-    /// model's tag, value and redelivered flag, and after every step the
-    /// ready depth and the unacked count match.
+    /// / ack_multiple / nack_multiple / recover_unacked / purge: every
+    /// delivery carries the model's tag, value and redelivered flag, and
+    /// after every step the ready depth and the unacked count match.
     #[test]
     fn broker_matches_deque_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let broker = Broker::new();
@@ -198,6 +202,14 @@ proptest! {
                     let covered = model.take_covered(boundary);
                     same_count(broker.nack_multiple("q", boundary), covered.len())?;
                     for mut e in covered.into_iter().rev() {
+                        e.redelivered = true;
+                        model.ready.push_front(e);
+                    }
+                }
+                Op::RecoverUnacked => {
+                    let want = model.unacked.len();
+                    prop_assert_eq!(broker.recover_unacked("q").unwrap(), want);
+                    for mut e in model.take_covered(u64::MAX).into_iter().rev() {
                         e.redelivered = true;
                         model.ready.push_front(e);
                     }

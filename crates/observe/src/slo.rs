@@ -437,7 +437,7 @@ pub struct Decision {
     pub kind: String,
     /// What the decision is about.
     pub subject: String,
-    /// What was done (`"raise"`, `"grow 2->4"`, `"shed"`, ...).
+    /// What was done (`"raise"`, `"capacity 2->4"`, ...).
     pub action: String,
     /// The triggering evidence.
     pub evidence: String,

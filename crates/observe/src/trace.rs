@@ -54,7 +54,7 @@ pub mod hops {
     pub const PARSED: &str = "parsed";
     /// The service's admission control accepted the submission.
     pub const ADMITTED: &str = "admitted";
-    /// The service's admission control rejected the submission (tail guard /
+    /// The service's admission control rejected the submission (saturated /
     /// draining). Terminal for the wire trace — no task hops follow.
     pub const SHED: &str = "shed";
     /// The durable submissions journal appended (and flushed) the record.

@@ -25,20 +25,17 @@ use crate::protocol::{
     SubmitError,
 };
 use crate::spec::WorkflowSpec;
-use entk_control::{
-    Actuation, BatchTuner, BatchTunerConfig, ControlAction, ControlObservation, Controller,
-    PoolPrescaler, PrescalerConfig, TailGuard, TailGuardConfig,
-};
+use entk_control::{ControlObservation, PoolPrescaler, PrescalerConfig};
 use entk_core::{
-    AppManager, AppManagerConfig, CancelToken, ExecManagerConfig, QueueNamespace,
-    ResourceDescription, RunReport, SessionAttachment, Workflow,
+    AppManager, AppManagerConfig, CancelToken, QueueNamespace, ResourceDescription, RunReport,
+    SessionAttachment, Workflow,
 };
 use entk_mq::{Broker, BrokerConfig, MqResult};
 use entk_observe::export::json_escape;
 use entk_observe::{
     components, hops, CriticalPath, DecisionRing, ObserveConfig, ObserveServer, QueueSample,
-    Recorder, Sampler, SloBurn, SloConfig, SloTracker, TraceCtx, TraceStore, TraceStoreConfig,
-    Watchdog, WatchdogConfig, WatchdogInput,
+    Recorder, Sampler, SloConfig, SloTracker, TraceCtx, TraceStore, TraceStoreConfig, Watchdog,
+    WatchdogConfig, WatchdogInput,
 };
 use parking_lot::{Condvar, Mutex};
 use rp_rts::{PilotPool, PilotPoolConfig};
@@ -46,7 +43,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,9 +54,6 @@ const WATCHDOG_INTERVAL_FACTOR: u32 = 4;
 
 /// Flight-recorder capacity (alerts + actuations kept for `/debug/decisions`).
 const DECISION_RING_CAPACITY: usize = 256;
-
-/// Initial shared batch limit; matches `ExecManagerConfig::default().max_batch`.
-const DEFAULT_BATCH_LIMIT: usize = 256;
 
 /// Service-journal filename inside the journal directory.
 const SERVICE_JOURNAL_FILE: &str = "service.journal";
@@ -104,15 +98,12 @@ pub struct ServiceConfig {
     pub observe: ObserveConfig,
     /// Service-level objectives. When set, an [`SloTracker`] publishes
     /// `slo.*` burn-rate gauges and breach counters on every sampler tick,
-    /// and the watchdog/controllers key off the declared targets. Implies a
-    /// live recorder and background sampler even without a listener.
+    /// and the watchdog keys off the declared targets. Implies a live
+    /// recorder and background sampler even without a listener.
     pub slo: Option<SloConfig>,
-    /// Enable the telemetry-driven controllers (pool prescaler, batch
-    /// tuner, tail-guard admission). Implies a live recorder and sampler.
+    /// Size the warm pilot pool from demand with the [`PoolPrescaler`],
+    /// starting from `warm_pilots`. Implies a live recorder and sampler.
     pub adaptive: bool,
-    /// Initial shared batch limit for the broker data path. Static unless
-    /// `adaptive` is on, in which case the batch tuner walks it online.
-    pub batch_limit: usize,
     /// Durability directory. When set, the service keeps a workflow journal
     /// (`service.journal`), a broker journal (`broker.journal`), and one
     /// task-level state journal per durable submission, all inside this
@@ -142,7 +133,6 @@ impl ServiceConfig {
             observe: ObserveConfig::default(),
             slo: None,
             adaptive: false,
-            batch_limit: DEFAULT_BATCH_LIMIT,
             journal_dir: None,
             traces: None,
         }
@@ -209,15 +199,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Builder: enable/disable the adaptive controllers.
+    /// Builder: enable/disable demand-driven pool sizing.
     pub fn with_adaptive_control(mut self, on: bool) -> Self {
         self.adaptive = on;
-        self
-    }
-
-    /// Builder: initial batch limit for the broker data path.
-    pub fn with_batch_limit(mut self, n: usize) -> Self {
-        self.batch_limit = n.max(1);
         self
     }
 
@@ -276,21 +260,17 @@ struct State {
     next_id: u64,
 }
 
-/// The telemetry-loop state: SLO tracker, watchdog, controllers, and the
-/// knobs they move. Always present (cheap); only the samplers drive it.
+/// The telemetry-loop state: SLO tracker, watchdog and pool prescaler.
+/// Always present (cheap); only the samplers drive it.
 struct ControlPlane {
     ring: Arc<DecisionRing>,
     slo: Option<SloTracker>,
     watchdog: Mutex<Watchdog>,
-    controllers: Mutex<Vec<Box<dyn Controller>>>,
-    /// Shared batch-size knob installed into every run's
-    /// [`ExecManagerConfig`]; the tuner moves it live.
-    batch_knob: Arc<AtomicUsize>,
-    /// Tail-guard admission shedding flag, consulted by `admit`.
-    shed: AtomicBool,
+    /// Demand-driven pool sizing; `Some` when `adaptive` is on.
+    prescaler: Option<Mutex<PoolPrescaler>>,
     /// Monotone main-sampler tick count, watched for DeadSampler.
     sampler_ticks: AtomicU64,
-    /// In-flight background prewarm spawned by a grow actuation (a pilot
+    /// In-flight background prewarm spawned by a pool grow (a pilot
     /// bootstrap takes far longer than a sampler period, so it must not run
     /// on the sampler thread). Joined at shutdown, before the pool drains.
     prewarmer: parking_lot::Mutex<Option<JoinHandle<()>>>,
@@ -709,7 +689,7 @@ impl EnsembleService {
         drop(prewarm_span);
 
         // Control plane: flight recorder, optional SLO tracker, watchdog,
-        // and (when adaptive) the three stock controllers.
+        // and (when adaptive) the pool prescaler.
         let ring = Arc::new(DecisionRing::new(DECISION_RING_CAPACITY));
         let metrics = recorder.metrics_arc();
         let slo = config
@@ -721,37 +701,26 @@ impl EnsembleService {
             Arc::clone(&metrics),
             Arc::clone(&ring),
         ));
-        let batch_knob = Arc::new(AtomicUsize::new(config.batch_limit.max(1)));
-        let mut controllers: Vec<Box<dyn Controller>> = Vec::new();
-        if config.adaptive {
-            controllers.push(Box::new(PoolPrescaler::new(PrescalerConfig {
+        let prescaler = config.adaptive.then(|| {
+            Mutex::new(PoolPrescaler::new(PrescalerConfig {
                 min_capacity: 1,
                 max_capacity: (config.warm_pilots.max(1) * 4).max(8),
                 ..Default::default()
-            })));
-            controllers.push(Box::new(BatchTuner::new(BatchTunerConfig::default())));
-            controllers.push(Box::new(TailGuard::new(TailGuardConfig::default())));
-        }
+            }))
+        });
         if recorder.is_enabled() {
             // Pre-register the control series so a scrape before the first
             // actuation already exposes the full set.
             metrics
                 .gauge("control.pool_capacity")
                 .set(config.warm_pilots.max(1) as i64);
-            metrics
-                .gauge("control.batch_limit")
-                .set(config.batch_limit.max(1) as i64);
-            metrics.gauge("control.shed").set(0);
             metrics.counter("control.actuations");
-            metrics.counter("control.shed.rejected");
         }
         let ctl = ControlPlane {
             ring,
             slo,
             watchdog,
-            controllers: Mutex::new(controllers),
-            batch_knob,
-            shed: AtomicBool::new(false),
+            prescaler,
             sampler_ticks: AtomicU64::new(0),
             prewarmer: parking_lot::Mutex::new(None),
         };
@@ -872,11 +841,6 @@ impl EnsembleService {
     /// The control plane's flight recorder (alerts + actuations).
     pub fn decisions(&self) -> Arc<DecisionRing> {
         Arc::clone(&self.inner.ctl.ring)
-    }
-
-    /// Current effective batch limit (moved live by the batch tuner).
-    pub fn batch_limit(&self) -> usize {
-        self.inner.ctl.batch_knob.load(Ordering::Acquire)
     }
 
     /// Current pilot-pool capacity target (moved live by the prescaler).
@@ -1218,11 +1182,9 @@ fn statusz_json(inner: &Inner) -> String {
     );
     let _ = write!(
         out,
-        ",\"control\":{{\"adaptive\":{},\"pool_capacity\":{},\"batch_limit\":{},\"shed\":{}}}",
+        ",\"control\":{{\"adaptive\":{},\"pool_capacity\":{}}}",
         inner.config.adaptive,
-        inner.pool.capacity(),
-        inner.ctl.batch_knob.load(Ordering::Acquire),
-        inner.ctl.shed.load(Ordering::Acquire)
+        inner.pool.capacity()
     );
     out.push_str(",\"failpoints\":[");
     for (i, (name, hits, fires)) in entk_fail::snapshot().iter().enumerate() {
@@ -1294,8 +1256,7 @@ fn canceled_record(sub: &Submission, id: SubmissionId) -> ServiceRecord {
 const QUEUE_WAIT_STAGE: &str = "enqueue->emgr_dequeue";
 
 /// One main-sampler tick: refresh the pool/DB gauges, publish SLO burn
-/// rates, assemble a [`ControlObservation`] from live telemetry, and poll
-/// the controllers, applying whatever they actuate.
+/// rates, and (when adaptive) let the prescaler resize the pool.
 fn sampler_tick(inner: &Arc<Inner>) {
     let m = inner.recorder.metrics();
     m.gauge("rts.pool.warm").set(inner.pool.warm_count() as i64);
@@ -1320,113 +1281,81 @@ fn sampler_tick(inner: &Arc<Inner>) {
         .set(bs.journal_bytes as i64);
     inner.ctl.sampler_ticks.fetch_add(1, Ordering::Relaxed);
 
+    if let Some(tracker) = &inner.ctl.slo {
+        // Mean queue-wait residency from the critical path decomposition.
+        let queue_wait_mean_ns = {
+            let cp = inner.critical_path.lock();
+            cp.stages()
+                .iter()
+                .find(|s| s.stage == QUEUE_WAIT_STAGE)
+                .filter(|s| s.count > 0)
+                .map(|s| s.total_ns / s.count)
+                .unwrap_or(0)
+        };
+        tracker.tick(
+            &m.histogram("service.turnaround").snapshot(),
+            queue_wait_mean_ns,
+        );
+    }
+    m.gauge("control.pool_capacity")
+        .set(inner.pool.capacity() as i64);
+    let Some(prescaler) = &inner.ctl.prescaler else {
+        return;
+    };
     let (queued, active) = {
         let st = inner.state.lock();
         (st.queue.len() as i64, st.active as i64)
     };
-    let turnaround = m.histogram("service.turnaround").snapshot();
-    // Mean queue-wait residency from the critical path decomposition.
-    let queue_wait_mean_ns = {
-        let cp = inner.critical_path.lock();
-        cp.stages()
-            .iter()
-            .find(|s| s.stage == QUEUE_WAIT_STAGE)
-            .filter(|s| s.count > 0)
-            .map(|s| s.total_ns / s.count)
-            .unwrap_or(0)
-    };
-    let burn = match &inner.ctl.slo {
-        Some(tracker) => tracker.tick(&turnaround, queue_wait_mean_ns),
-        None => SloBurn::default(),
-    };
-    // Broker-wide delivery rate: sum of the per-queue dequeue-rate gauges
-    // maintained by the broker's own depth sampler.
-    let dequeue_rate: i64 = m
-        .gauges()
-        .into_iter()
-        .filter(|(name, _, _)| name.starts_with("mq.queue.") && name.ends_with(".dequeue_rate"))
-        .map(|(_, value, _)| value)
-        .sum();
     let obs = ControlObservation {
         queued,
         active,
         max_active: inner.config.max_active as i64,
         warm_pilots: inner.pool.warm_count() as i64,
         pool_capacity: inner.pool.capacity() as i64,
-        turnaround,
-        dequeue_rate: dequeue_rate as f64,
-        batch_limit: inner.ctl.batch_knob.load(Ordering::Acquire),
-        slo: burn,
     };
-    m.gauge("control.pool_capacity").set(obs.pool_capacity);
-    m.gauge("control.batch_limit").set(obs.batch_limit as i64);
-    m.gauge("control.shed")
-        .set(inner.ctl.shed.load(Ordering::Acquire) as i64);
-    let mut controllers = inner.ctl.controllers.lock();
-    for c in controllers.iter_mut() {
-        let name = c.name();
-        for act in c.tick(&obs) {
-            apply_actuation(inner, name, act);
+    let Some((n, evidence)) = prescaler.lock().tick(&obs) else {
+        return;
+    };
+    let old = inner.pool.capacity();
+    inner.pool.set_capacity(n);
+    if n > old {
+        // Boot only the deficit — capacity minus pilots already allocated
+        // (idle or leased out) — and do it off-thread: a pilot bootstrap
+        // takes far longer than a sampler period and must not stall the tick
+        // loop (that would trip the dead-sampler watchdog, and rightly so).
+        let active = inner.state.lock().active;
+        let deficit = n.saturating_sub(active + inner.pool.warm_count());
+        if deficit > 0 {
+            let mut slot = inner.ctl.prewarmer.lock();
+            let busy = slot.as_ref().map(|h| !h.is_finished()).unwrap_or(false);
+            if !busy {
+                if let Some(h) = slot.take() {
+                    let _ = h.join();
+                }
+                let pool = inner.pool.clone();
+                *slot = Some(
+                    std::thread::Builder::new()
+                        .name("entk-svc-prewarm".into())
+                        .spawn(move || pool.prewarm(deficit))
+                        .expect("spawn prewarm thread"),
+                );
+            }
         }
     }
-}
-
-/// Apply one controller actuation to the real knob, mirror it onto the
-/// `control.*` series, and append it to the flight recorder with evidence.
-fn apply_actuation(inner: &Arc<Inner>, name: &'static str, act: Actuation) {
-    let m = inner.recorder.metrics();
-    let (subject, action) = match act.action {
-        ControlAction::SetPoolCapacity(n) => {
-            let old = inner.pool.capacity();
-            inner.pool.set_capacity(n);
-            if n > old {
-                // Boot only the deficit — capacity minus pilots already
-                // allocated (idle or leased out) — and do it off-thread: a
-                // pilot bootstrap takes far longer than a sampler period and
-                // must not stall the tick loop (that would trip the
-                // dead-sampler watchdog, and rightly so).
-                let active = inner.state.lock().active;
-                let deficit = n.saturating_sub(active + inner.pool.warm_count());
-                if deficit > 0 {
-                    let mut slot = inner.ctl.prewarmer.lock();
-                    let busy = slot.as_ref().map(|h| !h.is_finished()).unwrap_or(false);
-                    if !busy {
-                        if let Some(h) = slot.take() {
-                            let _ = h.join();
-                        }
-                        let pool = inner.pool.clone();
-                        *slot = Some(
-                            std::thread::Builder::new()
-                                .name("entk-svc-prewarm".into())
-                                .spawn(move || pool.prewarm(deficit))
-                                .expect("spawn prewarm thread"),
-                        );
-                    }
-                }
-            }
-            m.gauge("control.pool_capacity").set(n as i64);
-            ("pilot_pool", format!("capacity {old}->{n}"))
-        }
-        ControlAction::SetBatchLimit(n) => {
-            let old = inner.ctl.batch_knob.swap(n, Ordering::AcqRel);
-            m.gauge("control.batch_limit").set(n as i64);
-            ("batch_knob", format!("batch {old}->{n}"))
-        }
-        ControlAction::SetAdmissionShed(on) => {
-            inner.ctl.shed.store(on, Ordering::Release);
-            m.gauge("control.shed").set(on as i64);
-            ("admission", (if on { "shed" } else { "admit" }).to_string())
-        }
-    };
+    m.gauge("control.pool_capacity").set(n as i64);
     m.counter("control.actuations").incr();
-    m.counter(&format!("control.{name}.actuations")).incr();
+    m.counter("control.prescaler.actuations").incr();
+    let action = format!("capacity {old}->{n}");
     inner
         .ctl
         .ring
-        .record("actuation", name, subject, &action, &act.evidence);
-    inner
-        .recorder
-        .record(components::SERVICE, "control_actuation", subject, action);
+        .record("actuation", "prescaler", "pilot_pool", &action, &evidence);
+    inner.recorder.record(
+        components::SERVICE,
+        "control_actuation",
+        "pilot_pool",
+        action,
+    );
 }
 
 /// One watchdog scan: fold live queue/pool/submission state into the typed
@@ -1522,25 +1451,6 @@ fn admit(
     if st.draining {
         offer_shed(inner, trace);
         return Err(SubmitError::Draining);
-    }
-    if inner.ctl.shed.load(Ordering::Acquire) {
-        // Tail-guard shedding: the p99 is burning past its SLO, so refuse
-        // with the same EWMA-derived backoff saturation rejections use —
-        // one run's worth of drain time.
-        let retry_after = Duration::from_secs_f64(st.admission.run_estimate_ms() / 1000.0)
-            .max(Duration::from_millis(10));
-        st.totals.rejected += 1;
-        inner.tenant_counter("rejected", &tenant);
-        inner
-            .recorder
-            .metrics()
-            .counter("control.shed.rejected")
-            .incr();
-        inner
-            .recorder
-            .record(components::SERVICE, "submit_shed", "", tenant);
-        offer_shed(inner, trace);
-        return Err(SubmitError::Saturated { retry_after });
     }
     if let Err(retry_after) = st
         .admission
@@ -1750,12 +1660,7 @@ fn execute(inner: &Arc<Inner>, job: Job) -> Executed {
     let mut amgr_cfg = AppManagerConfig::new(cfg.resource.clone())
         .with_cancel_token(cancel)
         .with_task_retries(cfg.task_retries)
-        .with_max_rts_restarts(cfg.max_rts_restarts)
-        // Share the live batch knob so the tuner's moves reach runs already
-        // in flight (every batched loop re-reads it per iteration).
-        .with_exec_manager(
-            ExecManagerConfig::default().with_batch_knob(Arc::clone(&inner.ctl.batch_knob)),
-        );
+        .with_max_rts_restarts(cfg.max_rts_restarts);
     if let Some(t) = cfg.run_timeout {
         amgr_cfg = amgr_cfg.with_run_timeout(t);
     }

@@ -1,6 +1,6 @@
 //! Integration tests for `entk-service`: session isolation on a shared
 //! broker, cooperative cancellation, multi-tenant stress, admission
-//! control, and fair-share dispatch.
+//! control, fair-share dispatch, and demand-driven pool sizing.
 
 use entk::core::{
     AppManager, AppManagerConfig, QueueNamespace, ResourceDescription, SessionAttachment,
@@ -525,6 +525,76 @@ fn restart_on_shared_recorder_leaves_no_stale_series_or_samplers() {
         );
     }
     assert!(seen.iter().any(|n| n == "control_pool_capacity"));
+}
+
+// ---------------------------------------------------------------------------
+// Demand-driven pool sizing: a queued burst grows the warm pool.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn prescaler_grows_the_pool_under_a_queued_burst() {
+    use entk::observe::ObserveConfig;
+    const MAX_ACTIVE: usize = 4;
+
+    let service = EnsembleService::start(
+        ServiceConfig::new(ResourceDescription::sim(PlatformId::TestRig, 2, 7200))
+            .with_warm_pilots(1)
+            .with_max_active(MAX_ACTIVE)
+            .with_run_timeout(timeout())
+            .with_adaptive_control(true)
+            .with_observe(ObserveConfig::default().with_sample_interval(Duration::from_millis(5))),
+    );
+    let client = service.client();
+    let ids: Vec<SubmissionId> = (0..16)
+        .map(|i| {
+            client
+                .submit(format!("t{}", i % 2), sim_workflow(&format!("b{i}"), 1, 4))
+                .expect("admitted")
+        })
+        .collect();
+
+    // Backlog with no warm pilot left: the prescaler grows the pool toward
+    // peak concurrency, never past the worker-slot budget.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let capacity = service.pool_capacity();
+        assert!(capacity <= MAX_ACTIVE, "capacity {capacity} > max_active");
+        if capacity > 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "pool never grew past 1"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for id in ids {
+        let result = client.wait(id, timeout()).expect("settles");
+        assert!(result.outcome.is_success());
+    }
+    assert!(service.pool_capacity() <= MAX_ACTIVE);
+
+    // Every pool move is explained in the decision ring.
+    let grows: Vec<_> = service
+        .decisions()
+        .snapshot()
+        .into_iter()
+        .filter(|d| d.class == "actuation" && d.kind == "prescaler" && d.subject == "pilot_pool")
+        .collect();
+    assert!(
+        grows.iter().any(|d| d.evidence.contains("queued=")),
+        "no prescaler grow in the decision ring: {grows:?}"
+    );
+    let actuations = service
+        .recorder()
+        .metrics()
+        .counter("control.prescaler.actuations")
+        .get();
+    assert!(
+        actuations >= 1,
+        "control.prescaler.actuations = {actuations}"
+    );
+    service.shutdown();
 }
 
 // ---------------------------------------------------------------------------
