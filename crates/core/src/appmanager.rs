@@ -9,7 +9,7 @@
 
 use crate::cancel::CancelToken;
 use crate::execmanager::{self, ExecManagerConfig, RtsPools, RtsSlot};
-use crate::messages::{self, component, QueueNamespace, Reaction};
+use crate::messages::{self, QueueNamespace, Reaction, Reply};
 use crate::profiler::{OverheadReport, Profiler, PythonEmulation};
 use crate::states::TaskState;
 use crate::statestore::StateStore;
@@ -433,11 +433,6 @@ pub(crate) struct Ctx {
     /// ExecManager batch tuning, also used by the WFProcessor and
     /// Synchronizer loops.
     pub exec: ExecManagerConfig,
-    /// One lock per subcomponent serializing the publish→ack window on that
-    /// component's ack queue: two RTS Callback threads (multi-pool runs)
-    /// share the `callback` ack queue and must not interleave their sync
-    /// round-trips.
-    sync_serial: [Mutex<()>; component::ALL.len()],
     /// Unit tests bypass the queues and apply transitions inline.
     inline_sync: bool,
     /// Per-stage residency aggregate over completed per-task hop timelines;
@@ -493,7 +488,6 @@ impl Ctx {
                 max_batch: exec.max_batch.max(1),
                 ..exec
             },
-            sync_serial: std::array::from_fn(|_| Mutex::new(())),
             inline_sync: false,
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),
             base_trace,
@@ -527,32 +521,21 @@ impl Ctx {
         let broker = Broker::new();
         let ns = QueueNamespace::root();
         declare_queues(&broker, &ns).expect("fresh broker");
-        let (stop_tx, stopped) = bounded(0);
-        Arc::new(Ctx {
+        let mut ctx = Ctx::new(
             broker,
             ns,
-            cancel: CancelToken::new(),
-            workflow: Mutex::new(workflow),
-            profiler: Profiler::new(),
-            recorder: Recorder::disabled(),
-            store: None,
-            running: AtomicBool::new(true),
-            stop_tx: Mutex::new(Some(stop_tx)),
-            stopped,
-            default_retries: retries,
-            fatal: Mutex::new(None),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
-            concurrency_cap: std::sync::atomic::AtomicUsize::new(usize::MAX),
-            strategy: ExecutionStrategy::Eager,
-            exec: ExecManagerConfig::default(),
-            sync_serial: std::array::from_fn(|_| Mutex::new(())),
-            inline_sync,
-            critical_path: Mutex::new(entk_observe::CriticalPath::new()),
-            base_trace: None,
-            trace_store: None,
-            reaction: Mutex::default(),
-            parked: Mutex::default(),
-        })
+            CancelToken::new(),
+            workflow,
+            None,
+            retries,
+            ExecutionStrategy::Eager,
+            Recorder::disabled(),
+            ExecManagerConfig::default(),
+            None,
+            None,
+        );
+        Arc::get_mut(&mut ctx).expect("a fresh context").inline_sync = inline_sync;
+        ctx
     }
 
     /// Journal one applied transition (no-op without a state store).
@@ -562,18 +545,14 @@ impl Ctx {
         }
     }
 
-    /// The per-component ack-serialization lock (see `sync_serial`).
-    fn ack_serial(&self, comp: &str) -> &Mutex<()> {
-        let i = component::ALL.iter().position(|c| *c == comp).unwrap_or(0);
-        &self.sync_serial[i]
-    }
-
     /// Request the same transition for a batch of tasks through the
-    /// Synchronizer and wait for every acknowledgement (arrows 6–7). The
-    /// requests travel as one broker batch on this component's sync shard;
-    /// the Synchronizer's per-shard drainer processes that FIFO in order and
-    /// acknowledges per component in request order, so the i-th result
-    /// reports the i-th uid. Returns one applied-flag per task.
+    /// Synchronizer and wait for its answer (arrows 6–7). The requests
+    /// travel as one broker batch on this component's sync shard and carry
+    /// the batch's own [`Reply`]; the shard's drainer answers them in
+    /// request order, so the i-th flag reports the i-th uid, and two threads
+    /// of one component cannot receive each other's answers. A request
+    /// nobody answers — refused by the broker, purged, deleted with its
+    /// shard at tear-down — reads refused. Returns one applied-flag per task.
     pub(crate) fn sync_tasks(&self, comp: &str, uids: &[String], state: TaskState) -> Vec<bool> {
         if uids.is_empty() {
             return Vec::new();
@@ -584,75 +563,33 @@ impl Ctx {
                 .map(|uid| synchronizer::apply_task(self, uid, state))
                 .collect();
         }
-        let _serial = self.ack_serial(comp).lock();
+        let (reply, reply_to) = Reply::new(uids.len());
         let requests: Vec<entk_mq::Message> = uids
             .iter()
-            .map(|uid| messages::sync_message(comp, crate::uid::Kind::Task, uid, state.name()))
+            .map(|uid| {
+                messages::sync_message(uid, state.name()).with_attachment(Arc::clone(&reply_to))
+            })
             .collect();
-        if self
+        drop(reply_to);
+        // A refused publish drops the requests, and with them the reply.
+        let _ = self
             .broker
-            .publish_batch(self.ns.sync_shard(comp).as_ref(), requests)
-            .is_err()
-        {
-            return vec![false; uids.len()];
-        }
-        let ack_queue = self.ns.ack(comp);
+            .publish_batch(self.ns.sync_shard(comp), requests);
         // Failpoint `core.sync.abandon_ack_drain`: the requester "crashes"
-        // between publishing the sync batch and draining the acks. The
-        // Synchronizer still applies the transitions and publishes acks
-        // nobody consumes; reporting all-false here would wedge the tasks
-        // (applied, but the caller believes refused and never re-drives
-        // them). Recover the way a restarted requester must: reconcile the
-        // outcome against the workflow itself, then drop the orphaned acks.
+        // between publishing the sync batch and reading its reply. The
+        // Synchronizer still applies the transitions; reporting all-false
+        // here would wedge the tasks (applied, but the caller believes
+        // refused and never re-drives them). Recover the way a restarted
+        // requester must: drop the reply unread and reconcile the outcome
+        // against the workflow itself.
         if entk_fail::hit_sleep("core.sync.abandon_ack_drain").is_some() {
-            let applied = self.reconcile_abandoned_sync(uids, state);
-            let _ = self.broker.purge(&ack_queue);
-            return applied;
+            drop(reply);
+            return self.reconcile_abandoned_sync(uids, state);
         }
-        let mut results: Vec<bool> = Vec::with_capacity(uids.len());
-        while results.len() < uids.len() {
-            let want = uids.len() - results.len();
-            match self
-                .broker
-                .get_batch(&ack_queue, want, Duration::from_millis(100))
-            {
-                Ok(batch) if !batch.is_empty() => {
-                    let boundary = batch.last().expect("non-empty").tag;
-                    for d in &batch {
-                        let (acked_uid, ok) = messages::parse_ack(&d.message);
-                        if results.len() < uids.len() && acked_uid == uids[results.len()] {
-                            results.push(ok);
-                        }
-                        // else: straggler ack from an earlier bailed-out
-                        // call on this component — discard it (the
-                        // cumulative ack below settles its delivery)
-                        // instead of misattributing it to this request.
-                    }
-                    // This component's thread is the ack queue's only
-                    // consumer (serialized above): cumulative ack is safe.
-                    let _ = self.broker.ack_multiple(&ack_queue, boundary);
-                }
-                Ok(_) => {
-                    if !self.running.load(Ordering::Acquire) {
-                        // Bailing after the requests were published: the
-                        // Synchronizer may still apply them and publish
-                        // acks we never consume. Drop anything already
-                        // queued so the next sync on this component does
-                        // not misattribute them.
-                        let _ = self.broker.purge(&ack_queue);
-                        results.resize(uids.len(), false);
-                    }
-                }
-                Err(_) => {
-                    let _ = self.broker.purge(&ack_queue);
-                    results.resize(uids.len(), false);
-                }
-            }
-        }
-        results
+        reply.wait()
     }
 
-    /// Recover a sync batch whose ack drain was abandoned (see the
+    /// Recover a sync batch whose reply was abandoned (see the
     /// `core.sync.abandon_ack_drain` failpoint): poll the workflow until
     /// every task reached the requested state or the window closes. The
     /// equality check is sound because each caller's follow-up action that
@@ -1105,7 +1042,7 @@ impl AppManager {
         // signal and the stop channel, deleting a queue covers whoever is
         // blocked fetching from it (the fetch fails with `BrokerClosed`, on
         // which every loop breaks). The requesters go first, so that a sync
-        // round-trip one of them is in the middle of still gets its ack;
+        // round-trip one of them is in the middle of still gets its answer;
         // the Synchronizer serves until its own queues go.
         ctx.stop();
         for name in [ctx.ns.pending(), ctx.ns.done()] {
@@ -1288,6 +1225,7 @@ pub(crate) fn recover_completed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::component;
     use crate::pipeline::Pipeline;
     use crate::stage::Stage;
     use crate::task::Task;
@@ -1358,10 +1296,11 @@ mod tests {
     }
 
     /// A component blocked inside a sync round-trip when tear-down deletes
-    /// the session's queues must bail with every request refused, not hang:
-    /// there is no Synchronizer here, so only the deletion can end the wait.
+    /// its sync shard must return with every request refused, not hang:
+    /// there is no Synchronizer here, so only the deletion — which drops
+    /// the requests and the reply they carry — can end the wait.
     #[test]
-    fn sync_round_trip_bails_when_teardown_deletes_its_ack_queue() {
+    fn sync_round_trip_bails_when_teardown_deletes_its_sync_shard() {
         let workflow = wf(&["a", "b", "c"]);
         let uids: Vec<String> = workflow.schedulable_tasks();
         let broker = Broker::new();
@@ -1380,30 +1319,74 @@ mod tests {
             None,
             None,
         );
+        let sync_queue = ctx.ns.sync_shard(component::ENQUEUE).to_string();
         // A full batch, then a batch of one.
         for want in [uids.len(), 1] {
             let (ctx2, uids2) = (Arc::clone(&ctx), uids[..want].to_vec());
             let requester = std::thread::spawn(move || {
                 ctx2.sync_tasks(component::ENQUEUE, &uids2, TaskState::Scheduling)
             });
-            // The requests are published: the requester now waits for acks.
-            let sync_queue = ctx.ns.sync_shard(component::ENQUEUE).to_string();
+            // The requests are published: the requester now waits for them
+            // to be answered.
             while ctx.broker.depth(&sync_queue).unwrap() < want {
                 std::thread::yield_now();
             }
             ctx.stop();
-            ctx.broker
-                .delete_queue(&ctx.ns.ack(component::ENQUEUE))
-                .unwrap();
+            ctx.broker.delete_queue(&sync_queue).unwrap();
             let applied = requester.join().expect("requester returned");
-            assert!(applied.iter().all(|ok| !ok), "{applied:?}");
+            assert_eq!(applied, vec![false; want]);
             // Restore what the next round needs.
-            ctx.broker.purge(&sync_queue).unwrap();
             ctx.broker
-                .declare_queue(&ctx.ns.ack(component::ENQUEUE), QueueConfig::default())
+                .declare_queue(&sync_queue, QueueConfig::default())
                 .unwrap();
         }
         assert_eq!(ctx.workflow.lock().count_in(TaskState::Described), 3);
+    }
+
+    /// Two threads of one component (the RTS Callbacks of a multi-pool run)
+    /// share its sync shard and sync concurrently; each must get back its
+    /// own batch's flags, in request order, every time. Thread 0 asks for
+    /// `[x, y]` and thread 1 for `[y, x]`, where `y` is still `Described`
+    /// and so refused `Scheduled`: answers that crossed batches or came
+    /// back reversed would read `[false, true]` for thread 0.
+    #[test]
+    fn concurrent_syncs_of_one_component_each_get_their_own_flags() {
+        const ROUNDS: usize = 200;
+        let names: Vec<String> = (0..4 * ROUNDS).map(|i| format!("t{i}")).collect();
+        let workflow = wf(&names.iter().map(String::as_str).collect::<Vec<_>>());
+        let uids = workflow.schedulable_tasks();
+        let ctx = Ctx::for_tests_queued(workflow, None);
+        let sync = synchronizer::spawn(Arc::clone(&ctx));
+        let threads: Vec<_> = uids
+            .chunks(2 * ROUNDS)
+            .enumerate()
+            .map(|(t, mine)| {
+                let (ctx, mine) = (Arc::clone(&ctx), mine.to_vec());
+                std::thread::spawn(move || {
+                    for pair in mine.chunks(2) {
+                        let scheduling =
+                            ctx.sync_tasks(component::CALLBACK, &pair[..1], TaskState::Scheduling);
+                        assert_eq!(scheduling, [true]);
+                        let mut batch = pair.to_vec();
+                        if t == 1 {
+                            batch.reverse();
+                        }
+                        let scheduled =
+                            ctx.sync_tasks(component::CALLBACK, &batch, TaskState::Scheduled);
+                        assert_eq!(scheduled, [t == 0, t == 1], "thread {t}, batch {batch:?}");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("every batch got its own flags");
+        }
+        ctx.stop();
+        ctx.broker.close();
+        sync.join().unwrap();
+        let wf = ctx.workflow.lock();
+        assert_eq!(wf.count_in(TaskState::Scheduled), 2 * ROUNDS);
+        assert_eq!(wf.count_in(TaskState::Described), 2 * ROUNDS);
     }
 
     #[test]

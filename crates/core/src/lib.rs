@@ -25,7 +25,8 @@
 //! spawns:
 //!
 //! * the **Synchronizer**, which applies every state transition pushed by
-//!   the other components through dedicated queues and acknowledges it;
+//!   the other components through dedicated queues and answers each
+//!   request in process;
 //! * the **WFProcessor** with its *Enqueue* (tags ready tasks, pushes them
 //!   to the Pending queue) and *Dequeue* (pulls the Done queue, advances
 //!   stages/pipelines, fires `post_exec`, resubmits failed tasks)

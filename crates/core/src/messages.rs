@@ -1,14 +1,17 @@
 //! Queue names and message formats used by EnTK components.
 //!
 //! Queues (Fig. 2): the Pending queue (arrows 1–2), the Done queue (arrows
-//! 4–5), the synchronization queue from every component to AppManager's
-//! Synchronizer (arrow 6) and one acknowledgement queue per subcomponent
-//! (arrow 7). Messages carry uids in the payload and metadata in headers —
-//! PST objects themselves live in the AppManager, the only stateful
-//! component.
+//! 4–5) and the synchronization queues from every component to AppManager's
+//! Synchronizer (arrow 6). The paper's Synchronizer "acknowledges the
+//! updates via dedicated queues" (arrow 7); here the acknowledgement is an
+//! in-process `Reply` that rides on the requests themselves. The per-run
+//! queues are not durable, so an ack message would carry no durability (the
+//! `StateStore` holds it) — only a second broker hop. Messages carry uids in
+//! the payload and metadata in headers — PST objects themselves live in the
+//! AppManager, the only stateful component.
 
-use crate::uid::Kind;
 use entk_mq::{Attachment, Message};
+use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
 /// The Pending queue: tasks tagged for execution.
@@ -18,9 +21,9 @@ pub const DONE: &str = "entk-done";
 /// Base name of the synchronization queues into AppManager. The sync plane
 /// is sharded per requesting component ([`sync_queue`]): ordering was only
 /// ever guaranteed *within* a component (each component publishes its
-/// requests in order and waits for acks), so per-component FIFOs preserve
-/// every documented invariant while letting the Synchronizer drain the
-/// shards in parallel — and letting the sharded broker hash them onto
+/// requests in order and waits for their reply), so per-component FIFOs
+/// preserve every documented invariant while letting the Synchronizer drain
+/// the shards in parallel — and letting the sharded broker hash them onto
 /// different shards.
 pub const SYNC: &str = "entk-sync";
 
@@ -30,11 +33,6 @@ pub const SYNC: &str = "entk-sync";
 /// `BrokerClosed`), not on a timer.
 pub(crate) const UNTIL_CLOSED: std::time::Duration = std::time::Duration::from_secs(86_400 * 365);
 
-/// Acknowledgement queue for a subcomponent.
-pub fn ack_queue(component: &str) -> String {
-    format!("entk-ack-{component}")
-}
-
 /// Synchronization queue shard for a subcomponent (arrow 6, sharded).
 pub fn sync_queue(component: &str) -> String {
     format!("{SYNC}-{component}")
@@ -43,7 +41,7 @@ pub fn sync_queue(component: &str) -> String {
 /// Session-scoped queue names.
 ///
 /// A standalone `AppManager::run` owns its broker, so the legacy global
-/// names ([`PENDING`], [`DONE`], [`SYNC`], `entk-ack-*`) suffice. When many
+/// names ([`PENDING`], [`DONE`], the [`SYNC`] shards) suffice. When many
 /// sessions share one broker (the entk-service case) every session gets a
 /// prefix — `entk-{session}-pending` etc. — so their message streams cannot
 /// cross. All queue names are precomputed once per session; the hot paths
@@ -55,7 +53,6 @@ pub struct QueueNamespace {
     pending: String,
     done: String,
     sync_shards: [String; component::ALL.len()],
-    acks: [String; component::ALL.len()],
 }
 
 impl QueueNamespace {
@@ -66,7 +63,6 @@ impl QueueNamespace {
             pending: PENDING.to_string(),
             done: DONE.to_string(),
             sync_shards: component::ALL.map(sync_queue),
-            acks: component::ALL.map(ack_queue),
         }
     }
 
@@ -77,7 +73,6 @@ impl QueueNamespace {
             pending: format!("entk-{id}-pending"),
             done: format!("entk-{id}-done"),
             sync_shards: component::ALL.map(|c| format!("entk-{id}-sync-{c}")),
-            acks: component::ALL.map(|c| format!("entk-{id}-ack-{c}")),
             session: id,
         }
     }
@@ -107,17 +102,13 @@ impl QueueNamespace {
         &self.done
     }
 
-    /// The synchronization queue shard for a subcomponent (arrow 6). One
-    /// FIFO per component: requests from a single component stay strictly
-    /// ordered, while different components' shards drain in parallel.
-    /// `component` must be one of [`component::ALL`]; unknown names fall
-    /// back to a freshly formatted name (correct but allocating).
-    pub fn sync_shard(&self, comp: &str) -> std::borrow::Cow<'_, str> {
-        match component::ALL.iter().position(|c| *c == comp) {
-            Some(i) => std::borrow::Cow::Borrowed(&self.sync_shards[i]),
-            None if self.session.is_empty() => std::borrow::Cow::Owned(sync_queue(comp)),
-            None => std::borrow::Cow::Owned(format!("entk-{}-sync-{comp}", self.session)),
-        }
+    /// The synchronization queue shard of a subcomponent, one of
+    /// [`component::ALL`] (arrow 6). One FIFO per component: requests from a
+    /// single component stay strictly ordered, while different components'
+    /// shards drain in parallel.
+    pub fn sync_shard(&self, comp: &str) -> &str {
+        let i = component::ALL.iter().position(|c| *c == comp);
+        &self.sync_shards[i.expect("a subcomponent of component::ALL")]
     }
 
     /// All synchronization queue shards, indexed like [`component::ALL`].
@@ -125,22 +116,10 @@ impl QueueNamespace {
         &self.sync_shards
     }
 
-    /// The acknowledgement queue for a subcomponent. `component` must be one
-    /// of [`component::ALL`]; unknown names fall back to a freshly formatted
-    /// name (correct but allocating).
-    pub fn ack(&self, comp: &str) -> std::borrow::Cow<'_, str> {
-        match component::ALL.iter().position(|c| *c == comp) {
-            Some(i) => std::borrow::Cow::Borrowed(&self.acks[i]),
-            None if self.session.is_empty() => std::borrow::Cow::Owned(ack_queue(comp)),
-            None => std::borrow::Cow::Owned(format!("entk-{}-ack-{comp}", self.session)),
-        }
-    }
-
     /// Every queue name in this namespace (declare / cleanup order).
     pub fn all(&self) -> Vec<&str> {
         let mut names = vec![self.pending(), self.done()];
         names.extend(self.sync_shards.iter().map(String::as_str));
-        names.extend(self.acks.iter().map(String::as_str));
         names
     }
 }
@@ -151,7 +130,7 @@ impl Default for QueueNamespace {
     }
 }
 
-/// Subcomponent names (used for ack-queue routing and profiling).
+/// Subcomponent names (used for sync-shard routing and profiling).
 pub mod component {
     /// WFProcessor's Enqueue.
     pub const ENQUEUE: &str = "enqueue";
@@ -164,7 +143,7 @@ pub mod component {
     /// ExecManager's Heartbeat.
     pub const HEARTBEAT: &str = "heartbeat";
 
-    /// All subcomponents that own an ack queue.
+    /// All subcomponents that own a sync shard.
     pub const ALL: [&str; 5] = [ENQUEUE, DEQUEUE, EMGR, CALLBACK, HEARTBEAT];
 }
 
@@ -229,22 +208,16 @@ pub fn parse_done(msg: &Message) -> (String, AttemptOutcome) {
     (uid, outcome)
 }
 
-/// A state-transition request pushed to the Synchronizer (arrow 6).
-pub fn sync_message(component: &str, kind: Kind, uid: &str, state: &str) -> Message {
-    Message::new(uid.as_bytes().to_vec())
-        .with_header("component", component)
-        .with_header("kind", kind.name())
-        .with_header("state", state)
+/// A state-transition request pushed to the Synchronizer (arrow 6). The
+/// requester attaches its batch's reply.
+pub fn sync_message(uid: &str, state: &str) -> Message {
+    Message::new(uid.as_bytes().to_vec()).with_header("state", state)
 }
 
 /// Parsed synchronization request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncRequest {
-    /// Requesting subcomponent (ack routing).
-    pub component: String,
-    /// Object kind.
-    pub kind: Kind,
-    /// Object uid.
+    /// Task uid.
     pub uid: String,
     /// Requested state name.
     pub state: String,
@@ -253,25 +226,74 @@ pub struct SyncRequest {
 /// Parse a sync message; `None` if malformed.
 pub fn parse_sync(msg: &Message) -> Option<SyncRequest> {
     Some(SyncRequest {
-        component: msg.headers.get("component")?.clone(),
-        kind: Kind::parse(msg.headers.get("kind")?)?,
         uid: msg.payload_str().into_owned(),
         state: msg.headers.get("state")?.clone(),
     })
 }
 
-/// Acknowledgement of a sync request (arrow 7). The payload is the uid; the
-/// `ok` header reports whether the transition was applied.
-pub fn ack_message(uid: &str, ok: bool) -> Message {
-    Message::new(uid.as_bytes().to_vec()).with_header("ok", if ok { "1" } else { "0" })
+/// The Synchronizer's answer to one sync batch (arrow 7, in process): the
+/// applied flag of each request, in request order. The requester keeps the
+/// `Reply`; its requests share one [`ReplyTo`] as their attachment.
+#[derive(Debug, Default)]
+pub(crate) struct Reply {
+    requests: usize,
+    answer: Mutex<Answer>,
+    moved: Condvar,
 }
 
-/// Parse an ack into (uid, ok).
-pub fn parse_ack(msg: &Message) -> (String, bool) {
-    (
-        msg.payload_str().into_owned(),
-        msg.headers.get("ok").map(String::as_str) == Some("1"),
-    )
+#[derive(Debug, Default)]
+struct Answer {
+    applied: Vec<bool>,
+    /// The last request let go of the reply: nothing more will be written.
+    closed: bool,
+}
+
+impl Reply {
+    /// A reply to `requests` requests, and the attachment they carry.
+    pub(crate) fn new(requests: usize) -> (Arc<Reply>, Attachment) {
+        let reply = Arc::new(Reply {
+            requests,
+            ..Reply::default()
+        });
+        (Arc::clone(&reply), Arc::new(ReplyTo(reply)))
+    }
+
+    /// Block until every request is answered or no request is left to
+    /// answer; a request that went unanswered reads refused.
+    pub(crate) fn wait(&self) -> Vec<bool> {
+        let mut answer = self.answer.lock();
+        while answer.applied.len() < self.requests && !answer.closed {
+            self.moved.wait(&mut answer);
+        }
+        let mut applied = std::mem::take(&mut answer.applied);
+        applied.resize(self.requests, false);
+        applied
+    }
+}
+
+/// What the requests of one sync batch carry. The broker lets go of it
+/// with the messages — once they are answered and acked, or when they are
+/// purged or deleted with their shard — and the last one to go closes the
+/// reply, so the requester cannot outwait a request nobody will answer.
+#[derive(Debug)]
+pub(crate) struct ReplyTo(Arc<Reply>);
+
+impl ReplyTo {
+    /// Answer the batch's next request.
+    pub(crate) fn answer(&self, applied: bool) {
+        let mut answer = self.0.answer.lock();
+        answer.applied.push(applied);
+        if answer.applied.len() == self.0.requests {
+            self.0.moved.notify_all();
+        }
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        self.0.answer.lock().closed = true;
+        self.0.moved.notify_all();
+    }
 }
 
 /// The simulator's reaction credits a component holds while it reacts
@@ -361,10 +383,7 @@ mod tests {
 
     #[test]
     fn sync_roundtrip() {
-        let m = sync_message(component::ENQUEUE, Kind::Task, "task.3", "scheduling");
-        let req = parse_sync(&m).unwrap();
-        assert_eq!(req.component, "enqueue");
-        assert_eq!(req.kind, Kind::Task);
+        let req = parse_sync(&sync_message("task.3", "scheduling")).unwrap();
         assert_eq!(req.uid, "task.3");
         assert_eq!(req.state, "scheduling");
     }
@@ -375,43 +394,28 @@ mod tests {
     }
 
     #[test]
-    fn ack_roundtrip() {
-        let (uid, ok) = parse_ack(&ack_message("task.5", true));
-        assert_eq!(uid, "task.5");
-        assert!(ok);
-        let (_, ok) = parse_ack(&ack_message("task.5", false));
-        assert!(!ok);
-    }
-
-    #[test]
     fn root_namespace_matches_legacy_constants() {
         let ns = QueueNamespace::root();
         assert_eq!(ns.pending(), PENDING);
         assert_eq!(ns.done(), DONE);
         for comp in component::ALL {
-            assert_eq!(ns.ack(comp), ack_queue(comp));
             assert_eq!(ns.sync_shard(comp), sync_queue(comp));
             assert_eq!(ns.sync_shard(comp), format!("{SYNC}-{comp}"));
         }
         assert_eq!(ns.session_id(), "");
-        assert_eq!(ns.all().len(), 2 + 2 * component::ALL.len());
+        assert_eq!(ns.all().len(), 2 + component::ALL.len());
     }
 
     #[test]
     fn sync_shards_are_per_component_and_namespaced() {
         let ns = QueueNamespace::session("s07");
         assert_eq!(ns.sync_shard(component::EMGR), "entk-s07-sync-emgr");
-        assert_eq!(ns.sync_shard("weird"), "entk-s07-sync-weird");
-        assert_eq!(
-            QueueNamespace::root().sync_shard("weird"),
-            "entk-sync-weird"
-        );
         // Indexed like component::ALL, unique, and inside the session prefix
         // so delete_matching sweeps them with the rest of the namespace.
         let shards = ns.sync_shards();
         assert_eq!(shards.len(), component::ALL.len());
         for (i, comp) in component::ALL.iter().enumerate() {
-            assert_eq!(shards[i], ns.sync_shard(comp).as_ref());
+            assert_eq!(shards[i], ns.sync_shard(comp));
             assert!(shards[i].starts_with(&ns.prefix()));
         }
         let mut unique: Vec<&String> = shards.iter().collect();
@@ -430,23 +434,25 @@ mod tests {
             assert!(name.starts_with(&b.prefix()));
         }
         assert_eq!(a.pending(), "entk-s01-pending");
-        assert_eq!(a.ack(component::EMGR), "entk-s01-ack-emgr");
+        assert_eq!(a.sync_shard(component::EMGR), "entk-s01-sync-emgr");
         assert_eq!(a.prefix(), "entk-s01-");
     }
 
     #[test]
-    fn unknown_component_ack_still_namespaced() {
-        let ns = QueueNamespace::session("x");
-        assert_eq!(ns.ack("weird"), "entk-x-ack-weird");
-        assert_eq!(QueueNamespace::root().ack("weird"), "entk-ack-weird");
-    }
-
-    #[test]
-    fn ack_queue_names_unique() {
-        let mut names: Vec<String> = component::ALL.iter().map(|c| ack_queue(c)).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), component::ALL.len());
+    fn a_reply_refuses_what_its_requests_took_away_unanswered() {
+        let (reply, reply_to) = Reply::new(3);
+        let requests: Vec<Message> = ["t.0", "t.1", "t.2"]
+            .iter()
+            .map(|uid| sync_message(uid, "scheduling").with_attachment(Arc::clone(&reply_to)))
+            .collect();
+        drop(reply_to);
+        let carried = requests[0].attachment.as_deref();
+        carried
+            .and_then(|a| a.downcast_ref::<ReplyTo>())
+            .expect("every request carries its batch's reply")
+            .answer(true);
+        drop(requests); // purged, or deleted with the shard
+        assert_eq!(reply.wait(), [true, false, false]);
     }
 
     #[test]

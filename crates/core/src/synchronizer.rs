@@ -10,14 +10,16 @@
 //! Components request *task* transitions; the Synchronizer derives the
 //! consequent stage and pipeline transitions (scheduling propagation, stage
 //! completion, `post_exec` hooks, pipeline advancement) atomically under the
-//! workflow lock, journals every applied transition, and acknowledges the
-//! requester.
+//! workflow lock and journals every applied transition. The updates arrive
+//! on dedicated queues, as in the paper; the acknowledgement does not take
+//! a second queue but is written into the in-process `Reply` the requests
+//! carry. The per-run queues are not durable, so an ack
+//! message would add a broker hop and no durability — the journal is what
+//! keeps AppManager's state.
 
 use crate::appmanager::Ctx;
-use crate::messages::{self, parse_sync, UNTIL_CLOSED};
+use crate::messages::{parse_sync, ReplyTo, SyncRequest, UNTIL_CLOSED};
 use crate::states::{PipelineState, StageState, TaskState};
-use crate::uid::Kind;
-use entk_mq::Message;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,7 +33,7 @@ use std::time::Instant;
 /// component (the only ordering [`Ctx::sync_tasks`] relies on) is preserved
 /// because a component's requests all land on its own shard; ordering
 /// *across* components was never guaranteed — each component publishes and
-/// then waits for its acks, so cross-component happens-before is enforced
+/// then waits for its reply, so cross-component happens-before is enforced
 /// at the application layer, not by queue position.
 pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
@@ -56,13 +58,23 @@ pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
 }
 
 /// Drain one sync shard in one broker call, apply every transition in one
-/// pass (one recorder span per batch), settle the batch with one cumulative
-/// ack, and publish the acknowledgements grouped per requesting component —
-/// within a component the order matches the requests, which is what
-/// [`Ctx::sync_tasks`] relies on. (A shard carries one component's requests
-/// by construction; the grouping also tolerates custom components routed
-/// onto a shared fallback name.)
+/// pass (one recorder span per batch), answer each request in its batch's
+/// reply, and settle the batch with one cumulative ack. The shard is a
+/// FIFO with this one consumer, so every reply is written in request
+/// order, which is what [`Ctx::sync_tasks`] relies on.
 fn run(ctx: Arc<Ctx>, sync_queue: &str) {
+    // A drainer that dies (a `post_exec` hook panicking under `apply_task`)
+    // takes its shard with it: the requests still on it drop their replies,
+    // so their requesters read them refused instead of waiting for a
+    // drainer that is gone. On a normal exit the shard is already deleted
+    // or the broker closed, and this does nothing.
+    struct Leave<'a>(&'a Ctx, &'a str);
+    impl Drop for Leave<'_> {
+        fn drop(&mut self) {
+            let _ = self.0.broker.delete_queue(self.1);
+        }
+    }
+    let _leave = Leave(&ctx, sync_queue);
     // Until the shard closes, not until the run flag clears: tear-down joins
     // the requesters first, and their last round-trips need a live drainer.
     loop {
@@ -77,52 +89,35 @@ fn run(ctx: Arc<Ctx>, sync_queue: &str) {
             .recorder
             .span(entk_observe::components::SYNC, "apply")
             .with_payload(batch.len().to_string());
-        let mut acks: Vec<(String, Vec<Message>)> = Vec::new();
         for d in &batch {
-            let Some(req) = parse_sync(&d.message) else {
-                continue;
-            };
-            let ok = apply(&ctx, &req);
-            if ok {
-                ctx.recorder.record(
-                    entk_observe::components::SYNC,
-                    "transition",
-                    req.uid.clone(),
-                    req.state.clone(),
-                );
-            }
-            let msg = messages::ack_message(&req.uid, ok);
-            match acks.iter_mut().find(|(c, _)| *c == req.component) {
-                Some((_, msgs)) => msgs.push(msg),
-                None => acks.push((req.component, vec![msg])),
+            let applied = parse_sync(&d.message).is_some_and(|req| apply(&ctx, req));
+            let reply = d.message.attachment.as_deref();
+            if let Some(reply) = reply.and_then(|a| a.downcast_ref::<ReplyTo>()) {
+                reply.answer(applied);
             }
         }
         // This drainer is its shard's only consumer: one cumulative ack —
         // the per-shard ack cursor — settles the whole batch.
         let boundary = batch.last().expect("non-empty batch").tag;
         let _ = ctx.broker.ack_multiple(sync_queue, boundary);
-        for (comp, msgs) in acks {
-            let _ = ctx.broker.publish_batch(&ctx.ns.ack(&comp), msgs);
-        }
         drop(span);
         ctx.profiler.add_management(t0.elapsed());
     }
 }
 
 /// Apply one transition request; returns whether it was applied.
-fn apply(ctx: &Ctx, req: &messages::SyncRequest) -> bool {
-    match req.kind {
-        Kind::Task => {
-            let Some(state) = TaskState::parse(&req.state) else {
-                return false;
-            };
-            apply_task(ctx, &req.uid, state)
-        }
-        // Direct stage/pipeline requests are accepted for completeness (the
-        // API layer may cancel whole pipelines) but the normal flow derives
-        // them from task transitions.
-        Kind::Stage | Kind::Pipeline => false,
+fn apply(ctx: &Ctx, req: SyncRequest) -> bool {
+    let applied =
+        TaskState::parse(&req.state).is_some_and(|state| apply_task(ctx, &req.uid, state));
+    if applied {
+        ctx.recorder.record(
+            entk_observe::components::SYNC,
+            "transition",
+            req.uid,
+            req.state,
+        );
     }
+    applied
 }
 
 pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
@@ -635,6 +630,31 @@ mod tests {
                 prop_assert_eq!(observed(&wf), observed(&scanned.workflow.lock()));
             }
         }
+    }
+
+    /// A drainer that dies — here under a panicking `post_exec` hook —
+    /// takes its shard with it: the requester reads its batch refused
+    /// instead of waiting for an answer nobody will write, and later
+    /// requests on that shard are refused at publish.
+    #[test]
+    fn a_dying_drainer_refuses_its_requests_instead_of_stranding_them() {
+        let task = Task::new("a", Executable::Noop);
+        let uids = [task.uid().to_string()];
+        let stage = Stage::new("s0")
+            .with_task(task)
+            .with_post_exec(|_| panic!("post_exec hook fails"));
+        let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(stage));
+        let ctx = Ctx::for_tests_queued(wf, None);
+        let sync = spawn(Arc::clone(&ctx));
+        let comp = crate::messages::component::DEQUEUE;
+        for state in &FULL[..5] {
+            assert_eq!(ctx.sync_tasks(comp, &uids, *state), [true]);
+        }
+        assert_eq!(ctx.sync_tasks(comp, &uids, TaskState::Done), [false]);
+        assert_eq!(ctx.sync_tasks(comp, &uids, TaskState::Done), [false]);
+        ctx.stop();
+        ctx.broker.close();
+        sync.join().unwrap();
     }
 
     #[test]

@@ -22,22 +22,12 @@ pub enum Kind {
 }
 
 impl Kind {
-    /// Lowercase name used as uid prefix and in messages.
+    /// Lowercase name used as uid prefix.
     pub fn name(self) -> &'static str {
         match self {
             Kind::Pipeline => "pipeline",
             Kind::Stage => "stage",
             Kind::Task => "task",
-        }
-    }
-
-    /// Parse a kind name.
-    pub fn parse(s: &str) -> Option<Kind> {
-        match s {
-            "pipeline" => Some(Kind::Pipeline),
-            "stage" => Some(Kind::Stage),
-            "task" => Some(Kind::Task),
-            _ => None,
         }
     }
 }
@@ -65,13 +55,5 @@ mod tests {
         assert!(a.starts_with("task."));
         assert!(next_uid(Kind::Pipeline).starts_with("pipeline."));
         assert!(next_uid(Kind::Stage).starts_with("stage."));
-    }
-
-    #[test]
-    fn kind_names_roundtrip() {
-        for k in [Kind::Pipeline, Kind::Stage, Kind::Task] {
-            assert_eq!(Kind::parse(k.name()), Some(k));
-        }
-        assert_eq!(Kind::parse("job"), None);
     }
 }

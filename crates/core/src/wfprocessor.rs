@@ -571,7 +571,7 @@ mod tests {
         handle_outcomes(&queued, deliveries());
         let publishes = queued
             .broker
-            .queue_stats(&queued.ns.sync_shard(component::DEQUEUE))
+            .queue_stats(queued.ns.sync_shard(component::DEQUEUE))
             .unwrap()
             .batch_publishes;
         queued.stop();

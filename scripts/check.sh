@@ -40,6 +40,40 @@ if [ -n "$polling" ]; then
     exit 1
 fi
 
+echo "== no timed broker fetches =="
+# The sleep rule cannot see a fetch that wakes on a timer: a
+# `get_batch(`/`get_timeout(` call whose timeout can fire is a poll loop
+# just the same. In non-test code of the core loops every such call must
+# wait `UNTIL_CLOSED` — it ends when a message arrives or tear-down closes
+# its queue. The call's text is read up to its closing parenthesis, so a
+# call split over several lines is judged whole.
+timed=$(awk '
+    FNR == 1 { in_tests = 0; depth = 0 }
+    /^mod tests/ { in_tests = 1 }
+    in_tests { next }
+    depth == 0 && /get_(batch|timeout)\(/ {
+        call = ""; at = FILENAME ":" FNR
+        line = substr($0, match($0, /get_(batch|timeout)\(/))
+        depth = -1
+    }
+    depth != 0 {
+        if (depth < 0) { depth = 0 } else { line = $0 }
+        for (i = 1; i <= length(line); i++) {
+            c = substr(line, i, 1)
+            call = call c
+            if (c == "(") depth++
+            if (c == ")" && --depth == 0) break
+        }
+        if (depth == 0 && call !~ /UNTIL_CLOSED/) print at ": " call
+    }
+' crates/core/src/appmanager.rs crates/core/src/wfprocessor.rs \
+  crates/core/src/execmanager.rs crates/core/src/synchronizer.rs)
+if [ -n "$timed" ]; then
+    echo "$timed"
+    echo "timed broker fetch on the per-workflow path: wait UNTIL_CLOSED instead"
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 # Every crate's unit tests and proptests, not only the facade package and
 # the root tests/ that a plain `cargo test` runs.

@@ -556,13 +556,13 @@ fn heartbeat_sweep_over_half_settled_batch_loses_no_tasks() {
 }
 
 // ---------------------------------------------------------------------------
-// core.sync.abandon_ack_drain — exactly-once under abandoned sync acks.
+// core.sync.abandon_ack_drain — exactly-once under abandoned sync replies.
 // ---------------------------------------------------------------------------
 
-/// The Synchronizer's client publishes sync batches and then abandons the
-/// ack drain, repeatedly. Reconciliation must converge without re-driving
-/// anything: every task executes exactly once (counters on a local backend),
-/// with exactly one recorded attempt.
+/// The Synchronizer's client publishes sync batches and then abandons
+/// their replies unread, repeatedly. Reconciliation must converge without
+/// re-driving anything: every task executes exactly once (counters on a
+/// local backend), with exactly one recorded attempt.
 #[test]
 fn abandoned_sync_ack_drains_keep_execution_exactly_once() {
     let _g = entk_fail::scenario();

@@ -145,6 +145,14 @@ fn mq_latency_histograms_are_populated_by_a_full_run() {
         assert!(h.count > 0, "{name} must see traffic");
         assert!(h.p50_ns > 0 && h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
     }
+    // Eight deliveries per task on this retry-free run: Pending, Done and
+    // six sync requests. The Synchronizer answers in process; an ack queue
+    // would add six more.
+    let tasks = 12;
+    assert_eq!(
+        m.histogram("mq.publish_to_deliver").snapshot().count,
+        8 * tasks
+    );
     // The synchronizer's transition-latency histogram is the paper's
     // management-overhead microscope.
     assert!(m.histogram("span.sync.apply").snapshot().count > 0);
