@@ -24,7 +24,9 @@
 //! Usage: `task_throughput [--quick] [--batch N] [--e2e-tasks N] [--out PATH]`
 
 use entk_bench::{argv, flag_num, flag_value, has_flag};
-use entk_core::{AppManager, AppManagerConfig, ExecManagerConfig, Recorder, ResourceDescription};
+use entk_core::{
+    AppManager, AppManagerConfig, ExecManagerConfig, OverheadReport, Recorder, ResourceDescription,
+};
 use entk_mq::proto::{run_prototype, PrototypeConfig};
 use entk_observe::{TraceStore, TraceStoreConfig};
 use hpc_sim::PlatformId;
@@ -120,8 +122,9 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// TestRig with the trace recorder attached, under the batch limit
 /// `max_batch` (1 is the per-task path), optionally offering every settled
 /// timeline to a [`TraceStore`] (the tail-sampling overhead the trace gate
-/// below measures). Returns the profiler- and trace-derived management
-/// overheads plus the task-turnaround distribution from the unit records.
+/// below measures). Returns the run report's management overhead and the
+/// one re-derived from the run's own trace, plus the task-turnaround
+/// distribution from the unit records.
 fn run_e2e(tasks: usize, max_batch: usize, traces: Option<TraceStoreConfig>) -> E2e {
     let wf = entk_apps::synthetic::sleep_workflow(1, 1, tasks, 1.0);
     let start = Instant::now();
@@ -137,6 +140,7 @@ fn run_e2e(tasks: usize, max_batch: usize, traces: Option<TraceStoreConfig>) -> 
     }
     let mut amgr = AppManager::new(cfg);
     let report = amgr.run(wf).expect("e2e run completes");
+    let wall_secs = start.elapsed().as_secs_f64();
     assert!(report.succeeded, "e2e run (max_batch={max_batch}) failed");
     assert_eq!(report.overheads.tasks_done as usize, tasks);
     let mut turnarounds: Vec<f64> = report
@@ -147,12 +151,9 @@ fn run_e2e(tasks: usize, max_batch: usize, traces: Option<TraceStoreConfig>) -> 
     turnarounds.sort_by(f64::total_cmp);
     E2e {
         management_secs: report.overheads.entk_management_secs,
-        trace_management_secs: report
-            .trace_overheads
-            .as_ref()
-            .map(|t| t.entk_management_secs)
-            .unwrap_or(0.0),
-        wall_secs: start.elapsed().as_secs_f64(),
+        trace_management_secs: OverheadReport::from_trace(&report.recorder.snapshot())
+            .entk_management_secs,
+        wall_secs,
         p50_turnaround_secs: percentile(&turnarounds, 0.50),
         p99_turnaround_secs: percentile(&turnarounds, 0.99),
     }

@@ -130,24 +130,9 @@ pub fn run_on_sim(
         .with_run_timeout(timeout),
     );
     // Tracing rides along when ENTK_TRACE=<prefix> is exported: AppManager
-    // enables the recorder, dumps <prefix>.prof.jsonl / .chrome.json /
-    // .report.txt, and fills `trace_overheads`. Print the trace-derived
-    // column next to the legacy profiler's so the two derivations can be
-    // eyeballed against each other (§IV-A2).
-    let report = amgr.run(workflow).expect("experiment run completes");
-    if let Some(t) = &report.trace_overheads {
-        println!(
-            "trace-derived: setup {:.4}s  management {:.4}s  teardown {:.4}s  \
-             transitions {}  done {}  failed {}",
-            t.entk_setup_secs,
-            t.entk_management_secs,
-            t.entk_teardown_secs,
-            t.transitions,
-            t.tasks_done,
-            t.failed_attempts
-        );
-    }
-    report
+    // enables the recorder and dumps <prefix>.prof.jsonl / .chrome.json /
+    // .report.txt.
+    amgr.run(workflow).expect("experiment run completes")
 }
 
 #[cfg(test)]

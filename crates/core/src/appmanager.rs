@@ -10,7 +10,7 @@
 use crate::cancel::CancelToken;
 use crate::execmanager::{self, ExecManagerConfig, RtsPools, RtsSlot};
 use crate::messages::{self, QueueNamespace, Reaction, Reply};
-use crate::profiler::{OverheadReport, Profiler, PythonEmulation};
+use crate::overheads::{OverheadReport, PythonEmulation};
 use crate::states::TaskState;
 use crate::statestore::StateStore;
 use crate::synchronizer;
@@ -19,14 +19,14 @@ use crate::workflow::Workflow;
 use crate::{EntkError, EntkResult};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use entk_mq::{Broker, BrokerConfig, QueueConfig};
-use entk_observe::{components, Recorder};
+use entk_observe::{components, Recorder, Span};
 use hpc_sim::{Platform, PlatformId};
 use parking_lot::Mutex;
 use rp_rts::{
     BackendConfig, LocalConfig, PilotDescription, PilotLease, RtsConfig, RtsProfile, UnitRecord,
 };
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -404,8 +404,17 @@ pub(crate) struct Ctx {
     /// The application's global state — AppManager is the only stateful
     /// component; everyone else references objects by uid.
     pub workflow: Mutex<Workflow>,
-    /// Overhead accounting.
-    pub profiler: Profiler,
+    /// EnTK Management Overhead so far, in nanoseconds: the summed
+    /// durations of the component processing spans (see
+    /// [`Ctx::charge_management`]).
+    pub management_ns: AtomicU64,
+    /// Transitions the Synchronizer applied (the `transition` events).
+    pub transitions: AtomicU64,
+    /// Successful task attempts (the `attempt_done` events).
+    pub attempts_done: AtomicU64,
+    /// Failed, canceled and lost task attempts (the `attempt_failed`
+    /// events).
+    pub attempts_failed: AtomicU64,
     /// Cross-layer trace recorder (disabled = no-op for events/spans).
     pub recorder: Recorder,
     /// Transactional state journal.
@@ -473,7 +482,10 @@ impl Ctx {
             ns,
             cancel,
             workflow: Mutex::new(workflow),
-            profiler: Profiler::new(),
+            management_ns: AtomicU64::new(0),
+            transitions: AtomicU64::new(0),
+            attempts_done: AtomicU64::new(0),
+            attempts_failed: AtomicU64::new(0),
             recorder,
             store,
             running: AtomicBool::new(true),
@@ -536,6 +548,13 @@ impl Ctx {
         );
         Arc::get_mut(&mut ctx).expect("a fresh context").inline_sync = inline_sync;
         ctx
+    }
+
+    /// Close a component processing span and charge its duration to the
+    /// run's EnTK Management Overhead.
+    pub(crate) fn charge_management(&self, span: Span) {
+        let ns = span.finish().as_nanos() as u64;
+        self.management_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Journal one applied transition (no-op without a state store).
@@ -730,16 +749,13 @@ pub struct RunReport {
     /// Whether the run ended because it was canceled via [`CancelToken`].
     pub canceled: bool,
     /// The run's trace recorder (disabled when tracing was off); exposes the
-    /// full event stream, metrics, and exporters.
+    /// full event stream, metrics, and exporters. When the recorder is the
+    /// run's own, [`OverheadReport::from_trace`] over its snapshot
+    /// re-derives [`RunReport::overheads`].
     pub recorder: Recorder,
-    /// The overhead decomposition re-derived from the trace alone (paper
-    /// §IV-A2); `None` when tracing was off. The legacy [`Profiler`]-based
-    /// [`RunReport::overheads`] is kept as an independent cross-check.
-    pub trace_overheads: Option<OverheadReport>,
     /// Per-stage residency decomposition aggregated from the per-task
-    /// `TraceCtx` hop timelines (empty when tracing was off) — the live
-    /// counterpart of [`RunReport::trace_overheads`], derived from the
-    /// tasks themselves instead of the global event stream.
+    /// `TraceCtx` hop timelines (empty when tracing was off), derived from
+    /// the tasks themselves instead of the global event stream.
     pub critical_path: entk_observe::CriticalPath,
 }
 
@@ -880,7 +896,6 @@ impl AppManager {
         recorder.record(components::AMGR, "run_start", "", "");
 
         // ---- Setup phase (measured as EnTK Setup Overhead) -------------
-        let setup_start = Instant::now();
         let setup_span = recorder.span(components::AMGR, "setup");
         workflow.validate()?;
         self.validate_pools(&workflow)?;
@@ -926,12 +941,9 @@ impl AppManager {
         // pilots are ready.
         let synchronizer = synchronizer::spawn(Arc::clone(&ctx));
         let mut handles = vec![wfprocessor::spawn_dequeue(Arc::clone(&ctx))];
-        let setup = setup_start.elapsed();
-        drop(setup_span);
-        ctx.profiler.set_setup(setup);
+        let setup = setup_span.finish();
 
         // ---- Rmgr: acquire resources (one RTS + pilot per pool) ---------
-        let rmgr_start = Instant::now();
         let rmgr_span = recorder.span(components::AMGR, "rmgr_acquire");
         let mut slots = Vec::with_capacity(1 + self.config.extra_resources.len());
         let leased = lease.is_some();
@@ -959,8 +971,7 @@ impl AppManager {
             slots.push(Arc::new(slot));
         }
         let pools = Arc::new(RtsPools { pools: slots });
-        drop(rmgr_span);
-        let rmgr_wall = rmgr_start.elapsed();
+        let rmgr_wall = rmgr_span.finish();
 
         // Hold each simulator's clock at its pilot's Ready instant until
         // Enqueue's first pass reaches the engine: the pass takes these
@@ -1036,7 +1047,6 @@ impl AppManager {
         }
 
         // ---- Tear-down (measured as EnTK Tear-Down Overhead) ------------
-        let teardown_start = Instant::now();
         let teardown_span = recorder.span(components::AMGR, "teardown");
         // Wake every component instead of outwaiting it: `stop` covers the
         // signal and the stop channel, deleting a queue covers whoever is
@@ -1074,12 +1084,10 @@ impl AppManager {
             let wf = ctx.workflow.lock();
             records.retain(|r| wf.task(&r.tag).is_some());
         }
-        ctx.profiler.set_rts_teardown(rts_teardown);
         // Wall time summed across pools and incarnations; back-dated
         // duration event rather than a live span.
         recorder.record_duration(components::AMGR, "rts_teardown", "", "", rts_teardown);
-        drop(teardown_span);
-        ctx.profiler.set_teardown(teardown_start.elapsed());
+        let teardown = teardown_span.finish();
         recorder.record(components::AMGR, "run_end", "", "");
 
         // ---- Report ------------------------------------------------------
@@ -1109,20 +1117,23 @@ impl AppManager {
 
         records.sort_by(|a, b| a.submitted_secs.total_cmp(&b.submitted_secs));
         let rts_profile = RtsProfile::from_records(&records);
-        let (done, failed) = ctx.profiler.attempts();
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        // Seconds from whole nanoseconds, the way `OverheadReport::from_trace`
+        // converts the same spans, so that the two agree exactly.
+        let secs = |d: Duration| d.as_nanos() as f64 / 1e9;
         let overheads = OverheadReport {
-            entk_setup_secs: ctx.profiler.setup_secs(),
-            entk_management_secs: ctx.profiler.management_secs(),
-            entk_teardown_secs: ctx.profiler.teardown_secs(),
+            entk_setup_secs: secs(setup),
+            entk_management_secs: secs(Duration::from_nanos(count(&ctx.management_ns))),
+            entk_teardown_secs: secs(teardown),
             // RTS overhead: real client-side acquisition plus the virtual
             // submission→first-start span on the CI.
             rts_overhead_secs: rmgr_wall.as_secs_f64() + rts_profile.submit_to_first_start_secs,
-            rts_teardown_secs: ctx.profiler.rts_teardown_secs(),
+            rts_teardown_secs: secs(rts_teardown),
             data_staging_secs: rts_profile.staging_total_secs,
             task_execution_secs: rts_profile.exec_makespan_secs,
-            tasks_done: done,
-            failed_attempts: failed,
-            transitions: ctx.profiler.transitions(),
+            tasks_done: count(&ctx.attempts_done),
+            failed_attempts: count(&ctx.attempts_failed),
+            transitions: count(&ctx.transitions),
         };
         let emulated = self.config.python_emulation.as_ref().map(|em| {
             let total_tasks = total_tasks_initial.max(1);
@@ -1135,14 +1146,10 @@ impl AppManager {
             .pipelines()
             .iter()
             .all(|p| p.state() == crate::states::PipelineState::Done);
-        let trace_overheads = recorder
-            .is_enabled()
-            .then(|| OverheadReport::from_trace(&recorder.snapshot()));
         let critical_path = std::mem::take(&mut *ctx.critical_path.lock());
         Ok(RunReport {
             overheads,
             recorder,
-            trace_overheads,
             critical_path,
             emulated,
             rts_profile,

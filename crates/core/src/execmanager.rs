@@ -271,7 +271,6 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         if batch.is_empty() {
             continue;
         }
-        let t0 = Instant::now();
         let span = ctx
             .recorder
             .span(obs::EMGR, "submit_batch")
@@ -429,8 +428,7 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             let boundary = batch.iter().map(|d| d.tag).max().expect("non-empty batch");
             let _ = ctx.broker.ack_multiple(ctx.ns.pending(), boundary);
         }
-        drop(span);
-        ctx.profiler.add_management(t0.elapsed());
+        ctx.charge_management(span);
     }
 }
 
@@ -477,7 +475,6 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                 if cbs.is_empty() {
                     continue;
                 }
-                let t0 = Instant::now();
                 let span = ctx
                     .recorder
                     .span(obs::EMGR, "callback")
@@ -502,8 +499,7 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                         .collect();
                     let _ = ctx.broker.publish_batch(ctx.ns.done(), done);
                 }
-                drop(span);
-                ctx.profiler.add_management(t0.elapsed());
+                ctx.charge_management(span);
             }
             Err(TryRecvError::Empty) => {
                 // Block until a callback is queued, the RTS died (its channel

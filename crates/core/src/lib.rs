@@ -48,8 +48,8 @@ pub mod cancel;
 pub mod errors;
 pub mod execmanager;
 pub mod messages;
+pub mod overheads;
 pub mod pipeline;
-pub mod profiler;
 pub mod stage;
 pub mod states;
 pub mod statestore;
@@ -67,8 +67,8 @@ pub use cancel::CancelToken;
 pub use errors::{EntkError, EntkResult};
 pub use execmanager::ExecManagerConfig;
 pub use messages::QueueNamespace;
+pub use overheads::{OverheadReport, PythonEmulation};
 pub use pipeline::Pipeline;
-pub use profiler::{OverheadReport, PythonEmulation};
 pub use stage::Stage;
 pub use states::{PipelineState, StageState, TaskState};
 pub use task::Task;

@@ -1,7 +1,6 @@
-//! Overhead profiling: the decomposition of §IV-A2.
+//! The overhead decomposition of §IV-A2.
 //!
-//! The profiler measures, in real time, what our Rust implementation
-//! actually costs:
+//! [`OverheadReport`] splits a run the way the paper's Fig. 7 does:
 //!
 //! * **EnTK Setup Overhead** — messaging infrastructure + component
 //!   instantiation + description validation;
@@ -14,6 +13,12 @@
 //! and takes **RTS Overhead**, **RTS Tear-Down**, **Data Staging Time** and
 //! **Task Execution Time** from the runtime system's profile.
 //!
+//! Each EnTK interval is timed once, by the recorder span around it: the
+//! AppManager folds every span's duration into the run's report as the
+//! span closes, whether tracing is on or off. [`OverheadReport::from_trace`]
+//! re-derives the same numbers afterwards from one run's exported trace,
+//! the way the paper reads RADICAL `.prof` files.
+//!
 //! Because the paper's absolute overheads are dominated by CPython process
 //! management (its own conclusion: "EnTK and RP should be coded, at least
 //! partially, in a different language"), a Rust reimplementation is orders
@@ -21,100 +26,6 @@
 //! its host-performance dependence (Fig. 7c), [`PythonEmulation`] adds a
 //! calibrated model of the interpreter costs on top of the measured values.
 //! Benchmarks report both columns; EXPERIMENTS.md documents the calibration.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Accumulates real-time measurements during a run. All methods are cheap
-/// and thread-safe; components call them from their hot loops.
-#[derive(Debug, Default)]
-pub struct Profiler {
-    setup_ns: AtomicU64,
-    teardown_ns: AtomicU64,
-    management_ns: AtomicU64,
-    rts_teardown_ns: AtomicU64,
-    sync_transitions: AtomicU64,
-    attempts_done: AtomicU64,
-    attempts_failed: AtomicU64,
-}
-
-impl Profiler {
-    /// New, zeroed profiler.
-    pub fn new() -> Self {
-        Profiler::default()
-    }
-
-    /// Record the setup phase duration.
-    pub fn set_setup(&self, d: Duration) {
-        self.setup_ns.store(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record the teardown phase duration.
-    pub fn set_teardown(&self, d: Duration) {
-        self.teardown_ns
-            .store(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record the RTS teardown duration.
-    pub fn set_rts_teardown(&self, d: Duration) {
-        self.rts_teardown_ns
-            .store(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Add active component processing time (management overhead).
-    pub fn add_management(&self, d: Duration) {
-        self.management_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Count one applied state transition.
-    pub fn count_transition(&self) {
-        self.sync_transitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one successful task attempt.
-    pub fn count_attempt_done(&self) {
-        self.attempts_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one failed/lost task attempt.
-    pub fn count_attempt_failed(&self) {
-        self.attempts_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Measured EnTK setup seconds.
-    pub fn setup_secs(&self) -> f64 {
-        self.setup_ns.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Measured EnTK teardown seconds.
-    pub fn teardown_secs(&self) -> f64 {
-        self.teardown_ns.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Measured EnTK management seconds.
-    pub fn management_secs(&self) -> f64 {
-        self.management_ns.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Measured RTS teardown seconds.
-    pub fn rts_teardown_secs(&self) -> f64 {
-        self.rts_teardown_ns.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Applied transitions.
-    pub fn transitions(&self) -> u64 {
-        self.sync_transitions.load(Ordering::Relaxed)
-    }
-
-    /// (successful, failed) attempt counts.
-    pub fn attempts(&self) -> (u64, u64) {
-        (
-            self.attempts_done.load(Ordering::Relaxed),
-            self.attempts_failed.load(Ordering::Relaxed),
-        )
-    }
-}
 
 /// The paper's overhead decomposition for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -142,9 +53,11 @@ pub struct OverheadReport {
 }
 
 impl OverheadReport {
-    /// Re-derive the paper's overhead decomposition from a trace alone
-    /// (§IV-A2), with no access to the live [`Profiler`] — the same way the
-    /// paper derives its overheads from RADICAL `.prof` files.
+    /// Re-derive the paper's overhead decomposition from one run's trace
+    /// alone (§IV-A2) — the same way the paper derives its overheads from
+    /// RADICAL `.prof` files. Durations are summed in integer nanoseconds,
+    /// as the run's live report sums them, so the EnTK columns and the
+    /// counts equal [`crate::RunReport::overheads`] exactly.
     ///
     /// * setup / tear-down / RTS-teardown come from the AppManager's phase
     ///   spans;
@@ -156,27 +69,33 @@ impl OverheadReport {
     ///   RTS profile and is not wall-clock traceable);
     /// * transition / attempt counts come from instant events;
     /// * task execution is the wall span from the first `unit_started` to
-    ///   the last `unit_ended` (on simulated CIs the legacy report uses the
+    ///   the last `unit_ended` (on simulated CIs the live report uses the
     ///   *virtual* makespan instead, so the two columns differ there by
     ///   design);
     /// * data staging is not traced per-operation and stays zero.
+    ///
+    /// The events must be one run's: a recorder that several runs share
+    /// mixes their spans.
     pub fn from_trace(events: &[entk_observe::Event]) -> OverheadReport {
         use entk_observe::components as c;
-        let secs = |d: Option<u64>| d.unwrap_or(0) as f64 / 1e9;
+        let secs = |ns: u64| ns as f64 / 1e9;
         let mut r = OverheadReport::default();
+        let (mut setup, mut teardown, mut rts_teardown) = (0u64, 0u64, 0u64);
+        let (mut rmgr, mut management) = (0u64, 0u64);
         let mut first_start: Option<u64> = None;
         let mut last_end: Option<u64> = None;
         for e in events {
+            let dur = e.dur_ns.unwrap_or(0);
             match (e.component, e.kind) {
-                (c::AMGR, "setup") => r.entk_setup_secs = secs(e.dur_ns),
-                (c::AMGR, "teardown") => r.entk_teardown_secs = secs(e.dur_ns),
-                (c::AMGR, "rts_teardown") => r.rts_teardown_secs = secs(e.dur_ns),
-                (c::AMGR, "rmgr_acquire") => r.rts_overhead_secs += secs(e.dur_ns),
+                (c::AMGR, "setup") => setup = dur,
+                (c::AMGR, "teardown") => teardown = dur,
+                (c::AMGR, "rts_teardown") => rts_teardown = dur,
+                (c::AMGR, "rmgr_acquire") => rmgr += dur,
                 (c::SYNC, "apply")
                 | (c::ENQ, "batch")
                 | (c::DEQ, "handle")
                 | (c::EMGR, "submit_batch")
-                | (c::EMGR, "callback") => r.entk_management_secs += secs(e.dur_ns),
+                | (c::EMGR, "callback") => management += dur,
                 (c::SYNC, "transition") => r.transitions += 1,
                 (c::DEQ, "attempt_done") => r.tasks_done += 1,
                 (c::DEQ, "attempt_failed") => r.failed_attempts += 1,
@@ -189,8 +108,13 @@ impl OverheadReport {
                 _ => {}
             }
         }
+        r.entk_setup_secs = secs(setup);
+        r.entk_management_secs = secs(management);
+        r.entk_teardown_secs = secs(teardown);
+        r.rts_overhead_secs = secs(rmgr);
+        r.rts_teardown_secs = secs(rts_teardown);
         if let (Some(s), Some(e)) = (first_start, last_end) {
-            r.task_execution_secs = e.saturating_sub(s) as f64 / 1e9;
+            r.task_execution_secs = secs(e.saturating_sub(s));
         }
         r
     }
@@ -249,22 +173,6 @@ impl PythonEmulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profiler_accumulates() {
-        let p = Profiler::new();
-        p.set_setup(Duration::from_millis(100));
-        p.add_management(Duration::from_millis(5));
-        p.add_management(Duration::from_millis(7));
-        p.count_transition();
-        p.count_transition();
-        p.count_attempt_done();
-        p.count_attempt_failed();
-        assert!((p.setup_secs() - 0.1).abs() < 1e-9);
-        assert!((p.management_secs() - 0.012).abs() < 1e-9);
-        assert_eq!(p.transitions(), 2);
-        assert_eq!(p.attempts(), (1, 1));
-    }
 
     #[test]
     fn emulation_scales_with_host() {

@@ -22,7 +22,6 @@ use crate::messages::{parse_sync, ReplyTo, SyncRequest, UNTIL_CLOSED};
 use crate::states::{PipelineState, StageState, TaskState};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Spawn the Synchronizer: one drainer thread per sync-queue shard. The
 /// sync plane is sharded per requesting component
@@ -84,7 +83,6 @@ fn run(ctx: Arc<Ctx>, sync_queue: &str) {
             Ok(_) => continue,
             Err(_) => break, // queue closed: shutting down
         };
-        let t0 = Instant::now();
         let span = ctx
             .recorder
             .span(entk_observe::components::SYNC, "apply")
@@ -100,8 +98,7 @@ fn run(ctx: Arc<Ctx>, sync_queue: &str) {
         // the per-shard ack cursor — settles the whole batch.
         let boundary = batch.last().expect("non-empty batch").tag;
         let _ = ctx.broker.ack_multiple(sync_queue, boundary);
-        drop(span);
-        ctx.profiler.add_management(t0.elapsed());
+        ctx.charge_management(span);
     }
 }
 
@@ -110,6 +107,7 @@ fn apply(ctx: &Ctx, req: SyncRequest) -> bool {
     let applied =
         TaskState::parse(&req.state).is_some_and(|state| apply_task(ctx, &req.uid, state));
     if applied {
+        ctx.transitions.fetch_add(1, Ordering::Relaxed);
         ctx.recorder.record(
             entk_observe::components::SYNC,
             "transition",
@@ -130,7 +128,6 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
         return false;
     }
     ctx.journal("task", uid, &stage.tasks()[loc.task].name, state.name());
-    ctx.profiler.count_transition();
     // Per-state transition counters (`task.state.<state>`) for the live
     // exposition plane; skipped when untraced to keep the hot path lean.
     if ctx.recorder.is_enabled() {

@@ -13,7 +13,6 @@ use entk_mq::Message;
 use entk_observe::{components as obs, hops, TraceCtx};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Spawn the Enqueue thread.
 pub(crate) fn spawn_enqueue(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
@@ -66,14 +65,12 @@ fn enqueue_loop(ctx: Arc<Ctx>) {
             // flight.
             return;
         }
-        let t0 = Instant::now();
         let span = ctx
             .recorder
             .span(obs::ENQ, "batch")
             .with_payload(ready.len().to_string());
         let alive = enqueue(&ctx, &ready, &mut reaction);
-        drop(span);
-        ctx.profiler.add_management(t0.elapsed());
+        ctx.charge_management(span);
         if !alive {
             return;
         }
@@ -187,7 +184,6 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
             Ok(_) => continue,
             Err(_) => break,
         };
-        let t0 = Instant::now();
         let span = ctx
             .recorder
             .span(obs::DEQ, "handle")
@@ -207,8 +203,7 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
         let boundary = batch.last().expect("non-empty batch").tag;
         let _ = ctx.broker.ack_multiple(ctx.ns.done(), boundary);
         *ctx.reaction.lock() = Reaction::default();
-        drop(span);
-        ctx.profiler.add_management(t0.elapsed());
+        ctx.charge_management(span);
     }
 }
 
@@ -282,14 +277,14 @@ fn decide(
 ) -> Option<Verdict> {
     let state = match outcome {
         AttemptOutcome::Done => {
-            ctx.profiler.count_attempt_done();
+            ctx.attempts_done.fetch_add(1, Ordering::Relaxed);
             ctx.recorder
                 .record(obs::DEQ, "attempt_done", uid.as_str(), "");
             adapt_cap(ctx, true);
             TaskState::Done
         }
         AttemptOutcome::Failed(reason) => {
-            ctx.profiler.count_attempt_failed();
+            ctx.attempts_failed.fetch_add(1, Ordering::Relaxed);
             ctx.recorder
                 .record(obs::DEQ, "attempt_failed", uid.as_str(), reason.clone());
             adapt_cap(ctx, false);
@@ -310,7 +305,7 @@ fn decide(
             // A canceled attempt usually means the pilot died under the
             // task (walltime, CI failure). Treat it like a failed attempt:
             // retry within budget, cancel terminally otherwise.
-            ctx.profiler.count_attempt_failed();
+            ctx.attempts_failed.fetch_add(1, Ordering::Relaxed);
             ctx.recorder
                 .record(obs::DEQ, "attempt_failed", uid.as_str(), "canceled");
             if may_retry(ctx, ctx.workflow.lock().task(&uid)?) {
@@ -323,7 +318,7 @@ fn decide(
             // Lost to an RTS failure: re-execute without consuming budget
             // ("without restarting completed tasks" — only in-flight work
             // is redone).
-            ctx.profiler.count_attempt_failed();
+            ctx.attempts_failed.fetch_add(1, Ordering::Relaxed);
             ctx.recorder
                 .record(obs::DEQ, "attempt_failed", uid.as_str(), "lost");
             if ctx.cancel.is_canceled() {

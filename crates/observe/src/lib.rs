@@ -164,6 +164,18 @@ mod tests {
     }
 
     #[test]
+    fn finished_span_returns_the_duration_it_recorded_once() {
+        let rec = Recorder::new();
+        let d = rec.span(components::SYNC, "apply").finish();
+        let events = rec.snapshot();
+        assert_eq!(events.len(), 1, "finish closes the span; drop adds nothing");
+        assert_eq!(events[0].dur_ns, Some(d.as_nanos() as u64));
+        let off = Recorder::disabled().span(components::SYNC, "apply");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(off.finish() >= std::time::Duration::from_millis(1));
+    }
+
+    #[test]
     fn recorder_clones_share_state() {
         let rec = Recorder::new();
         let rec2 = rec.clone();

@@ -7,7 +7,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Shard count; power of two so thread hashes map with a mask.
 const SHARDS: usize = 16;
@@ -195,6 +195,7 @@ impl Recorder {
             entity_uid: String::new(),
             payload: String::new(),
             start_ns: self.now_ns(),
+            closed: false,
         }
     }
 
@@ -217,7 +218,8 @@ impl Recorder {
     }
 }
 
-/// Guard returned by [`Recorder::span`]; records a duration event on drop.
+/// Guard returned by [`Recorder::span`]; records a duration event on drop
+/// or on [`Span::finish`].
 pub struct Span {
     recorder: Recorder,
     component: &'static str,
@@ -225,6 +227,7 @@ pub struct Span {
     entity_uid: String,
     payload: String,
     start_ns: u64,
+    closed: bool,
 }
 
 impl Span {
@@ -244,10 +247,16 @@ impl Span {
     pub fn elapsed_ns(&self) -> u64 {
         self.recorder.now_ns().saturating_sub(self.start_ns)
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
+    /// Close the span now, exactly as dropping it would, and return the
+    /// duration it recorded. The span is a stopwatch whether or not the
+    /// recorder collects events.
+    pub fn finish(mut self) -> Duration {
+        Duration::from_nanos(self.close())
+    }
+
+    fn close(&mut self) -> u64 {
+        self.closed = true;
         let dur_ns = self.elapsed_ns();
         self.recorder
             .metrics()
@@ -262,5 +271,14 @@ impl Drop for Span {
             payload: std::mem::take(&mut self.payload),
             dur_ns: Some(dur_ns),
         });
+        dur_ns
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if !self.closed {
+            self.close();
+        }
     }
 }

@@ -74,6 +74,25 @@ if [ -n "$timed" ]; then
     exit 1
 fi
 
+echo "== no trace re-reads on the run path =="
+# A run's report is folded as its spans close (DESIGN.md, "Fig. 7 from
+# traces"); re-reading the recorder copies and sorts every event it holds,
+# and a service's sessions share one recorder, so a per-run re-read costs
+# time quadratic in the workflows served. A `recorder.snapshot(` or
+# `recorder().snapshot(` call in non-test code of core or the service fails
+# the check; reading an exported trace is for tests, benches and offline
+# tools. Histogram `.snapshot()` calls do not match.
+rereads=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests/ { in_tests = 1 }
+    !in_tests && /recorder(\(\))?\.snapshot\(/ { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/*.rs crates/service/src/*.rs)
+if [ -n "$rereads" ]; then
+    echo "$rereads"
+    echo "trace re-read on the run path: fold the value as its span closes instead"
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 # Every crate's unit tests and proptests, not only the facade package and
 # the root tests/ that a plain `cargo test` runs.

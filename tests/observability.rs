@@ -1,7 +1,7 @@
 //! Cross-layer observability integration tests: one recorder threaded
 //! through the toolkit, the broker, the RTS and the simulator, with the
 //! paper's overhead decomposition (§IV-A2) re-derived from the trace and
-//! cross-checked against the legacy profiler.
+//! checked against the run's own report.
 
 use entk::observe::{components, hops, json, prom, Event, Recorder};
 use entk::prelude::*;
@@ -63,29 +63,37 @@ fn run_traced(tag: &str, fail_first: bool) -> (RunReport, Recorder) {
 }
 
 #[test]
-fn trace_derived_overheads_agree_with_profiler() {
-    let (report, _recorder) = run_traced("agree", true);
-    let legacy = &report.overheads;
-    let traced = report
-        .trace_overheads
-        .as_ref()
-        .expect("tracing was enabled");
+fn trace_derived_overheads_agree_with_the_run_report() {
+    let (report, recorder) = run_traced("agree", true);
+    let live = &report.overheads;
+    let traced = OverheadReport::from_trace(&recorder.snapshot());
 
-    // The counters must agree exactly: both derivations count the same
-    // applied transitions and attempt outcomes.
-    assert_eq!(traced.transitions, legacy.transitions);
-    assert_eq!(traced.tasks_done, legacy.tasks_done);
-    assert_eq!(traced.failed_attempts, legacy.failed_attempts);
+    // The counters agree exactly: both count the same applied transitions
+    // and attempt outcomes.
+    assert_eq!(traced.transitions, live.transitions);
+    assert_eq!(traced.tasks_done, live.tasks_done);
+    assert_eq!(traced.failed_attempts, live.failed_attempts);
     assert_eq!(traced.tasks_done, 12);
     assert!(traced.failed_attempts >= 1, "the seeded failure must show");
 
-    // The phase durations are measured by two independent clock pairs, so
-    // they only agree approximately.
+    // So do the EnTK durations, to the nanosecond: the live report folds
+    // each span's duration as it closes, and the trace holds the same spans.
     assert!(traced.entk_setup_secs > 0.0);
     assert!(traced.entk_management_secs > 0.0);
-    assert!((traced.entk_setup_secs - legacy.entk_setup_secs).abs() < 0.05);
-    assert!((traced.entk_teardown_secs - legacy.entk_teardown_secs).abs() < 0.5);
-    assert!((traced.rts_teardown_secs - legacy.rts_teardown_secs).abs() < 0.5);
+    let ns = |r: &OverheadReport| {
+        [
+            r.entk_setup_secs,
+            r.entk_management_secs,
+            r.entk_teardown_secs,
+            r.rts_teardown_secs,
+        ]
+        .map(|secs| (secs * 1e9).round() as u64)
+    };
+    assert_eq!(
+        ns(&traced),
+        ns(live),
+        "setup, management, tear-down and RTS tear-down, in ns"
+    );
 }
 
 #[test]
@@ -214,8 +222,8 @@ fn exported_trace_files_parse_cleanly() {
 
 /// Tentpole acceptance: a 1024-task traced run's per-task hop timelines
 /// (TraceCtx) roll up into a per-stage residency decomposition that
-/// reproduces the Fig. 7-style numbers the event-stream profiler derives
-/// independently.
+/// reproduces the Fig. 7-style numbers that `OverheadReport::from_trace`
+/// derives independently from the event stream.
 #[test]
 fn critical_path_covers_1024_tasks_and_matches_profiler_execution_window() {
     let mut stage = Stage::new("s");
@@ -265,19 +273,16 @@ fn critical_path_covers_1024_tasks_and_matches_profiler_execution_window() {
     }
 
     // Fig. 7 cross-check: the hop-derived execution window (earliest
-    // agent_start → latest agent_end) must agree with the profiler's
-    // task_execution_secs, which derives the same window from the
+    // agent_start → latest agent_end) must agree with the trace-derived
+    // task_execution_secs, which takes the same window from the
     // unit_started/unit_ended event records on the same clock.
-    let traced = report
-        .trace_overheads
-        .as_ref()
-        .expect("tracing was enabled");
+    let traced = OverheadReport::from_trace(&recorder.snapshot());
     let window = cp
         .window_secs(hops::AGENT_START, hops::AGENT_END)
         .expect("agent hops are present");
     assert!(
         (window - traced.task_execution_secs).abs() < 0.1,
-        "hop window {window:.4}s vs profiler {:.4}s",
+        "hop window {window:.4}s vs trace {:.4}s",
         traced.task_execution_secs
     );
 }
@@ -431,7 +436,8 @@ fn entk_trace_env_hook_enables_tracing() {
     std::env::remove_var("ENTK_TRACE");
     assert!(report.succeeded);
     assert!(report.recorder.is_enabled(), "env hook must enable tracing");
-    assert!(report.trace_overheads.is_some());
+    let traced = OverheadReport::from_trace(&report.recorder.snapshot());
+    assert_eq!(traced.tasks_done, 1, "the trace covers the run");
     // The export prefix may have gained a `.N` suffix if another traced run
     // in this process raced us, so look for any matching export.
     let dir = prefix.parent().unwrap();

@@ -248,6 +248,59 @@ fn sixteen_workflows_from_four_tenants_match_standalone_runs() {
 }
 
 // ---------------------------------------------------------------------------
+// Each session's overhead report is its own, also on a shared live recorder.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn traced_sessions_report_their_own_overheads() {
+    let resource = || ResourceDescription::sim(PlatformId::TestRig, 2, 1_000_000_000);
+    let shapes = [2usize, 6];
+    // Baseline: each shape's transition count from a private AppManager.
+    let standalone: Vec<u64> = shapes
+        .iter()
+        .map(|&tasks| {
+            let mut amgr =
+                AppManager::new(AppManagerConfig::new(resource()).with_run_timeout(timeout()));
+            let report = amgr
+                .run(sim_workflow(&format!("base{tasks}"), 1, tasks))
+                .expect("baseline run");
+            assert!(report.succeeded);
+            report.overheads.transitions
+        })
+        .collect();
+
+    let recorder = Recorder::new();
+    let service = EnsembleService::start(
+        ServiceConfig::new(resource())
+            .with_recorder(recorder.clone())
+            .with_warm_pilots(2)
+            .with_max_active(4)
+            .with_max_pending(64)
+            .with_run_timeout(timeout()),
+    );
+    let client = service.client();
+    let ids: Vec<(usize, SubmissionId)> = (0..8)
+        .map(|i| {
+            let shape = i % 2;
+            let wf = sim_workflow(&format!("w{i}"), 1, shapes[shape]);
+            (shape, client.submit("t", wf).expect("admitted"))
+        })
+        .collect();
+
+    for (shape, id) in ids {
+        let result = client.wait(id, timeout()).expect("settles");
+        let report = result.outcome.report().expect("completed has report");
+        let o = &report.overheads;
+        assert_eq!(o.tasks_done, shapes[shape] as u64, "{id}: {o:?}");
+        assert_eq!(o.failed_attempts, 0, "{id}: {o:?}");
+        assert_eq!(o.transitions, standalone[shape], "{id}: {o:?}");
+        assert!(o.entk_management_secs > 0.0, "{id}: {o:?}");
+    }
+    assert!(recorder.event_count() > 0, "the sessions traced");
+    service.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // Satellite: admission control under saturation.
 // ---------------------------------------------------------------------------
 
