@@ -565,13 +565,14 @@ impl Ctx {
     }
 
     /// Request the same transition for a batch of tasks through the
-    /// Synchronizer and wait for its answer (arrows 6–7). The requests
-    /// travel as one broker batch on this component's sync shard and carry
-    /// the batch's own [`Reply`]; the shard's drainer answers them in
-    /// request order, so the i-th flag reports the i-th uid, and two threads
-    /// of one component cannot receive each other's answers. A request
-    /// nobody answers — refused by the broker, purged, deleted with its
-    /// shard at tear-down — reads refused. Returns one applied-flag per task.
+    /// Synchronizer and wait for its answer (arrows 6–7). The batch travels
+    /// as one message on this component's sync shard and carries its own
+    /// [`Reply`]; the shard's drainer applies it under one workflow lock and
+    /// answers with the flags in request order, so the i-th flag reports
+    /// the i-th uid, and two threads of one component cannot receive each
+    /// other's answers. A batch nobody answers — refused by the broker,
+    /// purged, deleted with its shard at tear-down — reads refused. Returns
+    /// one applied-flag per task.
     pub(crate) fn sync_tasks(&self, comp: &str, uids: &[String], state: TaskState) -> Vec<bool> {
         if uids.is_empty() {
             return Vec::new();
@@ -583,17 +584,9 @@ impl Ctx {
                 .collect();
         }
         let (reply, reply_to) = Reply::new(uids.len());
-        let requests: Vec<entk_mq::Message> = uids
-            .iter()
-            .map(|uid| {
-                messages::sync_message(uid, state.name()).with_attachment(Arc::clone(&reply_to))
-            })
-            .collect();
-        drop(reply_to);
-        // A refused publish drops the requests, and with them the reply.
-        let _ = self
-            .broker
-            .publish_batch(self.ns.sync_shard(comp), requests);
+        let request = messages::sync_message(state, uids).with_attachment(reply_to);
+        // A refused publish drops the request, and with it the reply.
+        let _ = self.broker.publish(self.ns.sync_shard(comp), request);
         // Failpoint `core.sync.abandon_ack_drain`: the requester "crashes"
         // between publishing the sync batch and reading its reply. The
         // Synchronizer still applies the transitions; reporting all-false
@@ -1333,11 +1326,12 @@ mod tests {
             let requester = std::thread::spawn(move || {
                 ctx2.sync_tasks(component::ENQUEUE, &uids2, TaskState::Scheduling)
             });
-            // The requests are published: the requester now waits for them
-            // to be answered.
-            while ctx.broker.depth(&sync_queue).unwrap() < want {
+            // The batch is published — one message, whatever its size: the
+            // requester now waits for it to be answered.
+            while ctx.broker.depth(&sync_queue).unwrap() < 1 {
                 std::thread::yield_now();
             }
+            assert_eq!(ctx.broker.depth(&sync_queue).unwrap(), 1);
             ctx.stop();
             ctx.broker.delete_queue(&sync_queue).unwrap();
             let applied = requester.join().expect("requester returned");

@@ -4,12 +4,20 @@
 //! 4–5) and the synchronization queues from every component to AppManager's
 //! Synchronizer (arrow 6). The paper's Synchronizer "acknowledges the
 //! updates via dedicated queues" (arrow 7); here the acknowledgement is an
-//! in-process `Reply` that rides on the requests themselves. The per-run
+//! in-process `Reply` that rides on the request itself. The per-run
 //! queues are not durable, so an ack message would carry no durability (the
-//! `StateStore` holds it) — only a second broker hop. Messages carry uids in
-//! the payload and metadata in headers — PST objects themselves live in the
-//! AppManager, the only stateful component.
+//! `StateStore` holds it) — only a second broker hop.
+//!
+//! The data path carries no headers: a message is its payload, plus the
+//! trace context (`Message::with_trace`) when one rides along. A Pending
+//! message is a uid; a Done message is the outcome's byte, the uid and a
+//! failure's reason; a sync message is one *batch* — a state byte and the
+//! length-prefixed uids of every task that should take it — so a component
+//! pays one broker message per `Ctx::sync_tasks` call, not one per task.
+//! PST objects themselves live in the AppManager, the only stateful
+//! component.
 
+use crate::states::TaskState;
 use entk_mq::{Attachment, Message};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
@@ -161,14 +169,35 @@ pub enum AttemptOutcome {
 }
 
 impl AttemptOutcome {
-    fn tag(&self) -> &'static str {
+    /// The outcome's byte on the Done queue.
+    fn code(&self) -> u8 {
         match self {
-            AttemptOutcome::Done => "done",
-            AttemptOutcome::Failed(_) => "failed",
-            AttemptOutcome::Canceled => "canceled",
-            AttemptOutcome::Lost => "lost",
+            AttemptOutcome::Done => 0,
+            AttemptOutcome::Failed(_) => 1,
+            AttemptOutcome::Canceled => 2,
+            AttemptOutcome::Lost => 3,
         }
     }
+}
+
+/// Append `s` to `buf`, prefixed with its length (`u32`, little-endian).
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    let len = u32::try_from(s.len()).expect("a uid shorter than 4 GiB");
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Split the next length-prefixed string off the front of `bytes`; `None`
+/// if it is cut short or not UTF-8.
+fn take_str<'a>(bytes: &mut &'a [u8]) -> Option<&'a str> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let len = u32::from_le_bytes(*len) as usize;
+    if rest.len() < len {
+        return None;
+    }
+    let (s, rest) = rest.split_at(len);
+    *bytes = rest;
+    std::str::from_utf8(s).ok()
 }
 
 /// A task queued for execution (Pending queue message).
@@ -181,75 +210,92 @@ pub fn parse_pending(msg: &Message) -> String {
     msg.payload_str().into_owned()
 }
 
-/// A completed-attempt notification (Done queue message).
+/// A completed-attempt notification (Done queue message): the outcome's
+/// byte, the length-prefixed uid and, for a failure, its reason.
 pub fn done_message(task_uid: &str, outcome: &AttemptOutcome) -> Message {
-    let mut m = Message::new(task_uid.as_bytes().to_vec()).with_header("outcome", outcome.tag());
-    if let AttemptOutcome::Failed(reason) = outcome {
-        m = m.with_header("reason", reason.clone());
-    }
-    m
-}
-
-/// Parse a Done message into (uid, outcome).
-pub fn parse_done(msg: &Message) -> (String, AttemptOutcome) {
-    let uid = msg.payload_str().into_owned();
-    let outcome = match msg.headers.get("outcome").map(String::as_str) {
-        Some("done") => AttemptOutcome::Done,
-        Some("failed") => AttemptOutcome::Failed(
-            msg.headers
-                .get("reason")
-                .cloned()
-                .unwrap_or_else(|| "unknown".into()),
-        ),
-        Some("canceled") => AttemptOutcome::Canceled,
-        Some("lost") => AttemptOutcome::Lost,
-        other => AttemptOutcome::Failed(format!("malformed outcome header: {other:?}")),
+    let reason = match outcome {
+        AttemptOutcome::Failed(reason) => reason.as_str(),
+        _ => "",
     };
-    (uid, outcome)
+    let mut payload = Vec::with_capacity(1 + 4 + task_uid.len() + reason.len());
+    payload.push(outcome.code());
+    put_str(&mut payload, task_uid);
+    payload.extend_from_slice(reason.as_bytes());
+    Message::new(payload)
 }
 
-/// A state-transition request pushed to the Synchronizer (arrow 6). The
-/// requester attaches its batch's reply.
-pub fn sync_message(uid: &str, state: &str) -> Message {
-    Message::new(uid.as_bytes().to_vec()).with_header("state", state)
-}
-
-/// Parsed synchronization request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncRequest {
-    /// Task uid.
-    pub uid: String,
-    /// Requested state name.
-    pub state: String,
-}
-
-/// Parse a sync message; `None` if malformed.
-pub fn parse_sync(msg: &Message) -> Option<SyncRequest> {
-    Some(SyncRequest {
-        uid: msg.payload_str().into_owned(),
-        state: msg.headers.get("state")?.clone(),
+/// Parse a Done message into (uid, outcome). A message that does not
+/// decode reads as a failed attempt of the uid its payload spells.
+pub fn parse_done(msg: &Message) -> (String, AttemptOutcome) {
+    let decoded = msg.payload.split_first().and_then(|(code, mut rest)| {
+        let uid = take_str(&mut rest)?;
+        let outcome = match code {
+            0 => AttemptOutcome::Done,
+            1 => AttemptOutcome::Failed(String::from_utf8_lossy(rest).into_owned()),
+            2 => AttemptOutcome::Canceled,
+            3 => AttemptOutcome::Lost,
+            _ => return None,
+        };
+        Some((uid.to_string(), outcome))
+    });
+    decoded.unwrap_or_else(|| {
+        (
+            msg.payload_str().into_owned(),
+            AttemptOutcome::Failed("malformed done message".into()),
+        )
     })
+}
+
+/// One sync batch pushed to the Synchronizer (arrow 6): the same
+/// transition requested for every uid, in one message with no headers —
+/// the state's byte (its index in [`TaskState::ALL`]) followed by the
+/// length-prefixed uids. The requester attaches the batch's reply.
+pub fn sync_message(state: TaskState, uids: &[String]) -> Message {
+    let len = 1 + uids.iter().map(|uid| 4 + uid.len()).sum::<usize>();
+    let mut payload = Vec::with_capacity(len);
+    let index = TaskState::ALL.iter().position(|s| *s == state);
+    payload.push(index.expect("a state of TaskState::ALL") as u8);
+    for uid in uids {
+        put_str(&mut payload, uid);
+    }
+    Message::new(payload)
+}
+
+/// A decoded sync batch; the uids borrow the message's payload.
+#[derive(Debug)]
+pub struct SyncBatch<'a> {
+    /// Requested state.
+    pub state: TaskState,
+    /// Task uids, in request order.
+    pub uids: Vec<&'a str>,
+}
+
+/// Decode a sync message; `None` if malformed.
+pub fn parse_sync(msg: &Message) -> Option<SyncBatch<'_>> {
+    let (index, mut rest) = msg.payload.split_first()?;
+    let state = *TaskState::ALL.get(usize::from(*index))?;
+    let mut uids = Vec::new();
+    while !rest.is_empty() {
+        uids.push(take_str(&mut rest)?);
+    }
+    Some(SyncBatch { state, uids })
 }
 
 /// The Synchronizer's answer to one sync batch (arrow 7, in process): the
 /// applied flag of each request, in request order. The requester keeps the
-/// `Reply`; its requests share one [`ReplyTo`] as their attachment.
+/// `Reply`; the batch's message carries its [`ReplyTo`] as the attachment.
 #[derive(Debug, Default)]
 pub(crate) struct Reply {
     requests: usize,
-    answer: Mutex<Answer>,
+    /// The batch's flags once it is answered, or none (read refused) once
+    /// its message let go of the reply unanswered.
+    answer: Mutex<Option<Vec<bool>>>,
     moved: Condvar,
 }
 
-#[derive(Debug, Default)]
-struct Answer {
-    applied: Vec<bool>,
-    /// The last request let go of the reply: nothing more will be written.
-    closed: bool,
-}
-
 impl Reply {
-    /// A reply to `requests` requests, and the attachment they carry.
+    /// A reply to `requests` requests, and the attachment their message
+    /// carries.
     pub(crate) fn new(requests: usize) -> (Arc<Reply>, Attachment) {
         let reply = Arc::new(Reply {
             requests,
@@ -258,40 +304,38 @@ impl Reply {
         (Arc::clone(&reply), Arc::new(ReplyTo(reply)))
     }
 
-    /// Block until every request is answered or no request is left to
-    /// answer; a request that went unanswered reads refused.
+    /// Block until the batch is answered or nothing is left to answer it;
+    /// a request that went unanswered reads refused.
     pub(crate) fn wait(&self) -> Vec<bool> {
         let mut answer = self.answer.lock();
-        while answer.applied.len() < self.requests && !answer.closed {
+        while answer.is_none() {
             self.moved.wait(&mut answer);
         }
-        let mut applied = std::mem::take(&mut answer.applied);
+        let mut applied = answer.take().unwrap_or_default();
         applied.resize(self.requests, false);
         applied
     }
 }
 
-/// What the requests of one sync batch carry. The broker lets go of it
-/// with the messages — once they are answered and acked, or when they are
-/// purged or deleted with their shard — and the last one to go closes the
-/// reply, so the requester cannot outwait a request nobody will answer.
+/// What the message of one sync batch carries. The broker lets go of it
+/// with the message — once it is answered and acked, or when it is purged
+/// or deleted with its shard — and letting go closes the reply, so the
+/// requester cannot outwait a batch nobody will answer.
 #[derive(Debug)]
 pub(crate) struct ReplyTo(Arc<Reply>);
 
 impl ReplyTo {
-    /// Answer the batch's next request.
-    pub(crate) fn answer(&self, applied: bool) {
-        let mut answer = self.0.answer.lock();
-        answer.applied.push(applied);
-        if answer.applied.len() == self.0.requests {
-            self.0.moved.notify_all();
-        }
+    /// Answer the whole batch: one flag per request, in request order
+    /// (missing flags read refused).
+    pub(crate) fn answer(&self, applied: Vec<bool>) {
+        *self.0.answer.lock() = Some(applied);
+        self.0.moved.notify_all();
     }
 }
 
 impl Drop for ReplyTo {
     fn drop(&mut self) {
-        self.0.answer.lock().closed = true;
+        self.0.answer.lock().get_or_insert_with(Vec::new);
         self.0.moved.notify_all();
     }
 }
@@ -383,14 +427,40 @@ mod tests {
 
     #[test]
     fn sync_roundtrip() {
-        let req = parse_sync(&sync_message("task.3", "scheduling")).unwrap();
-        assert_eq!(req.uid, "task.3");
-        assert_eq!(req.state, "scheduling");
+        for state in TaskState::ALL {
+            for uids in [vec![], vec!["task.3".to_string()], uid_batch(64)] {
+                let msg = sync_message(state, &uids);
+                assert!(msg.headers.is_empty(), "the data path carries no headers");
+                let batch = parse_sync(&msg).unwrap();
+                assert_eq!(batch.state, state);
+                assert_eq!(batch.uids, uids);
+            }
+        }
     }
 
     #[test]
-    fn sync_missing_headers_is_none() {
-        assert!(parse_sync(&Message::new("task.3")).is_none());
+    fn malformed_sync_is_none() {
+        // An unknown state byte, a uid cut short, a prefix cut short.
+        let whole = sync_message(TaskState::Scheduling, &uid_batch(3)).payload;
+        let mut bad_state = whole.to_vec();
+        bad_state[0] = TaskState::ALL.len() as u8;
+        for payload in [
+            bad_state,
+            whole[..whole.len() - 1].to_vec(),
+            whole[..3].to_vec(),
+            Vec::new(),
+            b"task.3".to_vec(),
+        ] {
+            assert!(parse_sync(&Message::new(payload)).is_none());
+        }
+        let mut not_utf8 = vec![1];
+        put_str(&mut not_utf8, "t.0");
+        *not_utf8.last_mut().unwrap() = 0xff;
+        assert!(parse_sync(&Message::new(not_utf8)).is_none());
+    }
+
+    fn uid_batch(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("task.{i:06}")).collect()
     }
 
     #[test]
@@ -441,18 +511,21 @@ mod tests {
     #[test]
     fn a_reply_refuses_what_its_requests_took_away_unanswered() {
         let (reply, reply_to) = Reply::new(3);
-        let requests: Vec<Message> = ["t.0", "t.1", "t.2"]
-            .iter()
-            .map(|uid| sync_message(uid, "scheduling").with_attachment(Arc::clone(&reply_to)))
-            .collect();
-        drop(reply_to);
-        let carried = requests[0].attachment.as_deref();
-        carried
+        let batch = sync_message(TaskState::Scheduling, &uid_batch(3)).with_attachment(reply_to);
+        drop(batch); // purged, or deleted with the shard
+        assert_eq!(reply.wait(), [false, false, false]);
+
+        // A short answer pads with refusals; the requester reads it whole.
+        let (reply, reply_to) = Reply::new(3);
+        let batch = sync_message(TaskState::Scheduling, &uid_batch(3)).with_attachment(reply_to);
+        batch
+            .attachment
+            .as_deref()
             .and_then(|a| a.downcast_ref::<ReplyTo>())
-            .expect("every request carries its batch's reply")
-            .answer(true);
-        drop(requests); // purged, or deleted with the shard
+            .expect("the batch carries its reply")
+            .answer(vec![true]);
         assert_eq!(reply.wait(), [true, false, false]);
+        drop(batch);
     }
 
     #[test]

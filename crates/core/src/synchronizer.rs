@@ -11,15 +11,19 @@
 //! consequent stage and pipeline transitions (scheduling propagation, stage
 //! completion, `post_exec` hooks, pipeline advancement) atomically under the
 //! workflow lock and journals every applied transition. The updates arrive
-//! on dedicated queues, as in the paper; the acknowledgement does not take
-//! a second queue but is written into the in-process `Reply` the requests
-//! carry. The per-run queues are not durable, so an ack
-//! message would add a broker hop and no durability — the journal is what
-//! keeps AppManager's state.
+//! on dedicated queues, as in the paper, one message per batch: a
+//! component's `Ctx::sync_tasks` call names one target state and every uid
+//! that should take it, and the drainer applies the whole batch under one
+//! workflow lock and wakes parked threads once. The acknowledgement does
+//! not take a second queue but is written into the in-process `Reply` the
+//! message carries: the batch's flags, in request order. The per-run
+//! queues are not durable, so an ack message would add a broker hop and no
+//! durability — the journal is what keeps AppManager's state.
 
 use crate::appmanager::Ctx;
-use crate::messages::{parse_sync, ReplyTo, SyncRequest, UNTIL_CLOSED};
+use crate::messages::{parse_sync, ReplyTo, SyncBatch, UNTIL_CLOSED};
 use crate::states::{PipelineState, StageState, TaskState};
+use crate::workflow::Workflow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -56,16 +60,18 @@ pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
         .expect("spawn synchronizer")
 }
 
-/// Drain one sync shard in one broker call, apply every transition in one
-/// pass (one recorder span per batch), answer each request in its batch's
-/// reply, and settle the batch with one cumulative ack. The shard is a
-/// FIFO with this one consumer, so every reply is written in request
-/// order, which is what [`Ctx::sync_tasks`] relies on.
+/// Drain one sync shard in one broker call and apply each message's batch
+/// under one workflow lock (one recorder span per drain), answer each
+/// batch's reply with its flags in request order, and settle the drain
+/// with one cumulative ack. A message that does not decode is answered
+/// all-refused. The shard is a FIFO with this one consumer, so a
+/// component's batches apply in the order it published them, which is
+/// what [`Ctx::sync_tasks`] relies on.
 fn run(ctx: Arc<Ctx>, sync_queue: &str) {
-    // A drainer that dies (a `post_exec` hook panicking under `apply_task`)
-    // takes its shard with it: the requests still on it drop their replies,
-    // so their requesters read them refused instead of waiting for a
-    // drainer that is gone. On a normal exit the shard is already deleted
+    // A drainer that dies (a `post_exec` hook panicking under the workflow
+    // lock) takes its shard with it: the batches still on it drop their
+    // replies, so their requesters read them refused instead of waiting for
+    // a drainer that is gone. On a normal exit the shard is already deleted
     // or the broker closed, and this does nothing.
     struct Leave<'a>(&'a Ctx, &'a str);
     impl Drop for Leave<'_> {
@@ -88,54 +94,86 @@ fn run(ctx: Arc<Ctx>, sync_queue: &str) {
             .span(entk_observe::components::SYNC, "apply")
             .with_payload(batch.len().to_string());
         for d in &batch {
-            let applied = parse_sync(&d.message).is_some_and(|req| apply(&ctx, req));
+            let applied = parse_sync(&d.message).map_or_else(Vec::new, |b| apply_batch(&ctx, &b));
             let reply = d.message.attachment.as_deref();
             if let Some(reply) = reply.and_then(|a| a.downcast_ref::<ReplyTo>()) {
                 reply.answer(applied);
             }
         }
         // This drainer is its shard's only consumer: one cumulative ack —
-        // the per-shard ack cursor — settles the whole batch.
+        // the per-shard ack cursor — settles the whole drain.
         let boundary = batch.last().expect("non-empty batch").tag;
         let _ = ctx.broker.ack_multiple(sync_queue, boundary);
         ctx.charge_management(span);
     }
 }
 
-/// Apply one transition request; returns whether it was applied.
-fn apply(ctx: &Ctx, req: SyncRequest) -> bool {
-    let applied =
-        TaskState::parse(&req.state).is_some_and(|state| apply_task(ctx, &req.uid, state));
-    if applied {
-        ctx.transitions.fetch_add(1, Ordering::Relaxed);
-        ctx.recorder.record(
-            entk_observe::components::SYNC,
-            "transition",
-            req.uid,
-            req.state,
-        );
+/// Apply one sync batch, count its applied transitions in the run's
+/// report and, when traced, record each as a `transition` event.
+fn apply_batch(ctx: &Ctx, batch: &SyncBatch<'_>) -> Vec<bool> {
+    let applied = apply_all(ctx, &batch.uids, batch.state);
+    let count = applied.iter().filter(|a| **a).count();
+    ctx.transitions.fetch_add(count as u64, Ordering::Relaxed);
+    if ctx.recorder.is_enabled() {
+        let state = batch.state.name();
+        for (uid, _) in batch.uids.iter().zip(&applied).filter(|(_, a)| **a) {
+            ctx.recorder
+                .record(entk_observe::components::SYNC, "transition", *uid, state);
+        }
     }
     applied
 }
 
+/// Apply one transition on its own; returns whether it was applied. The
+/// single-request form of [`apply_batch`], for the inline test path and
+/// the AppManager's cancel sweep; it leaves the run's transition count
+/// alone, which counts what the Synchronizer applies.
 pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
+    apply_all(ctx, &[uid], state)[0]
+}
+
+/// Apply the same transition to every uid under one workflow lock;
+/// returns the applied flag of each, in order. Whoever waits on the run's
+/// signal is woken once, after the lock is dropped, if any transition
+/// asked for it.
+fn apply_all(ctx: &Ctx, uids: &[&str], state: TaskState) -> Vec<bool> {
+    let mut wake = false;
     let mut wf = ctx.workflow.lock();
-    let Some(loc) = wf.locate(uid) else {
-        return false;
-    };
-    let stage = wf.stage_mut(loc);
-    if stage.advance_task(loc.task, state).is_err() {
-        return false;
+    let applied: Vec<bool> = uids
+        .iter()
+        .map(|uid| {
+            let step = apply_locked(ctx, &mut wf, uid, state);
+            wake |= step == Some(true);
+            step.is_some()
+        })
+        .collect();
+    if wake {
+        ctx.park_reaction();
     }
-    ctx.journal("task", uid, &stage.tasks()[loc.task].name, state.name());
+    drop(wf);
+    if wake {
+        ctx.wake();
+    }
     // Per-state transition counters (`task.state.<state>`) for the live
     // exposition plane; skipped when untraced to keep the hot path lean.
-    if ctx.recorder.is_enabled() {
+    let count = applied.iter().filter(|a| **a).count();
+    if ctx.recorder.is_enabled() && count > 0 {
         ctx.recorder
             .metrics()
             .counter(&format!("task.state.{}", state.name()))
-            .incr();
+            .add(count as u64);
     }
+    applied
+}
+
+/// Apply one transition under the workflow lock: `None` if it was refused
+/// (unknown uid, illegal transition), else whether it changed something a
+/// parked thread waits for.
+fn apply_locked(ctx: &Ctx, wf: &mut Workflow, uid: &str, state: TaskState) -> Option<bool> {
+    let loc = wf.locate(uid)?;
+    let stage = wf.stage_mut(loc);
+    stage.advance_task(loc.task, state).ok()?;
+    ctx.journal("task", uid, &stage.tasks()[loc.task].name, state.name());
 
     // Maintain the in-flight counter behind the Enqueue throttle: a task is
     // in flight from Scheduling until it settles or rejoins the pool.
@@ -191,27 +229,20 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
             // new tasks to tag or the AppManager a finished run to collect.
             // Under a concurrency cap every settled task frees a slot the
             // throttled Enqueue is parked for.
-            let settled = settle_stage(ctx, &mut wf, loc.pipeline, loc.stage);
+            let settled = settle_stage(ctx, wf, loc.pipeline, loc.stage);
             settled || ctx.concurrency_cap.load(Ordering::Relaxed) != usize::MAX
         }
         // Back in the pool: Enqueue must tag it again.
         TaskState::Described => true,
         _ => false,
     };
-    if wake {
-        ctx.park_reaction();
-    }
-    drop(wf);
-    if wake {
-        ctx.wake();
-    }
-    true
+    Some(wake)
 }
 
 /// When all tasks of a stage are terminal, settle the stage and possibly the
 /// pipeline; runs `post_exec` hooks on success. Returns whether the stage
 /// settled.
-fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usize) -> bool {
+fn settle_stage(ctx: &Ctx, wf: &mut Workflow, p: usize, s: usize) -> bool {
     let tally = {
         let stage = &mut wf.pipelines_mut()[p].stages_mut()[s];
         if stage.state().is_terminal() {
@@ -283,7 +314,7 @@ fn settle_stage(ctx: &Ctx, wf: &mut crate::workflow::Workflow, p: usize, s: usiz
 /// A failed/canceled pipeline poisons every pipeline depending on it: those
 /// can never start, so they are canceled (otherwise the run never reaches
 /// completion).
-fn cascade_cancellations(ctx: &Ctx, wf: &mut crate::workflow::Workflow) {
+fn cascade_cancellations(ctx: &Ctx, wf: &mut Workflow) {
     for uid in wf.cancel_broken_dependents() {
         ctx.journal("pipeline", &uid, "", "canceled");
     }
@@ -649,6 +680,71 @@ mod tests {
         }
         assert_eq!(ctx.sync_tasks(comp, &uids, TaskState::Done), [false]);
         assert_eq!(ctx.sync_tasks(comp, &uids, TaskState::Done), [false]);
+        ctx.stop();
+        ctx.broker.close();
+        sync.join().unwrap();
+    }
+
+    /// A 64-uid `sync_tasks` is one message on its shard, applied under one
+    /// lock and answered in request order: the unknown uid and the illegal
+    /// transition in the middle are refused, every other uid applied.
+    #[test]
+    fn a_sync_batch_is_one_message_answered_in_request_order() {
+        let names: Vec<String> = (0..63).map(|i| format!("t{i}")).collect();
+        let (wf, uids) = wf_single(&names.iter().map(String::as_str).collect::<Vec<_>>());
+        let ctx = Ctx::for_tests_queued(wf, None);
+        let sync = spawn(Arc::clone(&ctx));
+        let comp = crate::messages::component::ENQUEUE;
+        let enqueued = || {
+            ctx.broker
+                .queue_stats(ctx.ns.sync_shard(comp))
+                .unwrap()
+                .enqueued
+        };
+        // Already Scheduling: asking for Scheduling again is illegal.
+        assert_eq!(
+            ctx.sync_tasks(comp, &uids[62..], TaskState::Scheduling),
+            [true]
+        );
+        let before = enqueued();
+        let mut batch = uids[..31].to_vec();
+        batch.push("task.999999".into());
+        batch.push(uids[62].clone());
+        batch.extend_from_slice(&uids[31..62]);
+        assert_eq!(batch.len(), 64);
+        let applied = ctx.sync_tasks(comp, &batch, TaskState::Scheduling);
+        assert_eq!(enqueued() - before, 1, "one message per sync batch");
+        let want: Vec<bool> = (0..64).map(|i| i != 31 && i != 32).collect();
+        assert_eq!(applied, want);
+        ctx.stop();
+        ctx.broker.close();
+        sync.join().unwrap();
+        assert_eq!(ctx.workflow.lock().count_in(TaskState::Scheduling), 63);
+        assert_eq!(ctx.transitions.load(Ordering::Relaxed), 63);
+    }
+
+    /// A sync message that does not decode is answered all-refused, and the
+    /// drainer goes on to apply the batch behind it.
+    #[test]
+    fn a_malformed_sync_batch_is_refused_not_stranded() {
+        use crate::messages::{sync_message, Reply};
+        let (wf, uids) = wf_single(&["a", "b"]);
+        let ctx = Ctx::for_tests_queued(wf, None);
+        let sync = spawn(Arc::clone(&ctx));
+        let comp = crate::messages::component::EMGR;
+        let mut payload = sync_message(TaskState::Scheduling, &uids).payload.to_vec();
+        payload.pop(); // the last uid cut short
+        let (reply, reply_to) = Reply::new(uids.len());
+        let malformed = entk_mq::Message::new(payload).with_attachment(reply_to);
+        ctx.broker
+            .publish(ctx.ns.sync_shard(comp), malformed)
+            .unwrap();
+        assert_eq!(reply.wait(), [false, false]);
+        assert_eq!(ctx.workflow.lock().count_in(TaskState::Described), 2);
+        assert_eq!(
+            ctx.sync_tasks(comp, &uids, TaskState::Scheduling),
+            [true, true]
+        );
         ctx.stop();
         ctx.broker.close();
         sync.join().unwrap();

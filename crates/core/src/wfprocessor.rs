@@ -564,11 +564,11 @@ mod tests {
         let sync = crate::synchronizer::spawn(Arc::clone(&queued));
         prepare(&queued);
         handle_outcomes(&queued, deliveries());
-        let publishes = queued
+        let enqueued = queued
             .broker
             .queue_stats(queued.ns.sync_shard(component::DEQUEUE))
             .unwrap()
-            .batch_publishes;
+            .enqueued;
         queued.stop();
         queued.broker.close();
         sync.join().unwrap();
@@ -588,7 +588,7 @@ mod tests {
                 (TaskState::Canceled, 1, None),
             ]
         );
-        assert_eq!(publishes, RUNS, "one sync publish per run of equal states");
+        assert_eq!(enqueued, RUNS, "one sync message per run of equal states");
         for ctx in [&per_task, &queued] {
             assert_eq!(
                 ctx.critical_path.lock().tasks(),

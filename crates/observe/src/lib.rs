@@ -176,6 +176,22 @@ mod tests {
     }
 
     #[test]
+    fn untraced_span_closes_land_in_their_histograms() {
+        let rec = Recorder::disabled();
+        const N: u64 = 100;
+        for _ in 0..N {
+            drop(rec.span(components::SYNC, "apply"));
+            let _ = rec.span(components::DEQ, "handle").finish();
+        }
+        let _ = rec.span(components::SYNC, "other").finish();
+        assert!(rec.snapshot().is_empty(), "no event is built when disabled");
+        let m = rec.metrics();
+        assert_eq!(m.histogram("span.sync.apply").count(), N);
+        assert_eq!(m.histogram("span.deq.handle").count(), N);
+        assert_eq!(m.histogram("span.sync.other").count(), 1);
+    }
+
+    #[test]
     fn recorder_clones_share_state() {
         let rec = Recorder::new();
         let rec2 = rec.clone();

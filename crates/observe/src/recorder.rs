@@ -2,11 +2,11 @@
 //! that spill into a global sink, plus guard-style spans.
 
 use crate::event::Event;
-use crate::metrics::Metrics;
+use crate::metrics::{Histogram, Metrics};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Shard count; power of two so thread hashes map with a mask.
@@ -14,6 +14,45 @@ const SHARDS: usize = 16;
 
 /// Events a shard accumulates before spilling into the global sink.
 const SPILL_AT: usize = 1024;
+
+/// Slots of the span-histogram cache; more span kinds than the workspace
+/// has, so a lookup past a full table (a registry lookup) never happens in
+/// practice.
+const SPAN_KINDS: usize = 64;
+
+/// The `span.<component>.<kind>` histogram of each static span kind,
+/// resolved in the metrics registry once and then found without a lock or
+/// an allocation: an open-addressed table whose slots fill once.
+struct SpanHistograms {
+    slots: [OnceLock<(&'static str, &'static str, Arc<Histogram>)>; SPAN_KINDS],
+}
+
+impl SpanHistograms {
+    fn get(
+        &self,
+        metrics: &Metrics,
+        component: &'static str,
+        kind: &'static str,
+    ) -> Arc<Histogram> {
+        let resolve = || metrics.histogram(&format!("span.{component}.{kind}"));
+        // FNV-1a over both names: the slot the probe starts from.
+        let hash = component
+            .bytes()
+            .chain([b'.'])
+            .chain(kind.bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        for probe in 0..SPAN_KINDS {
+            let slot = &self.slots[(hash as usize).wrapping_add(probe) % SPAN_KINDS];
+            let (c, k, hist) = slot.get_or_init(|| (component, kind, resolve()));
+            if *c == component && *k == kind {
+                return Arc::clone(hist);
+            }
+        }
+        resolve()
+    }
+}
 
 struct Shard {
     buf: Mutex<Vec<Event>>,
@@ -26,6 +65,7 @@ struct Inner {
     shards: Vec<Shard>,
     sink: Mutex<Vec<Event>>,
     metrics: Arc<Metrics>,
+    span_histograms: SpanHistograms,
     recorded: AtomicU64,
 }
 
@@ -80,6 +120,9 @@ impl Recorder {
                     .collect(),
                 sink: Mutex::new(Vec::new()),
                 metrics: Arc::new(Metrics::default()),
+                span_histograms: SpanHistograms {
+                    slots: std::array::from_fn(|_| OnceLock::new()),
+                },
                 recorded: AtomicU64::new(0),
             }),
         }
@@ -116,7 +159,7 @@ impl Recorder {
         h.finish()
     }
 
-    /// Record an instant event.
+    /// Record an instant event (nothing is built when disabled).
     pub fn record(
         &self,
         component: &'static str,
@@ -124,6 +167,9 @@ impl Recorder {
         entity_uid: impl Into<String>,
         payload: impl Into<String>,
     ) {
+        if !self.is_enabled() {
+            return;
+        }
         self.push(Event {
             ts_ns: self.now_ns(),
             thread: Self::thread_tag(),
@@ -164,6 +210,7 @@ impl Recorder {
     /// Record an event covering an externally measured duration that ends
     /// now (e.g. wall time summed across phases, where a live [`Span`]
     /// cannot bracket the work). The timestamp is back-dated by `dur`.
+    /// Nothing is built when disabled.
     pub fn record_duration(
         &self,
         component: &'static str,
@@ -172,6 +219,9 @@ impl Recorder {
         payload: impl Into<String>,
         dur: std::time::Duration,
     ) {
+        if !self.is_enabled() {
+            return;
+        }
         let dur_ns = dur.as_nanos().min(u64::MAX as u128) as u64;
         self.push(Event {
             ts_ns: self.now_ns().saturating_sub(dur_ns),
@@ -258,10 +308,14 @@ impl Span {
     fn close(&mut self) -> u64 {
         self.closed = true;
         let dur_ns = self.elapsed_ns();
-        self.recorder
-            .metrics()
-            .histogram(&format!("span.{}.{}", self.component, self.kind))
+        let inner = &self.recorder.inner;
+        inner
+            .span_histograms
+            .get(&inner.metrics, self.component, self.kind)
             .record_ns(dur_ns);
+        if !self.recorder.is_enabled() {
+            return dur_ns;
+        }
         self.recorder.push(Event {
             ts_ns: self.start_ns,
             thread: Recorder::thread_tag(),

@@ -132,7 +132,7 @@ impl LocalRuntime {
             st.records
                 .insert(id, UnitRecord::submitted(id, desc.tag.clone(), now));
             self.recorder
-                .record(components::RTS, "unit_submitted", desc.tag.clone(), "");
+                .record(components::RTS, "unit_submitted", desc.tag.as_str(), "");
             self.recorder
                 .metrics()
                 .counter("rts.units_submitted")
@@ -220,7 +220,7 @@ fn worker_loop(
                 recorder.now_ns(),
             );
         }
-        recorder.record(components::RTS, "unit_started", desc.tag.clone(), "");
+        recorder.record(components::RTS, "unit_started", desc.tag.as_str(), "");
         recorder.metrics().counter("rts.units_started").incr();
         let _ = cb_tx.send(UnitCallback {
             unit: id,
@@ -271,12 +271,14 @@ fn worker_loop(
                 recorder.now_ns(),
             );
         }
-        recorder.record(
-            components::RTS,
-            "unit_ended",
-            desc.tag.clone(),
-            format!("{term_state:?}"),
-        );
+        if recorder.is_enabled() {
+            recorder.record(
+                components::RTS,
+                "unit_ended",
+                desc.tag.as_str(),
+                format!("{term_state:?}"),
+            );
+        }
         recorder.metrics().counter("rts.units_ended").incr();
         let _ = cb_tx.send(UnitCallback {
             unit: id,

@@ -300,7 +300,7 @@ impl SimRuntime {
                     desc.trace.as_ref().map(|t| t.encode()),
                 ));
                 self.recorder
-                    .record(components::RTS, "unit_submitted", desc.tag.clone(), "");
+                    .record(components::RTS, "unit_submitted", desc.tag.as_str(), "");
                 self.recorder
                     .metrics()
                     .counter("rts.units_submitted")
@@ -553,13 +553,13 @@ fn set_state_mem_locked(
                     rec.now_ns(),
                 );
             }
-            rec.record(components::RTS, "unit_started", u.desc.tag.clone(), "");
+            rec.record(components::RTS, "unit_started", u.desc.tag.as_str(), "");
             rec.metrics().counter("rts.units_started").incr();
-        } else {
+        } else if rec.is_enabled() {
             rec.record(
                 components::RTS,
                 "unit_state",
-                u.desc.tag.clone(),
+                u.desc.tag.as_str(),
                 format!("{state:?}"),
             );
         }
@@ -623,12 +623,14 @@ fn fail_unit_locked(
         trace.hop(components::RTS, entk_observe::hops::AGENT_END, rec.now_ns());
     }
     db.update_state(unit, state);
-    rec.record(
-        components::RTS,
-        "unit_ended",
-        u.desc.tag.clone(),
-        format!("{state:?}"),
-    );
+    if rec.is_enabled() {
+        rec.record(
+            components::RTS,
+            "unit_ended",
+            u.desc.tag.as_str(),
+            format!("{state:?}"),
+        );
+    }
     rec.metrics().counter("rts.units_ended").incr();
     if let Some((tx, credit)) = cb {
         let _ = tx.send(UnitCallback {

@@ -93,6 +93,25 @@ if [ -n "$rereads" ]; then
     exit 1
 fi
 
+echo "== no headers on the core data path =="
+# Pending, Done and sync messages are typed payloads (crates/core/src/
+# messages.rs): a header costs a map node and two strings to build and the
+# same again each time the broker clones the message, on every task. A
+# `with_header(` call in non-test code of the core message and loop files
+# fails the check; the trace context rides through `Message::with_trace`.
+headers=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests/ { in_tests = 1 }
+    !in_tests && /with_header\(/ { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/messages.rs crates/core/src/wfprocessor.rs \
+  crates/core/src/execmanager.rs crates/core/src/synchronizer.rs \
+  crates/core/src/appmanager.rs)
+if [ -n "$headers" ]; then
+    echo "$headers"
+    echo "header on the core data path: carry the field in the typed payload instead"
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 # Every crate's unit tests and proptests, not only the facade package and
 # the root tests/ that a plain `cargo test` runs.

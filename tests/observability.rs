@@ -3,6 +3,7 @@
 //! paper's overhead decomposition (§IV-A2) re-derived from the trace and
 //! checked against the run's own report.
 
+use entk::core::ExecManagerConfig;
 use entk::observe::{components, hops, json, prom, Event, Recorder};
 use entk::prelude::*;
 use std::path::PathBuf;
@@ -26,6 +27,10 @@ fn scratch(tag: &str) -> PathBuf {
 /// 2 pipelines × 2 stages × 3 tasks on the local backend; `fail_first`
 /// makes one task fail its first attempt so the retry path enters the trace.
 fn run_traced(tag: &str, fail_first: bool) -> (RunReport, Recorder) {
+    run_traced_with(tag, fail_first, ExecManagerConfig::default())
+}
+
+fn run_traced_with(tag: &str, fail_first: bool, exec: ExecManagerConfig) -> (RunReport, Recorder) {
     let mut wf = Workflow::new();
     for p in 0..2 {
         let mut pipeline = Pipeline::new(format!("p{p}"));
@@ -54,12 +59,24 @@ fn run_traced(tag: &str, fail_first: bool) -> (RunReport, Recorder) {
     let mut amgr = AppManager::new(
         AppManagerConfig::new(ResourceDescription::local(3))
             .with_run_timeout(timeout())
+            .with_exec_manager(exec)
             .with_recorder(recorder.clone())
             .with_trace_path(scratch(tag)),
     );
     let report = amgr.run(wf).expect("run succeeds");
     assert!(report.succeeded);
     (report, recorder)
+}
+
+/// Sync messages the Synchronizer drained over a run: the sum of its
+/// `sync.apply` spans' payloads, one per drain.
+fn sync_messages_drained(recorder: &Recorder) -> u64 {
+    recorder
+        .snapshot()
+        .iter()
+        .filter(|e| e.component == components::SYNC && e.kind == "apply")
+        .map(|e| e.payload.parse::<u64>().expect("a message count"))
+        .sum()
 }
 
 #[test]
@@ -153,17 +170,43 @@ fn mq_latency_histograms_are_populated_by_a_full_run() {
         assert!(h.count > 0, "{name} must see traffic");
         assert!(h.p50_ns > 0 && h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
     }
-    // Eight deliveries per task on this retry-free run: Pending, Done and
-    // six sync requests. The Synchronizer answers in process; an ack queue
-    // would add six more.
+    // On this retry-free run every task is one Pending and one Done
+    // delivery, and every sync batch — however many tasks it names — one
+    // more. Each task takes six synchronized transitions, so a batch per
+    // transition would make six per task; Enqueue's first pass tags both
+    // pipelines' first stages, six tasks, in one batch, so there are fewer.
+    // The Synchronizer answers in process; an ack queue would add one more
+    // delivery per batch.
     let tasks = 12;
+    let batches = sync_messages_drained(&recorder);
+    assert!((1..6 * tasks).contains(&batches), "{batches} sync batches");
     assert_eq!(
         m.histogram("mq.publish_to_deliver").snapshot().count,
-        8 * tasks
+        2 * tasks + batches
     );
     // The synchronizer's transition-latency histogram is the paper's
     // management-overhead microscope.
     assert!(m.histogram("span.sync.apply").snapshot().count > 0);
+}
+
+#[test]
+fn a_batch_limit_of_one_delivers_eight_messages_per_task() {
+    // The per-task path: Pending, Done and six sync batches of one task.
+    let exec = ExecManagerConfig {
+        max_batch: 1,
+        ..Default::default()
+    };
+    let (_report, recorder) = run_traced_with("mq-hist-1", false, exec);
+    let tasks = 12;
+    assert_eq!(sync_messages_drained(&recorder), 6 * tasks);
+    assert_eq!(
+        recorder
+            .metrics()
+            .histogram("mq.publish_to_deliver")
+            .snapshot()
+            .count,
+        8 * tasks
+    );
 }
 
 #[test]
