@@ -330,8 +330,8 @@ fn main() {
         "every task's trace folded into the critical path"
     );
 
-    // Observability v3 sections: host inventory, trace-store accounting,
-    // and the per-shard journal health table are always present.
+    // Observability v3 sections: host inventory and trace-store accounting
+    // are always present.
     let host_cores = doc
         .get("host")
         .and_then(|h| h.get("cores"))
@@ -347,9 +347,6 @@ fn main() {
     doc.get("queues_stale")
         .and_then(|v| v.as_bool())
         .expect("queues_stale marker");
-    doc.get("shard_journals")
-        .and_then(|v| v.as_array())
-        .expect("shard_journals table");
     let traces_kept = doc
         .get("traces")
         .and_then(|t| t.get("kept"))

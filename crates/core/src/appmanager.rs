@@ -240,8 +240,6 @@ pub struct AppManagerConfig {
     pub heartbeat_interval: Duration,
     /// State journal path (enables recovery across runs).
     pub journal_path: Option<PathBuf>,
-    /// Broker durability journal path (message recovery).
-    pub broker_journal_path: Option<PathBuf>,
     /// Wall-clock limit for one `run` call.
     pub run_timeout: Duration,
     /// Report paper-scale overheads next to measured ones.
@@ -289,7 +287,6 @@ impl AppManagerConfig {
             max_rts_restarts: 3,
             heartbeat_interval: Duration::from_millis(25),
             journal_path: None,
-            broker_journal_path: None,
             run_timeout: Duration::from_secs(600),
             python_emulation: None,
             chaos_rts_kill_after: None,
@@ -905,7 +902,6 @@ impl AppManager {
         let broker = match external_broker {
             Some(b) => b,
             None => Broker::with_config(BrokerConfig {
-                journal_path: self.config.broker_journal_path.clone(),
                 recorder: recorder.is_enabled().then(|| recorder.clone()),
                 ..Default::default()
             })?,

@@ -9,23 +9,25 @@
 //! executed on multiple attempts, without restarting completed tasks").
 //!
 //! Format: one record per line, `kind<TAB>uid<TAB>name<TAB>state`. Names
-//! are the cross-run recovery key because uids are regenerated each run.
+//! are the cross-run recovery key because uids are regenerated each run. A
+//! torn last line (crash mid-append) is cut off when the journal is opened
+//! again, so the next record starts on a line of its own.
 
 use crate::EntkResult;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Append-only journal of applied state transitions.
 pub struct StateStore {
-    path: PathBuf,
     writer: Mutex<BufWriter<File>>,
 }
 
 impl StateStore {
-    /// Open (or create) the journal at `path`.
+    /// Open (or create) the journal at `path`, truncating a torn last line
+    /// back to the last complete one first.
     pub fn open(path: impl AsRef<Path>) -> EntkResult<Self> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
@@ -33,20 +35,15 @@ impl StateStore {
                 std::fs::create_dir_all(parent).map_err(crate::EntkError::Journal)?;
             }
         }
+        repair_torn_tail(&path).map_err(crate::EntkError::Journal)?;
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .map_err(crate::EntkError::Journal)?;
         Ok(StateStore {
-            path,
             writer: Mutex::new(BufWriter::new(file)),
         })
-    }
-
-    /// The journal path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Record one applied transition. Tab characters in fields are replaced
@@ -96,9 +93,27 @@ impl StateStore {
     }
 }
 
+/// Cut a partial last line off the file at `path`: appending after it would
+/// glue the next record onto it, and replay would lose that record too.
+fn repair_torn_tail(path: &Path) -> std::io::Result<()> {
+    let data = match std::fs::read(path) {
+        Ok(data) => data,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if data.last().is_some_and(|&b| b != b'\n') {
+        let keep = data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let f = OpenOptions::new().write(true).open(path)?;
+        f.set_len(keep as u64)?;
+        f.sync_all()?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -157,6 +172,30 @@ mod tests {
         }
         let done = StateStore::completed_task_names(&p).unwrap();
         assert!(done.contains("evil name"));
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn torn_last_line_is_cut_before_the_next_record() {
+        let p = tmp("torn");
+        std::fs::write(&p, "task\ttask.1\tsim-a\tdone\ntask\ttask.2\tsim-b\tsubmi").unwrap();
+        {
+            let store = StateStore::open(&p).unwrap();
+            store.record("task", "task.2", "sim-b", "done").unwrap();
+        }
+        let done = StateStore::completed_task_names(&p).unwrap();
+        assert_eq!(
+            done,
+            HashSet::from(["sim-a".to_string(), "sim-b".to_string()])
+        );
+        assert_eq!(
+            std::fs::read_to_string(&p).unwrap(),
+            "task\ttask.1\tsim-a\tdone\ntask\ttask.2\tsim-b\tdone\n"
+        );
+        // A file holding only a partial line is cut to empty.
+        std::fs::write(&p, "task\ttas").unwrap();
+        drop(StateStore::open(&p).unwrap());
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), 0);
         std::fs::remove_file(&p).unwrap();
     }
 

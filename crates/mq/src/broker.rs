@@ -207,20 +207,7 @@ impl Broker {
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             let journal = match &config.journal_path {
-                Some(p) => {
-                    let mut j = Journal::open(segment_path(p, i))?;
-                    // Per-shard fsync/lock-wait instrumentation: the shard
-                    // index in the metric name is what makes a slow or
-                    // contended segment attributable from /statusz alone.
-                    if let Some(rec) = config.recorder.as_ref().filter(|r| r.is_enabled()) {
-                        let m = rec.metrics();
-                        j = j.with_metrics(crate::journal::JournalMetrics {
-                            fsync: m.histogram(&format!("mq.shard.{i}.journal_fsync")),
-                            lock_wait: m.counter(&format!("mq.shard.{i}.journal_lock_wait")),
-                        });
-                    }
-                    Some(j)
-                }
+                Some(p) => Some(Journal::open(segment_path(p, i))?),
                 None => None,
             };
             shards.push(Shard {
@@ -270,10 +257,8 @@ impl Broker {
         })
     }
 
-    /// [`Broker::recover`] with full configuration control — the ensemble
-    /// service recovers its shared broker with a live recorder attached so
-    /// the depth sampler resumes publishing `mq.queue.*` gauges immediately.
-    /// `config.journal_path` must be set.
+    /// [`Broker::recover`] with full configuration control (shard count,
+    /// recorder). `config.journal_path` must be set.
     pub fn recover_with_config(config: BrokerConfig) -> MqResult<Self> {
         let path = config
             .journal_path
@@ -634,32 +619,17 @@ impl Broker {
         Ok(self.get_queue(queue)?.stats())
     }
 
-    /// Aggregate statistics across all shards. Per-shard aggregates are
-    /// combined with [`BrokerStats::merge`], which sums the per-queue
-    /// counters but takes the max of `journal_bytes` — the journal-bytes
-    /// gauge is stamped broker-wide on every shard aggregate, so summing it
-    /// would count each segment once per shard.
+    /// Aggregate statistics: every queue of every shard absorbed into one
+    /// [`BrokerStats`].
     pub fn stats(&self) -> BrokerStats {
-        let journal_bytes: u64 = self
-            .inner
-            .shards
-            .iter()
-            .filter_map(|s| s.journal.as_ref())
-            .map(|j| j.bytes())
-            .sum();
         let mut agg = BrokerStats::default();
         for shard in &self.inner.shards {
             // Snapshot the handles so per-queue stats locks are taken
             // without holding the shard's registry lock.
             let handles: Vec<Arc<QueueHandle>> = shard.queues.read().values().cloned().collect();
-            let mut shard_stats = BrokerStats {
-                journal_bytes,
-                ..Default::default()
-            };
             for handle in handles {
-                shard_stats.absorb(&handle.stats());
+                agg.absorb(&handle.stats());
             }
-            agg.merge(&shard_stats);
         }
         agg
     }
@@ -1623,14 +1593,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_durable_broker_records_per_shard_fsync_histograms() {
-        let path = tmp_journal("shard-fsync-metrics");
+    fn sharded_durable_broker_splits_appends_across_segments() {
+        let path = tmp_journal("shard-split");
         cleanup_segments(&path);
-        let rec = Recorder::new();
         let b = Broker::with_config(
             BrokerConfig {
                 journal_path: Some(path.clone()),
-                recorder: Some(rec.clone()),
                 ..Default::default()
             }
             .with_shards(2),
@@ -1642,23 +1610,13 @@ mod tests {
             b.publish(&q, Message::persistent("x")).unwrap();
         }
         b.close();
-        let appends: u64 = (0..2)
-            .map(|i| {
-                rec.metrics()
-                    .histogram(&format!("mq.shard.{i}.journal_fsync"))
-                    .count()
-            })
-            .sum();
-        // 8 declares + 8 publishes, each one journal append, split across
-        // the two shards by queue-name hash.
-        assert_eq!(appends, 16);
+        // 8 declares + 8 publishes, split across the two segments by
+        // queue-name hash.
         for i in 0..2 {
+            let len = std::fs::metadata(segment_path(&path, i)).unwrap().len();
             assert!(
-                rec.metrics()
-                    .histogram(&format!("mq.shard.{i}.journal_fsync"))
-                    .count()
-                    > 0,
-                "shard {i} saw no appends: queue hash split is degenerate"
+                len > 0,
+                "segment {i} is empty: queue hash split is degenerate"
             );
         }
         cleanup_segments(&path);
@@ -1812,34 +1770,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stats_report_journal_bytes_once() {
-        let path = tmp_journal("stats-bytes");
-        cleanup_segments(&path);
-        let b = Broker::with_config(
-            BrokerConfig {
-                journal_path: Some(path.clone()),
-                ..Default::default()
-            }
-            .with_shards(4),
-        )
-        .unwrap();
+    fn sharded_stats_count_every_queue_once() {
+        let b = Broker::with_config(BrokerConfig::default().with_shards(4)).unwrap();
         for q in 0..8 {
             let name = format!("q{q}");
             b.declare_queue(&name, QueueConfig::durable()).unwrap();
             b.publish(&name, Message::persistent("payload")).unwrap();
         }
-        let on_disk: u64 = existing_segments(&path)
-            .iter()
-            .map(|p| std::fs::metadata(p).unwrap().len())
-            .sum();
-        assert!(on_disk > 0);
         let s = b.stats();
-        assert_eq!(
-            s.journal_bytes, on_disk,
-            "journal_bytes must equal total segment bytes exactly once"
-        );
         assert_eq!(s.queues, 8);
+        assert_eq!(s.total_depth, 8);
         b.close();
-        cleanup_segments(&path);
     }
 }

@@ -29,11 +29,12 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Replay result: declared durable queues plus, per queue, the unacked
-/// messages in publish order with their original delivery tags.
-pub type ReplayState = (Vec<String>, BTreeMap<String, Vec<(u64, Message)>>);
+/// messages keyed by their original delivery tag (tag order is publish
+/// order).
+pub type ReplayState = (Vec<String>, BTreeMap<String, BTreeMap<u64, Message>>);
 
 /// Full scan result: everything [`ReplayState`] carries, plus the byte
 /// offset after the last complete record (for torn-tail repair) and the
@@ -44,8 +45,9 @@ pub type ReplayState = (Vec<String>, BTreeMap<String, Vec<(u64, Message)>>);
 pub struct Replay {
     /// Durable queues declared in the journal, in first-declaration order.
     pub declared: Vec<String>,
-    /// Per queue: published-but-unacked messages in publish order.
-    pub live: BTreeMap<String, Vec<(u64, Message)>>,
+    /// Per queue: published-but-unacked messages by tag (publish order).
+    /// An ack removes its one entry, so a scan is linear in the records.
+    pub live: BTreeMap<String, BTreeMap<u64, Message>>,
     /// Per queue: highest delivery tag seen in any record.
     pub max_tags: BTreeMap<String, u64>,
     /// Per queue: ack tags whose matching publish was *not* found in this
@@ -70,8 +72,7 @@ impl Replay {
     /// * `declared` is the union, in first-appearance order across segments;
     /// * `live` is the union of published-but-unacked messages minus every
     ///   ack seen in *any* segment (cross-segment acks resolve here), each
-    ///   queue sorted by tag — tags are monotonic per queue, so tag order is
-    ///   publish order;
+    ///   queue in tag (= publish) order;
     /// * `max_tags` takes the per-queue maximum across segments, so the
     ///   tag-floor bump covers every tag any segment has ever journaled.
     ///
@@ -97,11 +98,12 @@ impl Replay {
                 orphans.entry(q).or_default().extend(tags);
             }
         }
-        for (q, msgs) in out.live.iter_mut() {
-            if let Some(dead) = orphans.get(q) {
-                msgs.retain(|(t, _)| !dead.contains(t));
+        for (q, dead) in &orphans {
+            if let Some(msgs) = out.live.get_mut(q) {
+                for tag in dead {
+                    msgs.remove(tag);
+                }
             }
-            msgs.sort_by_key(|(t, _)| *t);
         }
         out.live.retain(|_, msgs| !msgs.is_empty());
         out.acked = orphans
@@ -256,26 +258,9 @@ pub enum JournalRecord {
     },
 }
 
-/// Per-journal instrumentation handles, installed by the broker when a
-/// recorder is configured: one fsync-latency histogram and one lock-wait
-/// counter per shard (`mq.shard.<i>.journal_fsync` /
-/// `mq.shard.<i>.journal_lock_wait`). Uninstrumented journals pay one
-/// `Option` check per append.
-#[derive(Clone)]
-pub struct JournalMetrics {
-    /// Latency of one append's write+flush, measured from lock acquisition
-    /// to flush completion.
-    pub fsync: std::sync::Arc<entk_observe::Histogram>,
-    /// Appends that found the writer lock already held (shard journal
-    /// contention — the PR 8 shard-scaling blind spot).
-    pub lock_wait: std::sync::Arc<entk_observe::Counter>,
-}
-
 /// Append-only journal bound to a file path.
 pub struct Journal {
-    path: PathBuf,
     writer: Mutex<BufWriter<File>>,
-    metrics: Option<JournalMetrics>,
 }
 
 use frame::{write_bytes, write_u32, write_u64, FrameReader};
@@ -377,38 +362,8 @@ impl Journal {
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Journal {
-            path,
             writer: Mutex::new(BufWriter::new(file)),
-            metrics: None,
         })
-    }
-
-    /// Install instrumentation handles, builder-style (see
-    /// [`JournalMetrics`]).
-    pub fn with_metrics(mut self, metrics: JournalMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Acquire the writer lock, counting a lock-wait when it was contended.
-    fn lock_writer(&self) -> parking_lot::MutexGuard<'_, BufWriter<File>> {
-        if let Some(g) = self.writer.try_lock() {
-            return g;
-        }
-        if let Some(m) = &self.metrics {
-            m.lock_wait.incr();
-        }
-        self.writer.lock()
-    }
-
-    /// The path this journal writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Current on-disk size of this journal segment in bytes.
-    pub fn bytes(&self) -> u64 {
-        std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
     }
 
     fn write_record(w: &mut impl Write, rec: &JournalRecord) -> MqResult<()> {
@@ -444,13 +399,9 @@ impl Journal {
 
     /// Append a record and flush it to the OS.
     pub fn append(&self, rec: &JournalRecord) -> MqResult<()> {
-        let mut w = self.lock_writer();
-        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let mut w = self.writer.lock();
         Self::write_record(&mut *w, rec)?;
         w.flush()?;
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.fsync.record(t0.elapsed());
-        }
         // Failpoint: crash after the flush — the record is durable but the
         // caller sees a failure, modeling a process killed post-write.
         if entk_fail::hit_sleep("mq.journal.flush_crash").is_some() {
@@ -488,15 +439,11 @@ impl Journal {
             w.flush()?;
             return Err(MqError::FaultInjected("mq.journal.torn_tail".into()));
         }
-        let mut w = self.lock_writer();
-        let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let mut w = self.writer.lock();
         for rec in recs {
             Self::write_record(&mut *w, rec)?;
         }
         w.flush()?;
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.fsync.record(t0.elapsed());
-        }
         if entk_fail::hit_sleep("mq.journal.flush_crash").is_some() {
             return Err(MqError::FaultInjected("mq.journal.flush_crash".into()));
         }
@@ -550,18 +497,13 @@ impl Journal {
                     msg.headers = headers;
                     let mt = out.max_tags.entry(queue.clone()).or_insert(0);
                     *mt = (*mt).max(tag);
-                    out.live.entry(queue).or_default().push((tag, msg));
+                    out.live.entry(queue).or_default().insert(tag, msg);
                 }
                 JournalRecord::Ack { queue, tag } => {
                     let mt = out.max_tags.entry(queue.clone()).or_insert(0);
                     *mt = (*mt).max(tag);
-                    let mut matched = false;
-                    if let Some(msgs) = out.live.get_mut(&queue) {
-                        let before = msgs.len();
-                        msgs.retain(|(t, _)| *t != tag);
-                        matched = msgs.len() != before;
-                    }
-                    if !matched {
+                    let live = out.live.get_mut(&queue);
+                    if live.and_then(|m| m.remove(&tag)).is_none() {
                         // The publish half lives in another journal segment
                         // (or a pre-shard legacy file); keep the ack so a
                         // merged replay can apply it cross-segment.
@@ -577,6 +519,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -619,8 +562,7 @@ mod tests {
         assert_eq!(declared, vec!["pending".to_string()]);
         let msgs = &live["pending"];
         assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].0, 2);
-        assert_eq!(&msgs[0].1.payload[..], b"task-2");
+        assert_eq!(&msgs[&2].payload[..], b"task-2");
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -647,7 +589,7 @@ mod tests {
         .unwrap();
         drop(j);
         let (_, live) = Journal::replay(&p).unwrap();
-        assert_eq!(live["q"][0].1.headers, headers);
+        assert_eq!(live["q"][&7].headers, headers);
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -665,7 +607,7 @@ mod tests {
         let (_, live) = Journal::replay(&p).unwrap();
         let msgs = &live["q"];
         assert_eq!(msgs.len(), 1);
-        assert_eq!(&msgs[0].1.payload[..], b"complete");
+        assert_eq!(&msgs[&1].payload[..], b"complete");
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -715,8 +657,7 @@ mod tests {
         assert_eq!(declared, vec!["q".to_string()]);
         let msgs = &live["q"];
         assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].0, 2);
-        assert_eq!(&msgs[0].1.payload[..], b"b");
+        assert_eq!(&msgs[&2].payload[..], b"b");
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -818,9 +759,9 @@ mod tests {
         ]);
         // Duplicate declares collapse; acks from B erase A's publishes.
         assert_eq!(merged.declared, vec!["q".to_string(), "r".to_string()]);
-        let tags: Vec<u64> = merged.live["q"].iter().map(|(t, _)| *t).collect();
+        let tags: Vec<u64> = merged.live["q"].keys().copied().collect();
         assert_eq!(tags, vec![2]);
-        let tags: Vec<u64> = merged.live["r"].iter().map(|(t, _)| *t).collect();
+        let tags: Vec<u64> = merged.live["r"].keys().copied().collect();
         assert_eq!(tags, vec![40]);
         // Tag floors cover the union: q saw up to 3, r up to 40.
         assert_eq!(merged.max_tags["q"], 3);
@@ -848,7 +789,7 @@ mod tests {
             Journal::scan(&pa).unwrap(),
             Journal::scan(&pb).unwrap(),
         ]);
-        let tags: Vec<u64> = merged.live["q"].iter().map(|(t, _)| *t).collect();
+        let tags: Vec<u64> = merged.live["q"].keys().copied().collect();
         assert_eq!(tags, vec![1, 2, 3, 4]);
         std::fs::remove_file(&pa).unwrap();
         std::fs::remove_file(&pb).unwrap();
@@ -874,7 +815,7 @@ mod tests {
             let scan = Journal::scan(&p).unwrap();
             assert!(scan.torn_tail, "cut at {cut}");
             assert_eq!(scan.safe_len, boundary, "cut at {cut}");
-            let tags: Vec<u64> = scan.live["q"].iter().map(|(t, _)| *t).collect();
+            let tags: Vec<u64> = scan.live["q"].keys().copied().collect();
             assert_eq!(tags, vec![1, 2], "cut at {cut}");
 
             // Regression: appending after a torn tail used to glue the new
@@ -890,7 +831,7 @@ mod tests {
             drop(j);
             let scan2 = Journal::scan(&p).unwrap();
             assert!(!scan2.torn_tail, "cut at {cut}");
-            let tags: Vec<u64> = scan2.live["q"].iter().map(|(t, _)| *t).collect();
+            let tags: Vec<u64> = scan2.live["q"].keys().copied().collect();
             assert_eq!(tags, vec![1, 2, 4], "cut at {cut}");
         }
         std::fs::remove_file(&p).unwrap();
@@ -913,7 +854,7 @@ mod tests {
         drop(j);
         let scan = Journal::scan(&p).unwrap();
         assert!(scan.torn_tail);
-        let tags: Vec<u64> = scan.live["q"].iter().map(|(t, _)| *t).collect();
+        let tags: Vec<u64> = scan.live["q"].keys().copied().collect();
         assert_eq!(tags, vec![1]);
         std::fs::remove_file(&p).unwrap();
     }
@@ -931,7 +872,7 @@ mod tests {
         // though the caller saw a failure.
         let scan = Journal::scan(&p).unwrap();
         assert_eq!(scan.live["q"].len(), 1);
-        assert_eq!(&scan.live["q"][0].1.payload[..], b"made-it");
+        assert_eq!(&scan.live["q"][&1].payload[..], b"made-it");
         std::fs::remove_file(&p).unwrap();
     }
 

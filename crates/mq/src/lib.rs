@@ -35,7 +35,7 @@ pub mod stats;
 pub use broker::{Broker, BrokerConfig};
 pub use consumer::Consumer;
 pub use error::{MqError, MqResult};
-pub use journal::{Journal, JournalMetrics, JournalRecord};
+pub use journal::{Journal, JournalRecord};
 pub use message::{Attachment, Delivery, Message};
 pub use queue::QueueConfig;
 pub use stats::{BrokerStats, QueueStats};

@@ -64,18 +64,10 @@ pub struct BrokerStats {
     pub total_batch_acks: u64,
     /// Approximate bytes resident across all queues.
     pub resident_bytes: usize,
-    /// On-disk bytes across every journal segment. This is a *broker-wide*
-    /// gauge, not a per-queue counter: a sharded broker stamps the same
-    /// total onto each per-shard aggregate, and [`BrokerStats::merge`] takes
-    /// the max rather than the sum so the shared gauge is never counted
-    /// once per shard.
-    pub journal_bytes: u64,
 }
 
 impl BrokerStats {
-    /// Fold one queue's stats into the aggregate. Queue stats never carry
-    /// journal bytes (the journal belongs to the shard, not the queue), so
-    /// `journal_bytes` is untouched here.
+    /// Fold one queue's stats into the aggregate.
     pub fn absorb(&mut self, q: &QueueStats) {
         self.queues += 1;
         self.total_depth += q.depth;
@@ -89,26 +81,6 @@ impl BrokerStats {
         self.total_batch_deliveries += q.batch_deliveries;
         self.total_batch_acks += q.batch_acks;
         self.resident_bytes += q.resident_bytes;
-    }
-
-    /// Fold another shard's aggregate into this one: per-queue counters and
-    /// depths sum; the broker-wide `journal_bytes` gauge takes the max so a
-    /// value stamped on every shard aggregate is not multiplied by the shard
-    /// count.
-    pub fn merge(&mut self, other: &BrokerStats) {
-        self.queues += other.queues;
-        self.total_depth += other.total_depth;
-        self.total_unacked += other.total_unacked;
-        self.total_enqueued += other.total_enqueued;
-        self.total_delivered += other.total_delivered;
-        self.total_acked += other.total_acked;
-        self.total_requeued += other.total_requeued;
-        self.total_purged += other.total_purged;
-        self.total_batch_publishes += other.total_batch_publishes;
-        self.total_batch_deliveries += other.total_batch_deliveries;
-        self.total_batch_acks += other.total_batch_acks;
-        self.resident_bytes += other.resident_bytes;
-        self.journal_bytes = self.journal_bytes.max(other.journal_bytes);
     }
 }
 
@@ -184,58 +156,6 @@ mod tests {
         assert_eq!(b.total_delivered, 14);
         assert_eq!(b.total_requeued, 4);
         assert_eq!(b.total_purged, 2);
-    }
-
-    /// Regression mirroring `absorb_keeps_delivered_requeued_purged` for the
-    /// sharded-broker merge path: per-shard counters must sum, but the
-    /// broker-wide journal-bytes gauge — stamped identically on every shard
-    /// aggregate — must NOT be multiplied by the shard count.
-    #[test]
-    fn merge_sums_counters_without_double_counting_journal_bytes() {
-        let q = QueueStats {
-            name: "a".into(),
-            depth: 3,
-            unacked: 1,
-            enqueued: 10,
-            delivered: 7,
-            acked: 6,
-            requeued: 2,
-            purged: 1,
-            batch_publishes: 4,
-            batch_deliveries: 3,
-            batch_acks: 2,
-            resident_bytes: 100,
-            durable: true,
-        };
-        let mut shard_a = BrokerStats {
-            journal_bytes: 4096,
-            ..Default::default()
-        };
-        shard_a.absorb(&q);
-        let mut shard_b = BrokerStats {
-            journal_bytes: 4096,
-            ..Default::default()
-        };
-        shard_b.absorb(&q);
-        shard_b.absorb(&q);
-
-        let mut agg = BrokerStats::default();
-        agg.merge(&shard_a);
-        agg.merge(&shard_b);
-        assert_eq!(agg.queues, 3);
-        assert_eq!(agg.total_depth, 9);
-        assert_eq!(agg.total_enqueued, 30);
-        assert_eq!(agg.total_delivered, 21);
-        assert_eq!(agg.total_requeued, 6);
-        assert_eq!(agg.total_purged, 3);
-        assert_eq!(agg.total_batch_publishes, 12);
-        assert_eq!(agg.total_batch_deliveries, 9);
-        assert_eq!(agg.total_batch_acks, 6);
-        assert_eq!(agg.resident_bytes, 300);
-        assert_eq!(
-            agg.journal_bytes, 4096,
-            "shared gauge must be max'd, not summed per shard"
-        );
     }
 
     #[test]

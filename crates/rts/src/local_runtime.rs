@@ -8,7 +8,7 @@
 
 use crate::api::{RtsDown, UnitCallback, UnitDescription, UnitId, UnitOutcome, UnitState};
 use crate::executable::Executable;
-use crate::profile::UnitRecord;
+use crate::profile::{UnitCounters, UnitRecord};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use entk_observe::{components, Recorder};
 use parking_lot::Mutex;
@@ -53,6 +53,7 @@ pub struct LocalRuntime {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     epoch: Instant,
     recorder: Recorder,
+    counters: UnitCounters,
 }
 
 impl LocalRuntime {
@@ -67,6 +68,7 @@ impl LocalRuntime {
         let alive = Arc::new(AtomicBool::new(true));
         let epoch = Instant::now();
         let recorder = config.recorder.unwrap_or_else(Recorder::disabled);
+        let counters = UnitCounters::new(&recorder);
         let mut handles = Vec::new();
         for w in 0..config.workers.max(1) {
             let work_rx = work_rx.clone();
@@ -75,11 +77,14 @@ impl LocalRuntime {
             let alive = Arc::clone(&alive);
             let time_scale = config.time_scale;
             let recorder = recorder.clone();
+            let counters = counters.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("local-exec-{w}"))
                     .spawn(move || {
-                        worker_loop(work_rx, cb_tx, state, alive, time_scale, epoch, recorder)
+                        worker_loop(
+                            work_rx, cb_tx, state, alive, time_scale, epoch, recorder, counters,
+                        )
                     })
                     .expect("spawn local worker"),
             );
@@ -92,6 +97,7 @@ impl LocalRuntime {
             workers: Mutex::new(handles),
             epoch,
             recorder,
+            counters,
         }
     }
 
@@ -133,10 +139,7 @@ impl LocalRuntime {
                 .insert(id, UnitRecord::submitted(id, desc.tag.clone(), now));
             self.recorder
                 .record(components::RTS, "unit_submitted", desc.tag.as_str(), "");
-            self.recorder
-                .metrics()
-                .counter("rts.units_submitted")
-                .incr();
+            self.counters.submitted.incr();
             ids.push(id);
             tx.send((id, desc)).expect("workers alive");
         }
@@ -198,6 +201,7 @@ fn worker_loop(
     time_scale: f64,
     epoch: Instant,
     recorder: Recorder,
+    counters: UnitCounters,
 ) {
     while let Ok((id, mut desc)) = work_rx.recv() {
         if !alive.load(Ordering::Acquire) {
@@ -221,7 +225,7 @@ fn worker_loop(
             );
         }
         recorder.record(components::RTS, "unit_started", desc.tag.as_str(), "");
-        recorder.metrics().counter("rts.units_started").incr();
+        counters.started.incr();
         let _ = cb_tx.send(UnitCallback {
             unit: id,
             tag: desc.tag.clone(),
@@ -279,7 +283,7 @@ fn worker_loop(
                 format!("{term_state:?}"),
             );
         }
-        recorder.metrics().counter("rts.units_ended").incr();
+        counters.ended.incr();
         let _ = cb_tx.send(UnitCallback {
             unit: id,
             tag: desc.tag,

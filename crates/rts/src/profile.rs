@@ -6,6 +6,28 @@
 //! the backend's timeline (virtual seconds for the simulated backend).
 
 use crate::api::{UnitId, UnitOutcome};
+use entk_observe::{Counter, Recorder};
+use std::sync::Arc;
+
+/// The `rts.units_{submitted,started,ended}` counters, looked up in the
+/// metrics registry once per runtime instead of once per unit and event.
+#[derive(Clone)]
+pub(crate) struct UnitCounters {
+    pub(crate) submitted: Arc<Counter>,
+    pub(crate) started: Arc<Counter>,
+    pub(crate) ended: Arc<Counter>,
+}
+
+impl UnitCounters {
+    pub(crate) fn new(recorder: &Recorder) -> Self {
+        let m = recorder.metrics();
+        UnitCounters {
+            submitted: m.counter("rts.units_submitted"),
+            started: m.counter("rts.units_started"),
+            ended: m.counter("rts.units_ended"),
+        }
+    }
+}
 
 /// Timeline of one unit, in backend seconds.
 #[derive(Debug, Clone)]

@@ -18,7 +18,7 @@ use crate::api::{
     UnitOutcome, UnitState,
 };
 use crate::db::{DbConfig, DocDb};
-use crate::profile::UnitRecord;
+use crate::profile::{UnitCounters, UnitRecord};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use entk_observe::{components, Recorder};
 use hpc_sim::{
@@ -75,6 +75,7 @@ struct State {
     next_pilot: u64,
     next_unit: u64,
     recorder: Recorder,
+    counters: UnitCounters,
 }
 
 /// The simulated-backend RTS core.
@@ -115,6 +116,7 @@ impl SimRuntime {
             next_pilot: 1,
             next_unit: 1,
             recorder: recorder.clone(),
+            counters: UnitCounters::new(&recorder),
         }));
         let db = Arc::new(DocDb::new(config.db));
         let alive = Arc::new(AtomicBool::new(true));
@@ -301,10 +303,7 @@ impl SimRuntime {
                 ));
                 self.recorder
                     .record(components::RTS, "unit_submitted", desc.tag.as_str(), "");
-                self.recorder
-                    .metrics()
-                    .counter("rts.units_submitted")
-                    .incr();
+                st.counters.submitted.incr();
                 let record = UnitRecord::submitted(id, desc.tag.clone(), now);
                 let stage_in = desc.staging.stage_in.clone();
                 let entry = UnitEntry {
@@ -554,7 +553,7 @@ fn set_state_mem_locked(
                 );
             }
             rec.record(components::RTS, "unit_started", u.desc.tag.as_str(), "");
-            rec.metrics().counter("rts.units_started").incr();
+            st.counters.started.incr();
         } else if rec.is_enabled() {
             rec.record(
                 components::RTS,
@@ -631,7 +630,7 @@ fn fail_unit_locked(
             format!("{state:?}"),
         );
     }
-    rec.metrics().counter("rts.units_ended").incr();
+    st.counters.ended.incr();
     if let Some((tx, credit)) = cb {
         let _ = tx.send(UnitCallback {
             unit,

@@ -1,20 +1,24 @@
 //! Service-level workflow journal: the durability layer behind
 //! [`EnsembleService::recover`](crate::service::EnsembleService::recover).
 //!
-//! Built on the reusable length-delimited framing from
-//! [`entk_mq::journal::frame`] — the broker journal and this one share the
-//! same binary grammar primitives, torn-tail semantics, and repair-on-open
-//! behaviour. Where the broker journal records *messages* (publish/ack), this
-//! one records *submissions*:
+//! The service's durable state is this journal plus one task-level state
+//! journal per durable submission; the shared broker keeps none, because
+//! run queues are not durable. Built on the reusable length-delimited
+//! framing from [`entk_mq::journal::frame`] — the mq journal and this one
+//! share the same binary grammar primitives, torn-tail semantics, and
+//! repair-on-open behaviour. Where the mq journal records *messages*
+//! (publish/ack), this one records *submissions*:
 //!
 //! ```text
 //! record    := kind:u8 body
 //! submitted := 0x01 id:u64 weight:u32 tlen:u32 tenant slen:u32 spec_json
-//! started   := 0x02 id:u64 slen:u32 session
 //! settled   := 0x03 id:u64 state:u8 done:u64 failed:u64 turnaround_ms:u64
 //! ```
 //!
 //! All integers are little-endian; strings are u32-length-prefixed UTF-8.
+//! Kind `0x02` (`started := 0x02 id:u64 slen:u32 session`) is no longer
+//! written; replay still reads its body and drops it, so an older journal
+//! recovers to the same submissions.
 //! `spec_json` is the [`WorkflowSpec`](crate::spec::WorkflowSpec) wire
 //! encoding, so replay can re-materialize the exact workflow. Replay folds
 //! records into per-submission lifecycles: a `submitted` with no `settled`
@@ -24,7 +28,7 @@
 //! journal (`sub-NNNNN.tasks.log` in the same directory), which survives the
 //! crash and skips tasks journaled Done.
 //!
-//! Failpoints: `gateway.journal.submitted` / `.started` / `.settled` fire
+//! Failpoints: `gateway.journal.submitted` / `.settled` fire
 //! *before* the corresponding append — tripping one models a process killed
 //! just before the record reached disk, the adversarial window for
 //! exactly-once reasoning.
@@ -36,7 +40,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const KIND_SUBMITTED: u8 = 0x01;
 const KIND_STARTED: u8 = 0x02;
@@ -88,13 +92,6 @@ pub enum ServiceRecord {
         /// The workflow spec's JSON encoding.
         spec_json: String,
     },
-    /// A worker dispatched the submission under a broker session namespace.
-    Started {
-        /// Submission id.
-        id: u64,
-        /// Session name (`s{:05}` of the id).
-        session: String,
-    },
     /// The submission reached a terminal state.
     Settled {
         /// Submission id.
@@ -135,8 +132,6 @@ pub struct JournaledSub {
     pub weight: u32,
     /// The workflow spec's JSON encoding.
     pub spec_json: String,
-    /// Session namespace, if the submission was dispatched before the crash.
-    pub session: Option<String>,
     /// Terminal summary, if the submission settled before the crash.
     pub settled: Option<SettledInfo>,
 }
@@ -163,17 +158,9 @@ impl ServiceReplay {
 }
 
 /// Append-only service journal bound to a file path.
+#[derive(Debug)]
 pub struct ServiceJournal {
-    path: PathBuf,
     writer: Mutex<BufWriter<File>>,
-}
-
-impl std::fmt::Debug for ServiceJournal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceJournal")
-            .field("path", &self.path)
-            .finish()
-    }
 }
 
 impl ServiceJournal {
@@ -195,14 +182,8 @@ impl ServiceJournal {
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(ServiceJournal {
-            path,
             writer: Mutex::new(BufWriter::new(file)),
         })
-    }
-
-    /// The path this journal writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append one record and flush it to the OS. The per-kind
@@ -211,7 +192,6 @@ impl ServiceJournal {
     pub fn append(&self, rec: &ServiceRecord) -> MqResult<()> {
         let point = match rec {
             ServiceRecord::Submitted { .. } => "gateway.journal.submitted",
-            ServiceRecord::Started { .. } => "gateway.journal.started",
             ServiceRecord::Settled { .. } => "gateway.journal.settled",
         };
         if entk_fail::hit_sleep(point).is_some() {
@@ -236,11 +216,6 @@ impl ServiceJournal {
                 write_u32(&mut *w, *weight)?;
                 write_bytes(&mut *w, tenant.as_bytes())?;
                 write_bytes(&mut *w, spec_json.as_bytes())?;
-            }
-            ServiceRecord::Started { id, session } => {
-                w.write_all(&[KIND_STARTED])?;
-                write_u64(&mut *w, *id)?;
-                write_bytes(&mut *w, session.as_bytes())?;
             }
             ServiceRecord::Settled {
                 id,
@@ -284,7 +259,8 @@ impl ServiceJournal {
         loop {
             let at = reader.pos();
             let rec = match Self::read_record(&mut reader) {
-                Ok(Some(rec)) => rec,
+                Ok(Some(Some(rec))) => rec,
+                Ok(Some(None)) => continue,
                 Ok(None) => {
                     replay.safe_len = at;
                     break;
@@ -310,15 +286,9 @@ impl ServiceJournal {
                             tenant,
                             weight,
                             spec_json,
-                            session: None,
                             settled: None,
                         },
                     );
-                }
-                ServiceRecord::Started { id, session } => {
-                    if let Some(sub) = subs.get_mut(&id) {
-                        sub.session = Some(session);
-                    }
                 }
                 ServiceRecord::Settled {
                     id,
@@ -343,7 +313,11 @@ impl ServiceJournal {
         Ok(replay)
     }
 
-    fn read_record(reader: &mut FrameReader<BufReader<File>>) -> MqResult<Option<ServiceRecord>> {
+    /// Read one record: `None` at a clean end of file, `Some(None)` for a
+    /// complete record of a kind replay drops (`started`).
+    fn read_record(
+        reader: &mut FrameReader<BufReader<File>>,
+    ) -> MqResult<Option<Option<ServiceRecord>>> {
         let Some(kind) = reader.read_kind()? else {
             return Ok(None);
         };
@@ -361,9 +335,9 @@ impl ServiceJournal {
                 }
             }
             KIND_STARTED => {
-                let id = reader.read_u64()?;
-                let session = reader.read_string()?;
-                ServiceRecord::Started { id, session }
+                reader.read_u64()?;
+                reader.read_vec()?;
+                return Ok(Some(None));
             }
             KIND_SETTLED => {
                 let id = reader.read_u64()?;
@@ -387,7 +361,7 @@ impl ServiceJournal {
                 )))
             }
         };
-        Ok(Some(rec))
+        Ok(Some(Some(rec)))
     }
 }
 
@@ -406,6 +380,7 @@ pub fn replay_spec(sub: &JournaledSub) -> MqResult<WorkflowSpec> {
 mod tests {
     use super::*;
     use crate::spec::{ExecSpec, PipelineSpec, StageSpec, TaskSpec};
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("entk-service-journal-tests");
@@ -445,11 +420,6 @@ mod tests {
             spec_json: spec_json(),
         })
         .unwrap();
-        j.append(&ServiceRecord::Started {
-            id: 1,
-            session: "s00001".into(),
-        })
-        .unwrap();
         j.append(&ServiceRecord::Settled {
             id: 1,
             state: SettledState::Done,
@@ -464,9 +434,7 @@ mod tests {
         assert_eq!(replay.subs.len(), 2);
         assert_eq!(replay.next_id, 3);
         assert!(!replay.torn_tail);
-        let one = &replay.subs[0];
-        assert_eq!(one.session.as_deref(), Some("s00001"));
-        let settled = one.settled.unwrap();
+        let settled = replay.subs[0].settled.unwrap();
         assert_eq!(settled.state, SettledState::Done);
         assert_eq!(settled.tasks_done, 3);
         assert_eq!(settled.turnaround_ms, 1234);
@@ -488,20 +456,14 @@ mod tests {
         let path = tmp("torn");
         let _ = std::fs::remove_file(&path);
         let j = ServiceJournal::open(&path).unwrap();
-        j.append(&ServiceRecord::Submitted {
-            id: 1,
-            tenant: "t".into(),
-            weight: 0,
-            spec_json: spec_json(),
-        })
-        .unwrap();
+        j.append(&submitted(1)).unwrap();
         drop(j);
         let clean_len = std::fs::metadata(&path).unwrap().len();
         // Glue a partial record on the end (crash mid-append).
         {
             use std::io::Write as _;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[KIND_STARTED, 9, 9]).unwrap();
+            f.write_all(&[KIND_SETTLED, 9, 9]).unwrap();
         }
         let replay = ServiceJournal::scan(&path).unwrap();
         assert!(replay.torn_tail);
@@ -509,16 +471,69 @@ mod tests {
         assert_eq!(replay.subs.len(), 1);
         // Re-open repairs, and a fresh append replays cleanly.
         let j = ServiceJournal::open(&path).unwrap();
-        j.append(&ServiceRecord::Started {
-            id: 1,
-            session: "s00001".into(),
-        })
-        .unwrap();
+        j.append(&settled(1)).unwrap();
         drop(j);
         let replay = ServiceJournal::scan(&path).unwrap();
         assert!(!replay.torn_tail);
-        assert_eq!(replay.subs[0].session.as_deref(), Some("s00001"));
+        assert!(replay.subs[0].settled.is_some());
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn submitted(id: u64) -> ServiceRecord {
+        ServiceRecord::Submitted {
+            id,
+            tenant: "t".into(),
+            weight: 0,
+            spec_json: spec_json(),
+        }
+    }
+
+    fn settled(id: u64) -> ServiceRecord {
+        ServiceRecord::Settled {
+            id,
+            state: SettledState::Done,
+            tasks_done: 1,
+            tasks_failed: 0,
+            turnaround_ms: 5,
+        }
+    }
+
+    #[test]
+    fn journal_with_started_records_replays_to_the_same_submissions() {
+        let (plain, old) = (tmp("plain-format"), tmp("started-format"));
+        // The `started` record older journals wrote when a worker took a
+        // submission.
+        let started = |b: &mut Vec<u8>, id: u64| {
+            b.push(KIND_STARTED);
+            write_u64(b, id).unwrap();
+            write_bytes(b, format!("s{id:05}").as_bytes()).unwrap();
+        };
+        let (mut plain_bytes, mut old_bytes) = (Vec::new(), Vec::new());
+        for rec in [submitted(1), submitted(2), settled(1), submitted(3)] {
+            ServiceJournal::write_record(&mut plain_bytes, &rec).unwrap();
+            ServiceJournal::write_record(&mut old_bytes, &rec).unwrap();
+            if let ServiceRecord::Submitted { id, .. } = rec {
+                started(&mut old_bytes, id);
+            }
+        }
+        std::fs::write(&plain, &plain_bytes).unwrap();
+        std::fs::write(&old, &old_bytes).unwrap();
+        let want = ServiceJournal::scan(&plain).unwrap();
+        let got = ServiceJournal::scan(&old).unwrap();
+        assert_eq!(got.subs, want.subs);
+        assert_eq!((got.next_id, got.torn_tail), (4, false));
+        // The safe length ends after the last complete record, a `started`
+        // one included; a torn one is cut back to the record before it.
+        assert_eq!(got.safe_len, old_bytes.len() as u64);
+        let mut last = Vec::new();
+        started(&mut last, 3);
+        std::fs::write(&old, &old_bytes[..old_bytes.len() - 3]).unwrap();
+        let torn = ServiceJournal::scan(&old).unwrap();
+        assert_eq!(torn.subs, want.subs);
+        assert!(torn.torn_tail);
+        assert_eq!(torn.safe_len, (old_bytes.len() - last.len()) as u64);
+        let _ = std::fs::remove_file(&plain);
+        let _ = std::fs::remove_file(&old);
     }
 
     #[test]
@@ -540,12 +555,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let j = ServiceJournal::open(&path).unwrap();
         entk_fail::arm_once("gateway.journal.submitted", entk_fail::InjectedAction::Fail);
-        let rec = ServiceRecord::Submitted {
-            id: 1,
-            tenant: "t".into(),
-            weight: 0,
-            spec_json: spec_json(),
-        };
+        let rec = submitted(1);
         assert!(matches!(j.append(&rec), Err(MqError::FaultInjected(_))));
         // Crash-before-append: nothing reached disk.
         let replay = ServiceJournal::scan(&path).unwrap();

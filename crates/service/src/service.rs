@@ -58,9 +58,6 @@ const DECISION_RING_CAPACITY: usize = 256;
 /// Service-journal filename inside the journal directory.
 const SERVICE_JOURNAL_FILE: &str = "service.journal";
 
-/// Broker-journal filename inside the journal directory.
-const BROKER_JOURNAL_FILE: &str = "broker.journal";
-
 /// Per-submission AppManager state-journal filename (task-level recovery
 /// keys; survives a crash so a re-driven submission skips Done tasks).
 fn task_journal_file(id: SubmissionId) -> String {
@@ -105,9 +102,10 @@ pub struct ServiceConfig {
     /// starting from `warm_pilots`. Implies a live recorder and sampler.
     pub adaptive: bool,
     /// Durability directory. When set, the service keeps a workflow journal
-    /// (`service.journal`), a broker journal (`broker.journal`), and one
-    /// task-level state journal per durable submission, all inside this
-    /// directory — the state [`EnsembleService::recover`] rebuilds from.
+    /// (`service.journal`) and one task-level state journal per durable
+    /// submission (`sub-NNNNN.tasks.log`), both inside this directory — the
+    /// state [`EnsembleService::recover`] rebuilds from. The shared broker
+    /// keeps no journal: run queues are not durable.
     /// [`EnsembleService::start`] begins a fresh epoch (existing journal
     /// files are removed); use `recover` to resume a previous one.
     pub journal_dir: Option<PathBuf>,
@@ -323,8 +321,8 @@ impl Inner {
 
     /// Append a record to the durability journal, if one is open and not
     /// frozen. Errors are surfaced as a counter, not propagated: a failed
-    /// `Started`/`Settled` append degrades recovery precision (the sub
-    /// re-drives, task-level dedup still holds) but must not fail the run.
+    /// `Settled` append degrades recovery precision (the sub re-drives,
+    /// task-level dedup still holds) but must not fail the run.
     /// `Submitted` appends go through [`admit`] instead, where failure
     /// rejects the submission.
     fn journal_append(&self, rec: &ServiceRecord) -> MqResult<()> {
@@ -484,10 +482,6 @@ struct Prefill {
     totals: Totals,
     /// `max journaled id + 1` (0 = fresh start).
     next_id: u64,
-    /// Recover the broker journal instead of opening it fresh.
-    recover_broker: bool,
-    /// Dead-session queue prefixes to purge off the recovered broker.
-    purge_prefixes: Vec<String>,
 }
 
 impl EnsembleService {
@@ -500,16 +494,9 @@ impl EnsembleService {
         if let Some(dir) = &config.journal_dir {
             let _ = std::fs::create_dir_all(dir);
             let _ = std::fs::remove_file(dir.join(SERVICE_JOURNAL_FILE));
-            let _ = std::fs::remove_file(dir.join(BROKER_JOURNAL_FILE));
             if let Ok(entries) = std::fs::read_dir(dir) {
                 for e in entries.flatten() {
-                    let name = e.file_name().to_string_lossy().into_owned();
-                    // Per-shard broker segments (`broker-<i>.journal`) from a
-                    // previous epoch must go too, or recovery after this
-                    // fresh start would merge stale shards back in.
-                    if name.ends_with(".tasks.log")
-                        || (name.starts_with("broker-") && name.ends_with(".journal"))
-                    {
+                    if e.file_name().to_string_lossy().ends_with(".tasks.log") {
                         let _ = std::fs::remove_file(e.path());
                     }
                 }
@@ -519,13 +506,13 @@ impl EnsembleService {
     }
 
     /// Rebuild a crashed service from its durability directory: replay the
-    /// workflow journal, recover the broker journal, purge dead session
-    /// queues, restore settled submissions as terminal
+    /// workflow journal, restore settled submissions as terminal
     /// ([`SubmissionOutcome::Recovered`] summaries — the full reports died
     /// with the process), and re-queue every unsettled submission under its
-    /// original id. Re-driven submissions reuse their per-submission task
-    /// journal, so tasks that settled before the crash are skipped:
-    /// completion is exactly-once at task granularity.
+    /// original id on a fresh broker (run queues are not durable, so a dead
+    /// session leaves nothing behind to purge). Re-driven submissions reuse
+    /// their per-submission task journal, so tasks that settled before the
+    /// crash are skipped: completion is exactly-once at task granularity.
     ///
     /// Recovery is idempotent — if it fails partway (e.g. via the
     /// `service.recover.*` failpoints) nothing was consumed and it can
@@ -538,17 +525,11 @@ impl EnsembleService {
         let replay = ServiceJournal::scan(dir.join(SERVICE_JOURNAL_FILE))?;
         let mut prefill = Prefill {
             next_id: replay.next_id,
-            recover_broker: true,
             ..Default::default()
         };
         let (mut restored_settled, mut requeued) = (0u64, 0u64);
         for sub in replay.subs {
             let id = SubmissionId(sub.id);
-            if let Some(session) = &sub.session {
-                prefill
-                    .purge_prefixes
-                    .push(QueueNamespace::session(session.clone()).prefix());
-            }
             if sub.weight > 0 {
                 prefill.weights.push((sub.tenant.clone(), sub.weight));
             }
@@ -641,35 +622,17 @@ impl EnsembleService {
                 Recorder::disabled()
             }
         });
-        let broker_journal = config
-            .journal_dir
-            .as_ref()
-            .map(|d| d.join(BROKER_JOURNAL_FILE));
-        let broker = if recorder.is_enabled() || broker_journal.is_some() {
+        let broker = if recorder.is_enabled() {
             // A recorder-backed broker runs its own depth sampler feeding
             // the `mq.queue.<name>.depth` / `.unacked` gauges.
-            let broker_cfg = BrokerConfig {
-                journal_path: broker_journal,
-                recorder: recorder.is_enabled().then(|| recorder.clone()),
-                depth_sample_interval: recorder
-                    .is_enabled()
-                    .then_some(config.observe.sample_interval),
+            Broker::with_config(BrokerConfig {
+                recorder: Some(recorder.clone()),
+                depth_sample_interval: Some(config.observe.sample_interval),
                 ..Default::default()
-            };
-            if prefill.recover_broker {
-                Broker::recover_with_config(broker_cfg)?
-            } else {
-                Broker::with_config(broker_cfg)?
-            }
+            })?
         } else {
             Broker::new()
         };
-        // Dead sessions' queues (recovered off the broker journal) are
-        // purged wholesale: the re-driven runs redeclare their namespaces
-        // from scratch.
-        for prefix in &prefill.purge_prefixes {
-            let _ = broker.delete_matching(prefix);
-        }
         let journal = match &config.journal_dir {
             Some(dir) => Some(ServiceJournal::open(dir.join(SERVICE_JOURNAL_FILE))?),
             None => None,
@@ -1095,47 +1058,6 @@ fn statusz_json(inner: &Inner) -> String {
         cores,
         inner.broker.shard_count()
     );
-    // Per-shard journal health: fsync latency distribution and writer-lock
-    // contention, keyed by the shard index in the metric name
-    // (`mq.shard.<i>.journal_fsync` / `.journal_lock_wait`).
-    {
-        let m = inner.recorder.metrics();
-        let lock_waits: Vec<(String, u64)> = m
-            .counters()
-            .into_iter()
-            .filter(|(name, _)| {
-                name.starts_with("mq.shard.") && name.ends_with(".journal_lock_wait")
-            })
-            .collect();
-        out.push_str(",\"shard_journals\":[");
-        let mut first = true;
-        for (name, h) in m.histograms() {
-            let Some(shard) = name
-                .strip_prefix("mq.shard.")
-                .and_then(|rest| rest.strip_suffix(".journal_fsync"))
-            else {
-                continue;
-            };
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            let lock_wait = lock_waits
-                .iter()
-                .find(|(n, _)| n == &format!("mq.shard.{shard}.journal_lock_wait"))
-                .map_or(0, |(_, v)| *v);
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"fsyncs\":{},\"fsync_p50_us\":{:.1},\"fsync_p99_us\":{:.1},\
-                 \"lock_waits\":{}}}",
-                json_escape(shard),
-                h.count,
-                h.p50_ns as f64 / 1e3,
-                h.p99_ns as f64 / 1e3,
-                lock_wait
-            );
-        }
-        out.push(']');
-    }
     // Trace query plane occupancy.
     {
         let (offered, kept, resident) = inner.trace_store.stats();
@@ -1270,15 +1192,8 @@ fn sampler_tick(inner: &Arc<Inner>) {
     m.gauge("rts.db.documents").set(documents as i64);
     m.gauge("rts.pool.resident_units")
         .set(inner.pool.resident_units() as i64);
-    // Sharded-broker health: shard count is static, journal bytes are the
-    // summed on-disk size of every segment (`broker.journal`,
-    // `broker-1.journal`, ...). Both come from `Broker::stats`, which holds
-    // no queue locks beyond a per-shard map snapshot.
-    let bs = inner.broker.stats();
     m.gauge("mq.broker.shards")
         .set(inner.broker.shard_count() as i64);
-    m.gauge("mq.broker.journal_bytes")
-        .set(bs.journal_bytes as i64);
     inner.ctl.sampler_ticks.fetch_add(1, Ordering::Relaxed);
 
     if let Some(tracker) = &inner.ctl.slo {
@@ -1571,7 +1486,7 @@ struct Job {
     cancel: CancelToken,
     submitted_at: Instant,
     /// Whether this submission is journaled (spec-backed): durable jobs get
-    /// a `Started` journal record and a per-submission task journal.
+    /// a per-submission task journal.
     durable: bool,
     /// Wire-side trace base; seeds every per-task timeline of the run.
     trace: Option<TraceCtx>,
@@ -1637,19 +1552,8 @@ fn execute(inner: &Arc<Inner>, job: Job) -> Executed {
         durable,
         trace,
     } = job;
-    let session = format!("s{:05}", id.0);
-    let ns = QueueNamespace::session(session.clone());
+    let ns = QueueNamespace::session(format!("s{:05}", id.0));
     let prefix = ns.prefix();
-    if durable {
-        // Records which broker namespace this submission owns, so recovery
-        // can purge it wholesale before the re-drive redeclares it. A failed
-        // append only widens the purge gap (the re-driven run still
-        // redeclares its queues); it must not fail the run.
-        let _ = inner.journal_append(&ServiceRecord::Started {
-            id: id.0,
-            session: session.clone(),
-        });
-    }
     inner
         .recorder
         .record(components::SERVICE, "run_start", id.to_string(), &tenant);

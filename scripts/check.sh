@@ -112,6 +112,41 @@ if [ -n "$headers" ]; then
     exit 1
 fi
 
+echo "== no broker journal on the run path =="
+# Run queues are not durable (DESIGN.md §1): a broker journal under a run or
+# the service records nothing, and recovery reads only the service journal
+# and the per-submission task journals. In non-test code of core and the
+# service, a `recover_with_config(` call, or a `BrokerConfig { .. }` literal
+# that sets `journal_path`, fails the check. The literal is read up to its
+# closing brace, so one split over several lines is judged whole;
+# `AppManagerConfig::journal_path` (the state journal) is not a broker field.
+journaled=$(awk '
+    FNR == 1 { in_tests = 0; depth = 0 }
+    /^mod tests/ { in_tests = 1 }
+    in_tests { next }
+    /recover_with_config\(/ { print FILENAME ":" FNR ": " $0 }
+    depth == 0 && /BrokerConfig[ ]*\{/ {
+        lit = ""; at = FILENAME ":" FNR
+        line = substr($0, match($0, /BrokerConfig[ ]*\{/))
+        depth = -1
+    }
+    depth != 0 {
+        if (depth < 0) { depth = 0 } else { line = $0 }
+        for (i = 1; i <= length(line); i++) {
+            c = substr(line, i, 1)
+            lit = lit c
+            if (c == "{") depth++
+            if (c == "}" && --depth == 0) break
+        }
+        if (depth == 0 && lit ~ /journal_path/) print at ": " lit
+    }
+' crates/core/src/*.rs crates/service/src/*.rs)
+if [ -n "$journaled" ]; then
+    echo "$journaled"
+    echo "broker journal on the run path: run queues are not durable, keep state in the service and task journals"
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 # Every crate's unit tests and proptests, not only the facade package and
 # the root tests/ that a plain `cargo test` runs.

@@ -863,46 +863,6 @@ fn gateway_journal_submitted_crash_rejects_then_recovers_exactly_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Crash at the `Started` append: the session-attachment record is lost,
-/// but the submission itself is journaled — recovery re-drives it (the
-/// purge set is merely smaller) and it settles exactly once.
-#[test]
-fn gateway_journal_started_crash_still_redrives_to_done() {
-    let _g = entk_fail::scenario();
-    let dir = tmp_journal_dir("started");
-    let service = durable_service(&dir, 1);
-    let client = service.client();
-
-    entk_fail::arm_once("gateway.journal.started", InjectedAction::Fail);
-    let ids: Vec<_> = (0..3)
-        .map(|i| {
-            client
-                .submit_spec(format!("t{i}"), spec_wf(&format!("w{i}"), 2), None)
-                .expect("admitted")
-        })
-        .collect();
-    // Kill while work is in flight: first run's Started record was eaten by
-    // the failpoint, later ones may or may not have begun.
-    client.wait(ids[0], timeout()).expect("first settles");
-    service.kill();
-    assert_eq!(entk_fail::fires("gateway.journal.started"), 1);
-
-    let recovered = recover_service(&dir).expect("recovery succeeds");
-    let rc = recovered.client();
-    for id in &ids {
-        let result = rc.wait(*id, timeout()).expect("settles after recovery");
-        assert!(
-            result.outcome.is_success(),
-            "submission {id} failed after recovery: {:?}",
-            result.outcome
-        );
-    }
-    let stats = recovered.shutdown();
-    assert_eq!((stats.submitted, stats.completed), (3, 3));
-    assert_eq!((stats.failed, stats.canceled), (0, 0));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Crash at the `Settled` append: the run finished but its settlement
 /// watermark is lost, so recovery re-drives it. The per-submission task
 /// journal dedups at task granularity — every task settled before the

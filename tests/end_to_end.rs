@@ -239,23 +239,48 @@ fn local_backend_runs_real_compute_with_dependencies() {
     assert_eq!(consumed.load(Ordering::SeqCst), 36);
 }
 
+/// A run's queues are not durable, so a journaled broker it attaches to
+/// writes nothing: every segment stays empty. This is why the service keeps
+/// no broker journal.
 #[test]
 fn durable_broker_journal_coexists_with_run() {
-    let journal = std::env::temp_dir().join(format!(
-        "entk-it-broker-{}-{:?}.journal",
+    use entk::core::{QueueNamespace, SessionAttachment};
+    use entk::mq::{Broker, BrokerConfig};
+    let dir = std::env::temp_dir().join(format!(
+        "entk-it-broker-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
-    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_dir_all(&dir);
+    let broker = Broker::with_config(BrokerConfig {
+        journal_path: Some(dir.join("broker.journal")),
+        ..Default::default()
+    })
+    .expect("journaled broker");
     let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(
         Stage::new("s").with_task(Task::new("only", Executable::Sleep { secs: 10.0 })),
     ));
-    let mut cfg = AppManagerConfig::new(ResourceDescription::sim(PlatformId::TestRig, 1, 7200))
+    let cfg = AppManagerConfig::new(ResourceDescription::sim(PlatformId::TestRig, 1, 7200))
         .with_run_timeout(timeout());
-    cfg.broker_journal_path = Some(journal.clone());
-    let report = AppManager::new(cfg).run(wf).expect("run completes");
+    let attachment = SessionAttachment::shared(broker.clone(), QueueNamespace::session("s1"));
+    let report = AppManager::new(cfg)
+        .run_attached(wf, attachment)
+        .expect("run completes");
     assert!(report.succeeded);
-    let _ = std::fs::remove_file(&journal);
+    broker.close();
+    let segments: Vec<(String, u64)> = std::fs::read_dir(&dir)
+        .expect("journal directory")
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, e.metadata().unwrap().len())
+        })
+        .collect();
+    assert_eq!(segments.len(), broker.shard_count(), "{segments:?}");
+    for (name, len) in &segments {
+        assert_eq!(*len, 0, "{name} holds {len} bytes");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

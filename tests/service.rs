@@ -706,3 +706,80 @@ fn a_warm_pilot_keeps_nothing_of_the_workflows_it_served() {
     assert_eq!(stats.completed, 200);
     assert_eq!(stats.pool.cold_boots, 0);
 }
+
+// ---------------------------------------------------------------------------
+// Durable state: the workflow journal and one task journal per submission.
+// ---------------------------------------------------------------------------
+
+/// A durable service's directory holds what recovery reads and nothing else:
+/// `service.journal` and one `sub-NNNNN.tasks.log` per durable submission,
+/// before a kill and after the recovery that follows it.
+#[test]
+fn durable_service_keeps_only_workflow_and_task_journals() {
+    use entk::service::{ExecSpec, PipelineSpec, StageSpec, TaskSpec, WorkflowSpec};
+    let dir = std::env::temp_dir().join(format!(
+        "entk-it-durable-files-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || {
+        ServiceConfig::new(ResourceDescription::sim(
+            PlatformId::TestRig,
+            2,
+            1_000_000_000,
+        ))
+        .with_warm_pilots(1)
+        .with_max_active(1)
+        .with_max_pending(16)
+        .with_run_timeout(timeout())
+        .with_journal_dir(&dir)
+    };
+    let spec = |i: usize| {
+        WorkflowSpec::new().with_pipeline(PipelineSpec::new(format!("p{i}")).with_stage(
+            StageSpec::new(format!("s{i}")).with_task(TaskSpec::new(
+                format!("t{i}"),
+                ExecSpec::Sleep { secs: 50.0 },
+            )),
+        ))
+    };
+    let files = || -> BTreeSet<String> {
+        std::fs::read_dir(&dir)
+            .expect("journal directory")
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    };
+    let only_journals = |names: &BTreeSet<String>| {
+        names.contains("service.journal")
+            && names.iter().all(|n| {
+                n == "service.journal" || (n.starts_with("sub-") && n.ends_with(".tasks.log"))
+            })
+    };
+
+    let service = EnsembleService::start(config());
+    let client = service.client();
+    let ids: Vec<SubmissionId> = (0..4)
+        .map(|i| {
+            client
+                .submit_spec(format!("t{i}"), spec(i), None)
+                .expect("admitted")
+        })
+        .collect();
+    client.wait(ids[0], timeout()).expect("first settles");
+    service.kill();
+    let before = files();
+    assert!(only_journals(&before), "after kill: {before:?}");
+    assert!(before.contains("sub-00001.tasks.log"), "{before:?}");
+
+    let recovered = EnsembleService::recover(config()).expect("recovery succeeds");
+    let rc = recovered.client();
+    for id in &ids {
+        let result = rc.wait(*id, timeout()).expect("settles after recovery");
+        assert!(result.outcome.is_success(), "{id}: {:?}", result.outcome);
+    }
+    let stats = recovered.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (4, 4));
+    let after = files();
+    assert!(only_journals(&after), "after recovery: {after:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
