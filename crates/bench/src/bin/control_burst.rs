@@ -135,9 +135,8 @@ fn run_scenario(label: &str, warm: usize, adaptive: bool, load: Load) -> Scenari
             while !stop.load(Ordering::Acquire) {
                 std::thread::sleep(COST_SAMPLE);
                 let now = Instant::now();
-                if let Some(s) = client.stats() {
-                    acc += (s.active + s.warm_pilots) as f64 * (now - last).as_secs_f64();
-                }
+                let s = client.stats();
+                acc += (s.active + s.warm_pilots) as f64 * (now - last).as_secs_f64();
                 last = now;
             }
             acc

@@ -9,7 +9,7 @@
 
 use crate::cancel::CancelToken;
 use crate::execmanager::{self, ExecManagerConfig, RtsPools, RtsSlot};
-use crate::messages::{self, QueueNamespace, Reaction, Reply};
+use crate::messages::{QueueNamespace, Reaction};
 use crate::overheads::{OverheadReport, PythonEmulation};
 use crate::states::TaskState;
 use crate::statestore::StateStore;
@@ -266,8 +266,8 @@ pub struct AppManagerConfig {
     pub cancel_token: CancelToken,
     /// ExecManager tuning: the maximum batch size used by every component
     /// loop. Components move tasks through the queues, the Synchronizer and
-    /// into the RTS in bulk — one broker operation and one sync round-trip
-    /// per batch; `max_batch: 1` is the paper's per-task data path.
+    /// into the RTS in bulk — one broker operation and one sync apply per
+    /// batch; `max_batch: 1` is the paper's per-task data path.
     pub exec_manager: ExecManagerConfig,
     /// Wire-side trace hops stamped before the run started (gateway receive,
     /// parse, admission, journal append). Every per-task timeline is seeded
@@ -436,11 +436,8 @@ pub(crate) struct Ctx {
     pub concurrency_cap: std::sync::atomic::AtomicUsize,
     /// The configured strategy (Dequeue adapts the cap when AIMD).
     pub strategy: ExecutionStrategy,
-    /// ExecManager batch tuning, also used by the WFProcessor and
-    /// Synchronizer loops.
+    /// ExecManager batch tuning, also used by the WFProcessor loops.
     pub exec: ExecManagerConfig,
-    /// Unit tests bypass the queues and apply transitions inline.
-    inline_sync: bool,
     /// Per-stage residency aggregate over completed per-task hop timelines;
     /// Dequeue folds each settled attempt's `TraceCtx` in, the final
     /// [`RunReport`] carries the result.
@@ -497,7 +494,6 @@ impl Ctx {
                 max_batch: exec.max_batch.max(1),
                 ..exec
             },
-            inline_sync: false,
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),
             base_trace,
             trace_store,
@@ -506,7 +502,7 @@ impl Ctx {
         })
     }
 
-    /// Test-only context: no component threads; transitions apply inline.
+    /// Test-only context: no component threads.
     #[cfg(test)]
     pub(crate) fn for_tests(workflow: Workflow) -> Arc<Self> {
         Self::for_tests_with_retries(workflow, None)
@@ -515,22 +511,10 @@ impl Ctx {
     /// Test-only context with an explicit retry budget.
     #[cfg(test)]
     pub(crate) fn for_tests_with_retries(workflow: Workflow, retries: Option<u32>) -> Arc<Self> {
-        Self::test_ctx(workflow, retries, true)
-    }
-
-    /// Test-only context whose syncs travel the real queues: the caller
-    /// spawns the Synchronizer.
-    #[cfg(test)]
-    pub(crate) fn for_tests_queued(workflow: Workflow, retries: Option<u32>) -> Arc<Self> {
-        Self::test_ctx(workflow, retries, false)
-    }
-
-    #[cfg(test)]
-    fn test_ctx(workflow: Workflow, retries: Option<u32>, inline_sync: bool) -> Arc<Self> {
         let broker = Broker::new();
         let ns = QueueNamespace::root();
         declare_queues(&broker, &ns).expect("fresh broker");
-        let mut ctx = Ctx::new(
+        Ctx::new(
             broker,
             ns,
             CancelToken::new(),
@@ -542,9 +526,7 @@ impl Ctx {
             ExecManagerConfig::default(),
             None,
             None,
-        );
-        Arc::get_mut(&mut ctx).expect("a fresh context").inline_sync = inline_sync;
-        ctx
+        )
     }
 
     /// Close a component processing span and charge its duration to the
@@ -562,64 +544,14 @@ impl Ctx {
     }
 
     /// Request the same transition for a batch of tasks through the
-    /// Synchronizer and wait for its answer (arrows 6–7). The batch travels
-    /// as one message on this component's sync shard and carries its own
-    /// [`Reply`]; the shard's drainer applies it under one workflow lock and
-    /// answers with the flags in request order, so the i-th flag reports
-    /// the i-th uid, and two threads of one component cannot receive each
-    /// other's answers. A batch nobody answers — refused by the broker,
-    /// purged, deleted with its shard at tear-down — reads refused. Returns
-    /// one applied-flag per task.
-    pub(crate) fn sync_tasks(&self, comp: &str, uids: &[String], state: TaskState) -> Vec<bool> {
+    /// Synchronizer (arrows 6–7): the batch is applied under one workflow
+    /// lock on the calling thread, and the i-th flag reports the i-th uid.
+    /// Returns one applied-flag per task.
+    pub(crate) fn sync_tasks(&self, uids: &[String], state: TaskState) -> Vec<bool> {
         if uids.is_empty() {
             return Vec::new();
         }
-        if self.inline_sync {
-            return uids
-                .iter()
-                .map(|uid| synchronizer::apply_task(self, uid, state))
-                .collect();
-        }
-        let (reply, reply_to) = Reply::new(uids.len());
-        let request = messages::sync_message(state, uids).with_attachment(reply_to);
-        // A refused publish drops the request, and with it the reply.
-        let _ = self.broker.publish(self.ns.sync_shard(comp), request);
-        // Failpoint `core.sync.abandon_ack_drain`: the requester "crashes"
-        // between publishing the sync batch and reading its reply. The
-        // Synchronizer still applies the transitions; reporting all-false
-        // here would wedge the tasks (applied, but the caller believes
-        // refused and never re-drives them). Recover the way a restarted
-        // requester must: drop the reply unread and reconcile the outcome
-        // against the workflow itself.
-        if entk_fail::hit_sleep("core.sync.abandon_ack_drain").is_some() {
-            drop(reply);
-            return self.reconcile_abandoned_sync(uids, state);
-        }
-        reply.wait()
-    }
-
-    /// Recover a sync batch whose reply was abandoned (see the
-    /// `core.sync.abandon_ack_drain` failpoint): poll the workflow until
-    /// every task reached the requested state or the window closes. The
-    /// equality check is sound because each caller's follow-up action that
-    /// would advance a task further only runs after `sync_tasks` returns.
-    fn reconcile_abandoned_sync(&self, uids: &[String], state: TaskState) -> Vec<bool> {
-        let deadline = Instant::now() + Duration::from_millis(500);
-        loop {
-            let applied: Vec<bool> = {
-                let wf = self.workflow.lock();
-                uids.iter()
-                    .map(|uid| wf.task(uid).is_some_and(|t| t.state() == state))
-                    .collect()
-            };
-            if applied.iter().all(|b| *b)
-                || Instant::now() > deadline
-                || !self.running.load(Ordering::Acquire)
-            {
-                return applied;
-            }
-            std::thread::sleep(Duration::from_millis(2)); // sleep-ok: failpoint
-        }
+        synchronizer::apply_batch(self, uids, state)
     }
 
     /// Wake whoever parks on the run's signal (the AppManager's wait loop,
@@ -926,9 +858,7 @@ impl AppManager {
             self.config.trace_store.clone(),
         );
 
-        // Spawn the Synchronizer and Dequeue; Enqueue follows once the
-        // pilots are ready.
-        let synchronizer = synchronizer::spawn(Arc::clone(&ctx));
+        // Spawn Dequeue; Enqueue follows once the pilots are ready.
         let mut handles = vec![wfprocessor::spawn_dequeue(Arc::clone(&ctx))];
         let setup = setup_span.finish();
 
@@ -1025,8 +955,8 @@ impl AppManager {
                 timed_out = true;
                 break;
             }
-            // Until one of the conditions above changes: the Synchronizer
-            // notifies when a stage settles, `Ctx::stop` and
+            // Until one of the conditions above changes: a sync that
+            // settles a stage notifies, `Ctx::stop` and
             // `CancelToken::cancel` when they are called.
             ctx.cancel.signal().wait_until(Some(deadline), || {
                 ctx.workflow.lock().is_complete()
@@ -1040,26 +970,19 @@ impl AppManager {
         // Wake every component instead of outwaiting it: `stop` covers the
         // signal and the stop channel, deleting a queue covers whoever is
         // blocked fetching from it (the fetch fails with `BrokerClosed`, on
-        // which every loop breaks). The requesters go first, so that a sync
-        // round-trip one of them is in the middle of still gets its answer;
-        // the Synchronizer serves until its own queues go.
+        // which every loop breaks). A shared broker belongs to the service
+        // and keeps serving other sessions, so only this session's queues
+        // go; a private one closes once the components are joined.
         ctx.stop();
-        for name in [ctx.ns.pending(), ctx.ns.done()] {
+        for name in ctx.ns.all() {
             let _ = ctx.broker.delete_queue(name);
         }
         for h in handles {
             let _ = h.join();
         }
-        if shared_broker {
-            // The broker belongs to the service and keeps serving other
-            // sessions; remove only this session's queues.
-            for name in ctx.ns.all() {
-                let _ = ctx.broker.delete_queue(name);
-            }
-        } else {
+        if !shared_broker {
             ctx.broker.close();
         }
-        let _ = synchronizer.join();
         let mut records = Vec::new();
         let mut rts_teardown = Duration::ZERO;
         for slot in &pools.pools {
@@ -1221,7 +1144,6 @@ pub(crate) fn recover_completed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::component;
     use crate::pipeline::Pipeline;
     use crate::stage::Stage;
     use crate::task::Task;
@@ -1291,58 +1213,9 @@ mod tests {
         assert_eq!(workflow.task(&sched[0]).unwrap().name, "b");
     }
 
-    /// A component blocked inside a sync round-trip when tear-down deletes
-    /// its sync shard must return with every request refused, not hang:
-    /// there is no Synchronizer here, so only the deletion — which drops
-    /// the requests and the reply they carry — can end the wait.
-    #[test]
-    fn sync_round_trip_bails_when_teardown_deletes_its_sync_shard() {
-        let workflow = wf(&["a", "b", "c"]);
-        let uids: Vec<String> = workflow.schedulable_tasks();
-        let broker = Broker::new();
-        let ns = QueueNamespace::session("bail");
-        declare_queues(&broker, &ns).unwrap();
-        let ctx = Ctx::new(
-            broker,
-            ns,
-            CancelToken::new(),
-            workflow,
-            None,
-            None,
-            ExecutionStrategy::Eager,
-            Recorder::disabled(),
-            ExecManagerConfig::default(),
-            None,
-            None,
-        );
-        let sync_queue = ctx.ns.sync_shard(component::ENQUEUE).to_string();
-        // A full batch, then a batch of one.
-        for want in [uids.len(), 1] {
-            let (ctx2, uids2) = (Arc::clone(&ctx), uids[..want].to_vec());
-            let requester = std::thread::spawn(move || {
-                ctx2.sync_tasks(component::ENQUEUE, &uids2, TaskState::Scheduling)
-            });
-            // The batch is published — one message, whatever its size: the
-            // requester now waits for it to be answered.
-            while ctx.broker.depth(&sync_queue).unwrap() < 1 {
-                std::thread::yield_now();
-            }
-            assert_eq!(ctx.broker.depth(&sync_queue).unwrap(), 1);
-            ctx.stop();
-            ctx.broker.delete_queue(&sync_queue).unwrap();
-            let applied = requester.join().expect("requester returned");
-            assert_eq!(applied, vec![false; want]);
-            // Restore what the next round needs.
-            ctx.broker
-                .declare_queue(&sync_queue, QueueConfig::default())
-                .unwrap();
-        }
-        assert_eq!(ctx.workflow.lock().count_in(TaskState::Described), 3);
-    }
-
     /// Two threads of one component (the RTS Callbacks of a multi-pool run)
-    /// share its sync shard and sync concurrently; each must get back its
-    /// own batch's flags, in request order, every time. Thread 0 asks for
+    /// sync concurrently; each must get back its own batch's flags, in
+    /// request order, every time. Thread 0 asks for
     /// `[x, y]` and thread 1 for `[y, x]`, where `y` is still `Described`
     /// and so refused `Scheduled`: answers that crossed batches or came
     /// back reversed would read `[false, true]` for thread 0.
@@ -1352,8 +1225,7 @@ mod tests {
         let names: Vec<String> = (0..4 * ROUNDS).map(|i| format!("t{i}")).collect();
         let workflow = wf(&names.iter().map(String::as_str).collect::<Vec<_>>());
         let uids = workflow.schedulable_tasks();
-        let ctx = Ctx::for_tests_queued(workflow, None);
-        let sync = synchronizer::spawn(Arc::clone(&ctx));
+        let ctx = Ctx::for_tests(workflow);
         let threads: Vec<_> = uids
             .chunks(2 * ROUNDS)
             .enumerate()
@@ -1361,15 +1233,13 @@ mod tests {
                 let (ctx, mine) = (Arc::clone(&ctx), mine.to_vec());
                 std::thread::spawn(move || {
                     for pair in mine.chunks(2) {
-                        let scheduling =
-                            ctx.sync_tasks(component::CALLBACK, &pair[..1], TaskState::Scheduling);
+                        let scheduling = ctx.sync_tasks(&pair[..1], TaskState::Scheduling);
                         assert_eq!(scheduling, [true]);
                         let mut batch = pair.to_vec();
                         if t == 1 {
                             batch.reverse();
                         }
-                        let scheduled =
-                            ctx.sync_tasks(component::CALLBACK, &batch, TaskState::Scheduled);
+                        let scheduled = ctx.sync_tasks(&batch, TaskState::Scheduled);
                         assert_eq!(scheduled, [t == 0, t == 1], "thread {t}, batch {batch:?}");
                     }
                 })
@@ -1378,12 +1248,40 @@ mod tests {
         for t in threads {
             t.join().expect("every batch got its own flags");
         }
-        ctx.stop();
-        ctx.broker.close();
-        sync.join().unwrap();
         let wf = ctx.workflow.lock();
         assert_eq!(wf.count_in(TaskState::Scheduled), 2 * ROUNDS);
         assert_eq!(wf.count_in(TaskState::Described), 2 * ROUNDS);
+        // Per pair: one Scheduling and one of its two Scheduled requests.
+        assert_eq!(ctx.transitions.load(Ordering::Relaxed), 4 * ROUNDS as u64);
+    }
+
+    /// A `post_exec` hook runs on the thread whose sync settles its stage
+    /// (here Dequeue's). One that panics fails the run at once: the run
+    /// returns an error well inside its timeout instead of waiting for a
+    /// stage that can no longer advance.
+    #[test]
+    fn a_panicking_post_exec_hook_fails_the_run_instead_of_stranding_it() {
+        let stage = Stage::new("s0")
+            .with_task(Task::new("a", Executable::Noop))
+            .with_post_exec(|_| panic!("post_exec hook fails"));
+        let workflow = Workflow::new().with_pipeline(
+            Pipeline::new("p")
+                .with_stage(stage)
+                .with_stage(Stage::new("s1").with_task(Task::new("b", Executable::Noop))),
+        );
+        let timeout = Duration::from_secs(60);
+        let mut amgr = AppManager::new(
+            AppManagerConfig::new(ResourceDescription::local(1)).with_run_timeout(timeout),
+        );
+        let started = Instant::now();
+        let err = amgr
+            .run(workflow)
+            .expect_err("the run must fail on the hook");
+        assert!(
+            matches!(&err, EntkError::InvalidResource(reason) if reason.contains("post_exec")),
+            "{err}"
+        );
+        assert!(started.elapsed() < timeout / 4, "{:?}", started.elapsed());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   CI failure) while work remains.
 
 use crate::appmanager::Ctx;
-use crate::messages::{self, component, AttemptOutcome, Reaction, UNTIL_CLOSED};
+use crate::messages::{self, AttemptOutcome, Reaction, UNTIL_CLOSED};
 use crate::states::TaskState;
 use crossbeam::channel::{RecvTimeoutError, Select, TryRecvError};
 use entk_mq::Message;
@@ -274,7 +274,7 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         let span = ctx
             .recorder
             .span(obs::EMGR, "submit_batch")
-            .with_payload(batch.len().to_string());
+            .with_payload(batch.len());
 
         // Resolve every delivery against the workflow under one lock.
         let mut items: Vec<PendingItem> = {
@@ -322,7 +322,7 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             .filter(|i| i.state == Some(TaskState::Scheduled))
             .map(|i| i.uid.clone())
             .collect();
-        let applied = ctx.sync_tasks(component::EMGR, &to_tag, TaskState::Submitting);
+        let applied = ctx.sync_tasks(&to_tag, TaskState::Submitting);
         let mut ok = applied.into_iter();
         for item in &mut items {
             if item.state == Some(TaskState::Scheduled) && !ok.next().expect("one flag per request")
@@ -380,7 +380,7 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             // edge, silently dropping the completion. Tasks whose sync is
             // refused (e.g. canceled concurrently) are not submitted.
             let uids: Vec<String> = group.submitted.iter().map(|(_, uid)| uid.clone()).collect();
-            let applied = ctx.sync_tasks(component::EMGR, &uids, TaskState::Submitted);
+            let applied = ctx.sync_tasks(&uids, TaskState::Submitted);
             let mut to_submit: Vec<UnitDescription> = group
                 .units
                 .into_iter()
@@ -478,9 +478,9 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
                 let span = ctx
                     .recorder
                     .span(obs::EMGR, "callback")
-                    .with_payload(cbs.len().to_string());
+                    .with_payload(cbs.len());
                 let uids: Vec<String> = cbs.iter().map(|c| c.tag.clone()).collect();
-                let applied = ctx.sync_tasks(component::CALLBACK, &uids, TaskState::Executed);
+                let applied = ctx.sync_tasks(&uids, TaskState::Executed);
                 let mut done = Vec::with_capacity(cbs.len());
                 let mut credits = Vec::with_capacity(cbs.len());
                 for (c, ok) in cbs.iter().zip(applied) {

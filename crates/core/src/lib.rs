@@ -21,12 +21,12 @@
 //! ## Architecture (§II-B2, Fig. 2)
 //!
 //! [`AppManager`] is the master component and the only stateful one. It owns
-//! the message broker ([`entk_mq`]), the transactional [`statestore`], and
-//! spawns:
+//! the message broker ([`entk_mq`]), the transactional [`statestore`] and
+//! the **Synchronizer**, the only code that changes PST state: a component
+//! applies its batch of task transitions through it under the workflow lock,
+//! on its own thread, where the paper's processes push updates through
+//! dedicated queues. AppManager spawns:
 //!
-//! * the **Synchronizer**, which applies every state transition pushed by
-//!   the other components through dedicated queues and answers each
-//!   request in process;
 //! * the **WFProcessor** with its *Enqueue* (tags ready tasks, pushes them
 //!   to the Pending queue) and *Dequeue* (pulls the Done queue, advances
 //!   stages/pipelines, fires `post_exec`, resubmits failed tasks)

@@ -1,55 +1,36 @@
 //! Queue names and message formats used by EnTK components.
 //!
-//! Queues (Fig. 2): the Pending queue (arrows 1–2), the Done queue (arrows
-//! 4–5) and the synchronization queues from every component to AppManager's
-//! Synchronizer (arrow 6). The paper's Synchronizer "acknowledges the
-//! updates via dedicated queues" (arrow 7); here the acknowledgement is an
-//! in-process `Reply` that rides on the request itself. The per-run
-//! queues are not durable, so an ack message would carry no durability (the
-//! `StateStore` holds it) — only a second broker hop.
+//! Queues (Fig. 2): the Pending queue (arrows 1–2) and the Done queue
+//! (arrows 4–5). The paper's synchronization queues into AppManager and its
+//! acknowledgement queues (arrows 6–7) are function calls here: a
+//! component's `Ctx::sync_tasks` applies its batch under the workflow lock
+//! on its own thread (see [`crate::synchronizer`]). The per-run queues are
+//! not durable, so a sync queue would carry no durability (the `StateStore`
+//! holds it) — only a broker hop whose sender waits for the answer anyway.
 //!
 //! The data path carries no headers: a message is its payload, plus the
 //! trace context (`Message::with_trace`) when one rides along. A Pending
 //! message is a uid; a Done message is the outcome's byte, the uid and a
-//! failure's reason; a sync message is one *batch* — a state byte and the
-//! length-prefixed uids of every task that should take it — so a component
-//! pays one broker message per `Ctx::sync_tasks` call, not one per task.
-//! PST objects themselves live in the AppManager, the only stateful
-//! component.
+//! failure's reason. PST objects themselves live in the AppManager, the
+//! only stateful component.
 
-use crate::states::TaskState;
 use entk_mq::{Attachment, Message};
-use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
 /// The Pending queue: tasks tagged for execution.
 pub const PENDING: &str = "entk-pending";
 /// The Done queue: tasks whose RTS attempt reached a terminal state.
 pub const DONE: &str = "entk-done";
-/// Base name of the synchronization queues into AppManager. The sync plane
-/// is sharded per requesting component ([`sync_queue`]): ordering was only
-/// ever guaranteed *within* a component (each component publishes its
-/// requests in order and waits for their reply), so per-component FIFOs
-/// preserve every documented invariant while letting the Synchronizer drain
-/// the shards in parallel — and letting the sharded broker hash them onto
-/// different shards.
-pub const SYNC: &str = "entk-sync";
-
 /// Fetch timeout of a component loop that owns its queue's consumer side:
 /// long enough never to fire, because the wait ends when a message arrives
 /// or when tear-down closes the queue (the fetch then fails with
 /// `BrokerClosed`), not on a timer.
 pub(crate) const UNTIL_CLOSED: std::time::Duration = std::time::Duration::from_secs(86_400 * 365);
 
-/// Synchronization queue shard for a subcomponent (arrow 6, sharded).
-pub fn sync_queue(component: &str) -> String {
-    format!("{SYNC}-{component}")
-}
-
 /// Session-scoped queue names.
 ///
 /// A standalone `AppManager::run` owns its broker, so the legacy global
-/// names ([`PENDING`], [`DONE`], the [`SYNC`] shards) suffice. When many
+/// names ([`PENDING`], [`DONE`]) suffice. When many
 /// sessions share one broker (the entk-service case) every session gets a
 /// prefix — `entk-{session}-pending` etc. — so their message streams cannot
 /// cross. All queue names are precomputed once per session; the hot paths
@@ -60,7 +41,6 @@ pub struct QueueNamespace {
     session: String,
     pending: String,
     done: String,
-    sync_shards: [String; component::ALL.len()],
 }
 
 impl QueueNamespace {
@@ -70,7 +50,6 @@ impl QueueNamespace {
             session: String::new(),
             pending: PENDING.to_string(),
             done: DONE.to_string(),
-            sync_shards: component::ALL.map(sync_queue),
         }
     }
 
@@ -80,7 +59,6 @@ impl QueueNamespace {
         QueueNamespace {
             pending: format!("entk-{id}-pending"),
             done: format!("entk-{id}-done"),
-            sync_shards: component::ALL.map(|c| format!("entk-{id}-sync-{c}")),
             session: id,
         }
     }
@@ -110,25 +88,9 @@ impl QueueNamespace {
         &self.done
     }
 
-    /// The synchronization queue shard of a subcomponent, one of
-    /// [`component::ALL`] (arrow 6). One FIFO per component: requests from a
-    /// single component stay strictly ordered, while different components'
-    /// shards drain in parallel.
-    pub fn sync_shard(&self, comp: &str) -> &str {
-        let i = component::ALL.iter().position(|c| *c == comp);
-        &self.sync_shards[i.expect("a subcomponent of component::ALL")]
-    }
-
-    /// All synchronization queue shards, indexed like [`component::ALL`].
-    pub fn sync_shards(&self) -> &[String] {
-        &self.sync_shards
-    }
-
     /// Every queue name in this namespace (declare / cleanup order).
-    pub fn all(&self) -> Vec<&str> {
-        let mut names = vec![self.pending(), self.done()];
-        names.extend(self.sync_shards.iter().map(String::as_str));
-        names
+    pub fn all(&self) -> [&str; 2] {
+        [self.pending(), self.done()]
     }
 }
 
@@ -136,23 +98,6 @@ impl Default for QueueNamespace {
     fn default() -> Self {
         Self::root()
     }
-}
-
-/// Subcomponent names (used for sync-shard routing and profiling).
-pub mod component {
-    /// WFProcessor's Enqueue.
-    pub const ENQUEUE: &str = "enqueue";
-    /// WFProcessor's Dequeue.
-    pub const DEQUEUE: &str = "dequeue";
-    /// ExecManager's Emgr.
-    pub const EMGR: &str = "emgr";
-    /// ExecManager's RTS Callback.
-    pub const CALLBACK: &str = "callback";
-    /// ExecManager's Heartbeat.
-    pub const HEARTBEAT: &str = "heartbeat";
-
-    /// All subcomponents that own a sync shard.
-    pub const ALL: [&str; 5] = [ENQUEUE, DEQUEUE, EMGR, CALLBACK, HEARTBEAT];
 }
 
 /// Outcome of an RTS attempt, as carried on the Done queue.
@@ -246,100 +191,6 @@ pub fn parse_done(msg: &Message) -> (String, AttemptOutcome) {
     })
 }
 
-/// One sync batch pushed to the Synchronizer (arrow 6): the same
-/// transition requested for every uid, in one message with no headers —
-/// the state's byte (its index in [`TaskState::ALL`]) followed by the
-/// length-prefixed uids. The requester attaches the batch's reply.
-pub fn sync_message(state: TaskState, uids: &[String]) -> Message {
-    let len = 1 + uids.iter().map(|uid| 4 + uid.len()).sum::<usize>();
-    let mut payload = Vec::with_capacity(len);
-    let index = TaskState::ALL.iter().position(|s| *s == state);
-    payload.push(index.expect("a state of TaskState::ALL") as u8);
-    for uid in uids {
-        put_str(&mut payload, uid);
-    }
-    Message::new(payload)
-}
-
-/// A decoded sync batch; the uids borrow the message's payload.
-#[derive(Debug)]
-pub struct SyncBatch<'a> {
-    /// Requested state.
-    pub state: TaskState,
-    /// Task uids, in request order.
-    pub uids: Vec<&'a str>,
-}
-
-/// Decode a sync message; `None` if malformed.
-pub fn parse_sync(msg: &Message) -> Option<SyncBatch<'_>> {
-    let (index, mut rest) = msg.payload.split_first()?;
-    let state = *TaskState::ALL.get(usize::from(*index))?;
-    let mut uids = Vec::new();
-    while !rest.is_empty() {
-        uids.push(take_str(&mut rest)?);
-    }
-    Some(SyncBatch { state, uids })
-}
-
-/// The Synchronizer's answer to one sync batch (arrow 7, in process): the
-/// applied flag of each request, in request order. The requester keeps the
-/// `Reply`; the batch's message carries its [`ReplyTo`] as the attachment.
-#[derive(Debug, Default)]
-pub(crate) struct Reply {
-    requests: usize,
-    /// The batch's flags once it is answered, or none (read refused) once
-    /// its message let go of the reply unanswered.
-    answer: Mutex<Option<Vec<bool>>>,
-    moved: Condvar,
-}
-
-impl Reply {
-    /// A reply to `requests` requests, and the attachment their message
-    /// carries.
-    pub(crate) fn new(requests: usize) -> (Arc<Reply>, Attachment) {
-        let reply = Arc::new(Reply {
-            requests,
-            ..Reply::default()
-        });
-        (Arc::clone(&reply), Arc::new(ReplyTo(reply)))
-    }
-
-    /// Block until the batch is answered or nothing is left to answer it;
-    /// a request that went unanswered reads refused.
-    pub(crate) fn wait(&self) -> Vec<bool> {
-        let mut answer = self.answer.lock();
-        while answer.is_none() {
-            self.moved.wait(&mut answer);
-        }
-        let mut applied = answer.take().unwrap_or_default();
-        applied.resize(self.requests, false);
-        applied
-    }
-}
-
-/// What the message of one sync batch carries. The broker lets go of it
-/// with the message — once it is answered and acked, or when it is purged
-/// or deleted with its shard — and letting go closes the reply, so the
-/// requester cannot outwait a batch nobody will answer.
-#[derive(Debug)]
-pub(crate) struct ReplyTo(Arc<Reply>);
-
-impl ReplyTo {
-    /// Answer the whole batch: one flag per request, in request order
-    /// (missing flags read refused).
-    pub(crate) fn answer(&self, applied: Vec<bool>) {
-        *self.0.answer.lock() = Some(applied);
-        self.0.moved.notify_all();
-    }
-}
-
-impl Drop for ReplyTo {
-    fn drop(&mut self) {
-        self.0.answer.lock().get_or_insert_with(Vec::new);
-        self.0.moved.notify_all();
-    }
-}
-
 /// The simulator's reaction credits a component holds while it reacts
 /// (DESIGN.md, hpc-sim): the attachments of the messages it reacts to,
 /// each kept once. Opaque here; dropping the last holder of a credit lets
@@ -426,106 +277,26 @@ mod tests {
     }
 
     #[test]
-    fn sync_roundtrip() {
-        for state in TaskState::ALL {
-            for uids in [vec![], vec!["task.3".to_string()], uid_batch(64)] {
-                let msg = sync_message(state, &uids);
-                assert!(msg.headers.is_empty(), "the data path carries no headers");
-                let batch = parse_sync(&msg).unwrap();
-                assert_eq!(batch.state, state);
-                assert_eq!(batch.uids, uids);
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_sync_is_none() {
-        // An unknown state byte, a uid cut short, a prefix cut short.
-        let whole = sync_message(TaskState::Scheduling, &uid_batch(3)).payload;
-        let mut bad_state = whole.to_vec();
-        bad_state[0] = TaskState::ALL.len() as u8;
-        for payload in [
-            bad_state,
-            whole[..whole.len() - 1].to_vec(),
-            whole[..3].to_vec(),
-            Vec::new(),
-            b"task.3".to_vec(),
-        ] {
-            assert!(parse_sync(&Message::new(payload)).is_none());
-        }
-        let mut not_utf8 = vec![1];
-        put_str(&mut not_utf8, "t.0");
-        *not_utf8.last_mut().unwrap() = 0xff;
-        assert!(parse_sync(&Message::new(not_utf8)).is_none());
-    }
-
-    fn uid_batch(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("task.{i:06}")).collect()
-    }
-
-    #[test]
     fn root_namespace_matches_legacy_constants() {
         let ns = QueueNamespace::root();
         assert_eq!(ns.pending(), PENDING);
         assert_eq!(ns.done(), DONE);
-        for comp in component::ALL {
-            assert_eq!(ns.sync_shard(comp), sync_queue(comp));
-            assert_eq!(ns.sync_shard(comp), format!("{SYNC}-{comp}"));
-        }
         assert_eq!(ns.session_id(), "");
-        assert_eq!(ns.all().len(), 2 + component::ALL.len());
-    }
-
-    #[test]
-    fn sync_shards_are_per_component_and_namespaced() {
-        let ns = QueueNamespace::session("s07");
-        assert_eq!(ns.sync_shard(component::EMGR), "entk-s07-sync-emgr");
-        // Indexed like component::ALL, unique, and inside the session prefix
-        // so delete_matching sweeps them with the rest of the namespace.
-        let shards = ns.sync_shards();
-        assert_eq!(shards.len(), component::ALL.len());
-        for (i, comp) in component::ALL.iter().enumerate() {
-            assert_eq!(shards[i], ns.sync_shard(comp));
-            assert!(shards[i].starts_with(&ns.prefix()));
-        }
-        let mut unique: Vec<&String> = shards.iter().collect();
-        unique.sort();
-        unique.dedup();
-        assert_eq!(unique.len(), shards.len());
+        assert_eq!(ns.all(), [PENDING, DONE]);
     }
 
     #[test]
     fn session_namespaces_are_disjoint() {
         let a = QueueNamespace::session("s01");
         let b = QueueNamespace::session("s02");
-        let names_a: Vec<&str> = a.all();
+        let names_a = a.all();
         for name in b.all() {
             assert!(!names_a.contains(&name), "{name} collides");
             assert!(name.starts_with(&b.prefix()));
         }
         assert_eq!(a.pending(), "entk-s01-pending");
-        assert_eq!(a.sync_shard(component::EMGR), "entk-s01-sync-emgr");
+        assert_eq!(a.done(), "entk-s01-done");
         assert_eq!(a.prefix(), "entk-s01-");
-    }
-
-    #[test]
-    fn a_reply_refuses_what_its_requests_took_away_unanswered() {
-        let (reply, reply_to) = Reply::new(3);
-        let batch = sync_message(TaskState::Scheduling, &uid_batch(3)).with_attachment(reply_to);
-        drop(batch); // purged, or deleted with the shard
-        assert_eq!(reply.wait(), [false, false, false]);
-
-        // A short answer pads with refusals; the requester reads it whole.
-        let (reply, reply_to) = Reply::new(3);
-        let batch = sync_message(TaskState::Scheduling, &uid_batch(3)).with_attachment(reply_to);
-        batch
-            .attachment
-            .as_deref()
-            .and_then(|a| a.downcast_ref::<ReplyTo>())
-            .expect("the batch carries its reply")
-            .answer(vec![true]);
-        assert_eq!(reply.wait(), [true, false, false]);
-        drop(batch);
     }
 
     #[test]

@@ -62,8 +62,9 @@ impl OverheadReport {
     /// * setup / tear-down / RTS-teardown come from the AppManager's phase
     ///   spans;
     /// * management sums the duration of every component processing span
-    ///   (Synchronizer apply, Enqueue batch, Dequeue handle, Emgr submit,
-    ///   RTS-callback handling);
+    ///   (Enqueue batch, Dequeue handle, Emgr submit, RTS-callback
+    ///   handling); the Synchronizer's `apply` spans run inside them and
+    ///   are not counted again;
     /// * RTS overhead is the Rmgr acquisition span (the client-side wall
     ///   share; the virtual submission→first-start share lives only in the
     ///   RTS profile and is not wall-clock traceable);
@@ -91,8 +92,7 @@ impl OverheadReport {
                 (c::AMGR, "teardown") => teardown = dur,
                 (c::AMGR, "rts_teardown") => rts_teardown = dur,
                 (c::AMGR, "rmgr_acquire") => rmgr += dur,
-                (c::SYNC, "apply")
-                | (c::ENQ, "batch")
+                (c::ENQ, "batch")
                 | (c::DEQ, "handle")
                 | (c::EMGR, "submit_batch")
                 | (c::EMGR, "callback") => management += dur,

@@ -10,124 +10,55 @@
 //! Components request *task* transitions; the Synchronizer derives the
 //! consequent stage and pipeline transitions (scheduling propagation, stage
 //! completion, `post_exec` hooks, pipeline advancement) atomically under the
-//! workflow lock and journals every applied transition. The updates arrive
-//! on dedicated queues, as in the paper, one message per batch: a
-//! component's `Ctx::sync_tasks` call names one target state and every uid
-//! that should take it, and the drainer applies the whole batch under one
-//! workflow lock and wakes parked threads once. The acknowledgement does
-//! not take a second queue but is written into the in-process `Reply` the
-//! message carries: the batch's flags, in request order. The per-run
-//! queues are not durable, so an ack message would add a broker hop and no
-//! durability — the journal is what keeps AppManager's state.
+//! workflow lock and journals every applied transition. This module is the
+//! only code that changes PST state, so AppManager stays the only stateful
+//! component. In the paper the components are separate processes and reach
+//! that state through queues; here they are threads of one process, the
+//! per-run queues are not durable (the `StateStore` journal is), and every
+//! requester waits for the whole answer anyway. So a component's
+//! `Ctx::sync_tasks` call is a function call: it applies its batch — one
+//! target state for every uid — under one workflow lock on the requesting
+//! thread and returns the flags in request order.
 
 use crate::appmanager::Ctx;
-use crate::messages::{parse_sync, ReplyTo, SyncBatch, UNTIL_CLOSED};
 use crate::states::{PipelineState, StageState, TaskState};
 use crate::workflow::Workflow;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-/// Spawn the Synchronizer: one drainer thread per sync-queue shard. The
-/// sync plane is sharded per requesting component
-/// ([`crate::messages::QueueNamespace::sync_shard`]), so each drainer owns
-/// one component's FIFO with its own cumulative-ack cursor and the shards
-/// settle in parallel — transitions still serialize on the workflow lock,
-/// but queue drains, acks and journal appends do not. Ordering within a
-/// component (the only ordering [`Ctx::sync_tasks`] relies on) is preserved
-/// because a component's requests all land on its own shard; ordering
-/// *across* components was never guaranteed — each component publishes and
-/// then waits for its reply, so cross-component happens-before is enforced
-/// at the application layer, not by queue position.
-pub(crate) fn spawn(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("entk-synchronizer".into())
-        .spawn(move || {
-            let shards: Vec<String> = ctx.ns.sync_shards().to_vec();
-            let mut drainers = Vec::with_capacity(shards.len());
-            for (i, queue) in shards.into_iter().enumerate() {
-                let ctx = Arc::clone(&ctx);
-                drainers.push(
-                    std::thread::Builder::new()
-                        .name(format!("entk-sync-{i}"))
-                        .spawn(move || run(ctx, &queue))
-                        .expect("spawn sync drainer"),
-                );
-            }
-            for d in drainers {
-                let _ = d.join();
-            }
-        })
-        .expect("spawn synchronizer")
-}
-
-/// Drain one sync shard in one broker call and apply each message's batch
-/// under one workflow lock (one recorder span per drain), answer each
-/// batch's reply with its flags in request order, and settle the drain
-/// with one cumulative ack. A message that does not decode is answered
-/// all-refused. The shard is a FIFO with this one consumer, so a
-/// component's batches apply in the order it published them, which is
-/// what [`Ctx::sync_tasks`] relies on.
-fn run(ctx: Arc<Ctx>, sync_queue: &str) {
-    // A drainer that dies (a `post_exec` hook panicking under the workflow
-    // lock) takes its shard with it: the batches still on it drop their
-    // replies, so their requesters read them refused instead of waiting for
-    // a drainer that is gone. On a normal exit the shard is already deleted
-    // or the broker closed, and this does nothing.
-    struct Leave<'a>(&'a Ctx, &'a str);
-    impl Drop for Leave<'_> {
-        fn drop(&mut self) {
-            let _ = self.0.broker.delete_queue(self.1);
-        }
-    }
-    let _leave = Leave(&ctx, sync_queue);
-    // Until the shard closes, not until the run flag clears: tear-down joins
-    // the requesters first, and their last round-trips need a live drainer.
-    loop {
-        let max_batch = ctx.exec.max_batch;
-        let batch = match ctx.broker.get_batch(sync_queue, max_batch, UNTIL_CLOSED) {
-            Ok(b) if !b.is_empty() => b,
-            Ok(_) => continue,
-            Err(_) => break, // queue closed: shutting down
-        };
-        let span = ctx
-            .recorder
-            .span(entk_observe::components::SYNC, "apply")
-            .with_payload(batch.len().to_string());
-        for d in &batch {
-            let applied = parse_sync(&d.message).map_or_else(Vec::new, |b| apply_batch(&ctx, &b));
-            let reply = d.message.attachment.as_deref();
-            if let Some(reply) = reply.and_then(|a| a.downcast_ref::<ReplyTo>()) {
-                reply.answer(applied);
-            }
-        }
-        // This drainer is its shard's only consumer: one cumulative ack —
-        // the per-shard ack cursor — settles the whole drain.
-        let boundary = batch.last().expect("non-empty batch").tag;
-        let _ = ctx.broker.ack_multiple(sync_queue, boundary);
-        ctx.charge_management(span);
-    }
-}
-
-/// Apply one sync batch, count its applied transitions in the run's
-/// report and, when traced, record each as a `transition` event.
-fn apply_batch(ctx: &Ctx, batch: &SyncBatch<'_>) -> Vec<bool> {
-    let applied = apply_all(ctx, &batch.uids, batch.state);
+/// Apply one sync batch on the caller's thread: the same transition for
+/// every uid under one workflow lock, timed by one `sync.apply` span. The
+/// span is not charged to the run's management overhead, because the
+/// requesting component's own span encloses it. Counts the applied
+/// transitions in the run's report and, when traced, records each as a
+/// `transition` event. Returns the applied flag of each uid, in order.
+pub(crate) fn apply_batch(ctx: &Ctx, uids: &[String], state: TaskState) -> Vec<bool> {
+    let span = ctx
+        .recorder
+        .span(entk_observe::components::SYNC, "apply")
+        .with_payload(uids.len());
+    let applied = apply_all(ctx, uids, state);
     let count = applied.iter().filter(|a| **a).count();
     ctx.transitions.fetch_add(count as u64, Ordering::Relaxed);
     if ctx.recorder.is_enabled() {
-        let state = batch.state.name();
-        for (uid, _) in batch.uids.iter().zip(&applied).filter(|(_, a)| **a) {
-            ctx.recorder
-                .record(entk_observe::components::SYNC, "transition", *uid, state);
+        let state = state.name();
+        for (uid, _) in uids.iter().zip(&applied).filter(|(_, a)| **a) {
+            ctx.recorder.record(
+                entk_observe::components::SYNC,
+                "transition",
+                uid.as_str(),
+                state,
+            );
         }
     }
+    drop(span);
     applied
 }
 
 /// Apply one transition on its own; returns whether it was applied. The
-/// single-request form of [`apply_batch`], for the inline test path and
-/// the AppManager's cancel sweep; it leaves the run's transition count
-/// alone, which counts what the Synchronizer applies.
+/// single-request form of [`apply_batch`], for the AppManager's cancel
+/// sweep and unit tests; it leaves the run's transition count alone, which
+/// counts what components request.
 pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
     apply_all(ctx, &[uid], state)[0]
 }
@@ -136,13 +67,13 @@ pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
 /// returns the applied flag of each, in order. Whoever waits on the run's
 /// signal is woken once, after the lock is dropped, if any transition
 /// asked for it.
-fn apply_all(ctx: &Ctx, uids: &[&str], state: TaskState) -> Vec<bool> {
+fn apply_all(ctx: &Ctx, uids: &[impl AsRef<str>], state: TaskState) -> Vec<bool> {
     let mut wake = false;
     let mut wf = ctx.workflow.lock();
     let applied: Vec<bool> = uids
         .iter()
         .map(|uid| {
-            let step = apply_locked(ctx, &mut wf, uid, state);
+            let step = apply_locked(ctx, &mut wf, uid.as_ref(), state);
             wake |= step == Some(true);
             step.is_some()
         })
@@ -277,8 +208,16 @@ fn settle_stage(ctx: &Ctx, wf: &mut Workflow, p: usize, s: usize) -> bool {
     match next_stage_state {
         StageState::Done => {
             // Branching: the hook may append stages before we decide whether
-            // the pipeline is exhausted.
-            let hooked = hook.map(|hook| hook(pipeline)).is_some();
+            // the pipeline is exhausted. It runs on the requesting
+            // component's thread, so a panicking hook fails the run instead
+            // of killing that component and stranding the rest of it.
+            let hooked = hook.is_some();
+            if let Some(hook) = hook {
+                if panic::catch_unwind(AssertUnwindSafe(|| hook(pipeline))).is_err() {
+                    ctx.fail_fatal(format!("post_exec hook of stage {stage_uid} panicked"));
+                    return true;
+                }
+            }
             let puid = pipeline.uid().to_string();
             if pipeline.advance_stage() {
                 // More stages to run; reindex if the hook may have added
@@ -330,6 +269,7 @@ mod tests {
     use crate::workflow::Workflow;
     use proptest::prelude::*;
     use rp_rts::Executable;
+    use std::sync::Arc;
 
     fn ctx_for(wf: Workflow) -> Arc<Ctx> {
         Ctx::for_tests(wf)
@@ -582,7 +522,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random transition sequences through the inline synchronizer: the
+        /// Random transition sequences through the synchronizer: the
         /// maintained tally always equals a recount of its stage, and the
         /// stage/pipeline states equal those of a twin run whose tallies are
         /// dropped before every step — a recount at each use, which is
@@ -660,94 +600,29 @@ mod tests {
         }
     }
 
-    /// A drainer that dies — here under a panicking `post_exec` hook —
-    /// takes its shard with it: the requester reads its batch refused
-    /// instead of waiting for an answer nobody will write, and later
-    /// requests on that shard are refused at publish.
+    /// A 64-uid `sync_tasks` is one apply under one lock, answered in
+    /// request order: the unknown uid and the illegal transition in the
+    /// middle are refused, every other uid applied.
     #[test]
-    fn a_dying_drainer_refuses_its_requests_instead_of_stranding_them() {
-        let task = Task::new("a", Executable::Noop);
-        let uids = [task.uid().to_string()];
-        let stage = Stage::new("s0")
-            .with_task(task)
-            .with_post_exec(|_| panic!("post_exec hook fails"));
-        let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(stage));
-        let ctx = Ctx::for_tests_queued(wf, None);
-        let sync = spawn(Arc::clone(&ctx));
-        let comp = crate::messages::component::DEQUEUE;
-        for state in &FULL[..5] {
-            assert_eq!(ctx.sync_tasks(comp, &uids, *state), [true]);
-        }
-        assert_eq!(ctx.sync_tasks(comp, &uids, TaskState::Done), [false]);
-        assert_eq!(ctx.sync_tasks(comp, &uids, TaskState::Done), [false]);
-        ctx.stop();
-        ctx.broker.close();
-        sync.join().unwrap();
-    }
-
-    /// A 64-uid `sync_tasks` is one message on its shard, applied under one
-    /// lock and answered in request order: the unknown uid and the illegal
-    /// transition in the middle are refused, every other uid applied.
-    #[test]
-    fn a_sync_batch_is_one_message_answered_in_request_order() {
+    fn a_sync_batch_is_one_apply_answered_in_request_order() {
         let names: Vec<String> = (0..63).map(|i| format!("t{i}")).collect();
         let (wf, uids) = wf_single(&names.iter().map(String::as_str).collect::<Vec<_>>());
-        let ctx = Ctx::for_tests_queued(wf, None);
-        let sync = spawn(Arc::clone(&ctx));
-        let comp = crate::messages::component::ENQUEUE;
-        let enqueued = || {
-            ctx.broker
-                .queue_stats(ctx.ns.sync_shard(comp))
-                .unwrap()
-                .enqueued
-        };
+        let ctx = ctx_for(wf);
+        let applies = || ctx.recorder.metrics().histogram("span.sync.apply").count();
         // Already Scheduling: asking for Scheduling again is illegal.
-        assert_eq!(
-            ctx.sync_tasks(comp, &uids[62..], TaskState::Scheduling),
-            [true]
-        );
-        let before = enqueued();
+        assert_eq!(ctx.sync_tasks(&uids[62..], TaskState::Scheduling), [true]);
+        let before = applies();
         let mut batch = uids[..31].to_vec();
         batch.push("task.999999".into());
         batch.push(uids[62].clone());
         batch.extend_from_slice(&uids[31..62]);
         assert_eq!(batch.len(), 64);
-        let applied = ctx.sync_tasks(comp, &batch, TaskState::Scheduling);
-        assert_eq!(enqueued() - before, 1, "one message per sync batch");
+        let applied = ctx.sync_tasks(&batch, TaskState::Scheduling);
+        assert_eq!(applies() - before, 1, "one apply per sync batch");
         let want: Vec<bool> = (0..64).map(|i| i != 31 && i != 32).collect();
         assert_eq!(applied, want);
-        ctx.stop();
-        ctx.broker.close();
-        sync.join().unwrap();
         assert_eq!(ctx.workflow.lock().count_in(TaskState::Scheduling), 63);
         assert_eq!(ctx.transitions.load(Ordering::Relaxed), 63);
-    }
-
-    /// A sync message that does not decode is answered all-refused, and the
-    /// drainer goes on to apply the batch behind it.
-    #[test]
-    fn a_malformed_sync_batch_is_refused_not_stranded() {
-        use crate::messages::{sync_message, Reply};
-        let (wf, uids) = wf_single(&["a", "b"]);
-        let ctx = Ctx::for_tests_queued(wf, None);
-        let sync = spawn(Arc::clone(&ctx));
-        let comp = crate::messages::component::EMGR;
-        let mut payload = sync_message(TaskState::Scheduling, &uids).payload.to_vec();
-        payload.pop(); // the last uid cut short
-        let (reply, reply_to) = Reply::new(uids.len());
-        let malformed = entk_mq::Message::new(payload).with_attachment(reply_to);
-        ctx.broker
-            .publish(ctx.ns.sync_shard(comp), malformed)
-            .unwrap();
-        assert_eq!(reply.wait(), [false, false]);
-        assert_eq!(ctx.workflow.lock().count_in(TaskState::Described), 2);
-        assert_eq!(
-            ctx.sync_tasks(comp, &uids, TaskState::Scheduling),
-            [true, true]
-        );
-        ctx.stop();
-        ctx.broker.close();
-        sync.join().unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! requirements (§II-A), resubmits failed tasks within their retry budget.
 
 use crate::appmanager::{Ctx, ExecutionStrategy};
-use crate::messages::{self, component, AttemptOutcome, Reaction, UNTIL_CLOSED};
+use crate::messages::{self, AttemptOutcome, Reaction, UNTIL_CLOSED};
 use crate::states::TaskState;
 use entk_mq::Message;
 use entk_observe::{components as obs, hops, TraceCtx};
@@ -68,7 +68,7 @@ fn enqueue_loop(ctx: Arc<Ctx>) {
         let span = ctx
             .recorder
             .span(obs::ENQ, "batch")
-            .with_payload(ready.len().to_string());
+            .with_payload(ready.len());
         let alive = enqueue(&ctx, &ready, &mut reaction);
         ctx.charge_management(span);
         if !alive {
@@ -135,14 +135,14 @@ fn enqueue(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
         };
         let chunk = &ready[idx..(idx + free.min(max_batch)).min(ready.len())];
         idx += chunk.len();
-        let scheduling = ctx.sync_tasks(component::ENQUEUE, chunk, TaskState::Scheduling);
+        let scheduling = ctx.sync_tasks(chunk, TaskState::Scheduling);
         let chunk: Vec<String> = chunk
             .iter()
             .zip(scheduling)
             .filter(|(_, ok)| *ok)
             .map(|(uid, _)| uid.clone())
             .collect();
-        let scheduled = ctx.sync_tasks(component::ENQUEUE, &chunk, TaskState::Scheduled);
+        let scheduled = ctx.sync_tasks(&chunk, TaskState::Scheduled);
         let hold = reaction.attachment();
         let pending: Vec<Message> = chunk
             .iter()
@@ -187,7 +187,7 @@ fn dequeue_loop(ctx: Arc<Ctx>) {
         let span = ctx
             .recorder
             .span(obs::DEQ, "handle")
-            .with_payload(batch.len().to_string());
+            .with_payload(batch.len());
         // The batch's simulator credits, for the transition that wakes
         // Enqueue to park; released with the batch.
         *ctx.reaction.lock() = Reaction::of(batch.iter().map(|d| &d.message));
@@ -332,7 +332,7 @@ fn decide(
     Some(Verdict { uid, state, trace })
 }
 
-/// Apply verdicts: one `sync_tasks` round-trip per run of consecutive equal
+/// Apply verdicts: one `sync_tasks` call per run of consecutive equal
 /// target states, so batch order — and with it per-uid order — is kept.
 /// Then stamp each settled timeline's final `synced` hop and fold it into
 /// the run's critical-path aggregate. Only `Done` timelines are folded: a
@@ -349,7 +349,7 @@ fn apply(ctx: &Ctx, verdicts: Vec<Verdict>) {
             run.push(v);
         }
         let uids: Vec<String> = run.iter().map(|v| v.uid.clone()).collect();
-        ctx.sync_tasks(component::DEQUEUE, &uids, state);
+        ctx.sync_tasks(&uids, state);
         for mut trace in run.into_iter().filter_map(|v| v.trace) {
             trace.hop(obs::SYNC, hops::SYNCED, ctx.recorder.now_ns());
             let outcome = match state {
@@ -379,8 +379,7 @@ mod tests {
     use crate::workflow::Workflow;
     use rp_rts::Executable;
 
-    /// Drive a uid through the pre-execution states via the test Ctx's
-    /// in-line synchronizer.
+    /// Drive a uid through the pre-execution states.
     fn to_executed(ctx: &Ctx, uid: &str) {
         for s in [
             TaskState::Scheduling,
@@ -389,7 +388,7 @@ mod tests {
             TaskState::Submitted,
             TaskState::Executed,
         ] {
-            assert_eq!(ctx.sync_tasks("test", &[uid.to_string()], s), [true]);
+            assert_eq!(ctx.sync_tasks(&[uid.to_string()], s), [true]);
         }
     }
 
@@ -466,10 +465,7 @@ mod tests {
             TaskState::Submitting,
             TaskState::Submitted,
         ] {
-            assert_eq!(
-                ctx.sync_tasks("test", std::slice::from_ref(&uid), s),
-                [true]
-            );
+            assert_eq!(ctx.sync_tasks(std::slice::from_ref(&uid), s), [true]);
         }
         handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Lost, None)]);
         // Lost does not consume the (zero) retry budget.
@@ -491,9 +487,9 @@ mod tests {
     }
 
     /// One Done-queue batch mixing every outcome, with two deliveries for
-    /// one uid, settled in one pass over a live Synchronizer must leave the
-    /// workflow exactly as the per-task path (a batch of one per delivery)
-    /// does, in one sync publish per run of equal target states.
+    /// one uid, settled in one pass must leave the workflow exactly as the
+    /// per-task path (a batch of one per delivery) does, in one sync apply
+    /// per run of equal target states.
     #[test]
     fn batched_dequeue_matches_per_task_path() {
         let names = ["done", "twice", "retry", "lost", "fail", "cancel"];
@@ -560,20 +556,16 @@ mod tests {
             handle_outcomes(&per_task, [d]);
         }
 
-        let queued = Ctx::for_tests_queued(wf.clone(), Some(1));
-        let sync = crate::synchronizer::spawn(Arc::clone(&queued));
-        prepare(&queued);
-        handle_outcomes(&queued, deliveries());
-        let enqueued = queued
-            .broker
-            .queue_stats(queued.ns.sync_shard(component::DEQUEUE))
-            .unwrap()
-            .enqueued;
-        queued.stop();
-        queued.broker.close();
-        sync.join().unwrap();
+        let batched = Ctx::for_tests_with_retries(wf.clone(), Some(1));
+        prepare(&batched);
+        handle_outcomes(&batched, deliveries());
+        let applies = batched
+            .recorder
+            .metrics()
+            .histogram("span.sync.apply")
+            .count();
 
-        let got = outcome(&queued);
+        let got = outcome(&batched);
         assert_eq!(got, outcome(&per_task));
         assert_eq!(
             got,
@@ -588,8 +580,8 @@ mod tests {
                 (TaskState::Canceled, 1, None),
             ]
         );
-        assert_eq!(enqueued, RUNS, "one sync message per run of equal states");
-        for ctx in [&per_task, &queued] {
+        assert_eq!(applies, RUNS, "one sync apply per run of equal states");
+        for ctx in [&per_task, &batched] {
             assert_eq!(
                 ctx.critical_path.lock().tasks(),
                 2,

@@ -329,10 +329,7 @@ fn cancel(gw: &GatewayState, id: SubmissionId) -> HttpResponse {
 }
 
 fn sessions(gw: &GatewayState) -> HttpResponse {
-    match gw.client.list() {
-        Some(sessions) => HttpResponse::ok_json(wire::sessions_json(&sessions)),
-        None => HttpResponse::error_json(503, "service unavailable"),
-    }
+    HttpResponse::ok_json(wire::sessions_json(&gw.client.list()))
 }
 
 #[cfg(test)]

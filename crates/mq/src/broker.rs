@@ -203,11 +203,20 @@ impl Broker {
 
     /// Create a broker with the given configuration.
     pub fn with_config(config: BrokerConfig) -> MqResult<Self> {
+        Self::build(config, |segment| Journal::open(segment))
+    }
+
+    /// [`Broker::with_config`], opening each shard's journal segment with
+    /// `open_segment`.
+    fn build(
+        config: BrokerConfig,
+        open_segment: impl Fn(&Path) -> MqResult<Journal>,
+    ) -> MqResult<Self> {
         let n = resolve_shards(config.shards);
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             let journal = match &config.journal_path {
-                Some(p) => Some(Journal::open(segment_path(p, i))?),
+                Some(p) => Some(open_segment(&segment_path(p, i))?),
                 None => None,
             };
             shards.push(Shard {
@@ -265,13 +274,20 @@ impl Broker {
             .clone()
             .expect("recover_with_config requires a journal path");
         let mut scans = Vec::new();
+        let mut tails = HashMap::new();
         for segment in existing_segments(&path) {
-            scans.push(Journal::scan(&segment)?);
+            let scan = Journal::scan(&segment)?;
+            tails.insert(segment, scan.torn_tail.then_some(scan.safe_len));
+            scans.push(scan);
         }
         let merged = Replay::merge(scans);
-        // `with_config` → `Journal::open` repairs any torn tail on this
-        // run's segments before they are reopened for append.
-        let broker = Self::with_config(config)?;
+        // Each segment this run appends to is reopened from its scan above,
+        // which already found any torn tail to cut; a segment the scan did
+        // not see is opened (and scanned) afresh.
+        let broker = Self::build(config, |segment| match tails.get(segment) {
+            Some(torn) => Journal::reopen(segment, *torn),
+            None => Journal::open(segment),
+        })?;
         for q in merged.declared {
             // Redeclare without journaling again (records already on disk).
             broker.declare_internal(&q, QueueConfig::durable());

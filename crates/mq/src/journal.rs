@@ -77,7 +77,7 @@ impl Replay {
     ///   tag-floor bump covers every tag any segment has ever journaled.
     ///
     /// `safe_len`/`torn_tail` are per-file properties and stay at their
-    /// defaults ([`Journal::open`] repairs each segment's tail on its own).
+    /// defaults (recovery repairs each segment's tail from its own scan).
     pub fn merge(scans: impl IntoIterator<Item = Replay>) -> Replay {
         let mut out = Replay::default();
         let mut orphans: BTreeMap<String, std::collections::BTreeSet<u64>> = BTreeMap::new();
@@ -348,19 +348,26 @@ impl Journal {
     /// one would leave the partial record glued to the front of the new
     /// record, corrupting every subsequent replay.
     pub fn open(path: impl AsRef<Path>) -> MqResult<Self> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
+        let scan = Self::scan(path)?;
+        Self::reopen(path, scan.torn_tail.then_some(scan.safe_len))
+    }
+
+    /// [`Journal::open`] for a file already scanned: `torn` is the length
+    /// to cut a torn tail back to (the scan's `safe_len`), `None` if the
+    /// scan found none.
+    pub(crate) fn reopen(path: &Path, torn: Option<u64>) -> MqResult<Self> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let scan = Self::scan(&path)?;
-        if scan.torn_tail {
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(scan.safe_len)?;
+        if let Some(safe_len) = torn {
+            let f = OpenOptions::new().write(true).open(path)?;
+            f.set_len(safe_len)?;
             f.sync_all()?;
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(Journal {
             writer: Mutex::new(BufWriter::new(file)),
         })

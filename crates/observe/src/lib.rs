@@ -60,7 +60,7 @@ pub use tracestore::{StoredTrace, TraceStore, TraceStoreConfig};
 pub mod components {
     /// AppManager (master) in entk-core.
     pub const AMGR: &str = "amgr";
-    /// Synchronizer loop in entk-core.
+    /// Synchronizer in entk-core.
     pub const SYNC: &str = "sync";
     /// WFProcessor enqueue side.
     pub const ENQ: &str = "enq";
@@ -173,6 +173,32 @@ mod tests {
         let off = Recorder::disabled().span(components::SYNC, "apply");
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(off.finish() >= std::time::Duration::from_millis(1));
+    }
+
+    #[test]
+    fn a_span_payload_is_formatted_only_when_traced() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counted<'a>(&'a AtomicUsize);
+        impl std::fmt::Display for Counted<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                write!(f, "42")
+            }
+        }
+        let formatted = AtomicUsize::new(0);
+        drop(
+            Recorder::disabled()
+                .span(components::SYNC, "apply")
+                .with_payload(Counted(&formatted)),
+        );
+        assert_eq!(formatted.load(Ordering::Relaxed), 0, "untraced: no string");
+        let rec = Recorder::new();
+        drop(
+            rec.span(components::SYNC, "apply")
+                .with_payload(Counted(&formatted)),
+        );
+        assert_eq!(formatted.load(Ordering::Relaxed), 1);
+        assert_eq!(rec.snapshot()[0].payload, "42");
     }
 
     #[test]

@@ -287,9 +287,13 @@ impl Span {
         self
     }
 
-    /// Attach a free-form payload reported with the close event.
-    pub fn with_payload(mut self, payload: impl Into<String>) -> Self {
-        self.payload = payload.into();
+    /// Attach a free-form payload reported with the close event. It is
+    /// formatted only when the recorder collects events, so an untraced
+    /// span builds no string.
+    pub fn with_payload(mut self, payload: impl std::fmt::Display) -> Self {
+        if self.recorder.is_enabled() {
+            self.payload = payload.to_string();
+        }
         self
     }
 

@@ -128,7 +128,7 @@ impl LocalRuntime {
         let span = self
             .recorder
             .span(components::RTS, "submit_units")
-            .with_payload(descs.len().to_string());
+            .with_payload(descs.len());
         let tx_guard = self.work_tx.lock();
         let tx = tx_guard.as_ref().expect("alive runtime has sender");
         let mut st = self.state.lock();

@@ -271,7 +271,7 @@ impl SimRuntime {
         let span = self
             .recorder
             .span(components::RTS, "submit_units")
-            .with_payload(descs.len().to_string());
+            .with_payload(descs.len());
         {
             let mut st = self.state.lock();
             let job = st.pilots.get(&pilot).map(|p| p.job);

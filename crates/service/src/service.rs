@@ -413,8 +413,8 @@ impl ServiceClient {
 
     /// List every known submission (queued, running, and settled-but-not-
     /// taken), id-ordered.
-    pub fn list(&self) -> Option<Vec<SessionInfo>> {
-        Some(list_sessions(&self.inner))
+    pub fn list(&self) -> Vec<SessionInfo> {
+        list_sessions(&self.inner)
     }
 
     /// Lifecycle state of a submission (`None` if unknown).
@@ -436,9 +436,9 @@ impl ServiceClient {
     }
 
     /// Sample the service counters.
-    pub fn stats(&self) -> Option<ServiceStats> {
+    pub fn stats(&self) -> ServiceStats {
         let st = self.inner.state.lock();
-        Some(stats_snapshot(&self.inner, &st))
+        stats_snapshot(&self.inner, &st)
     }
 
     /// Block until the submission settles and take its result, or time out.

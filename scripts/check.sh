@@ -94,7 +94,7 @@ if [ -n "$rereads" ]; then
 fi
 
 echo "== no headers on the core data path =="
-# Pending, Done and sync messages are typed payloads (crates/core/src/
+# Pending and Done messages are typed payloads (crates/core/src/
 # messages.rs): a header costs a map node and two strings to build and the
 # same again each time the broker clones the message, on every task. A
 # `with_header(` call in non-test code of the core message and loop files
@@ -109,6 +109,26 @@ headers=$(awk '
 if [ -n "$headers" ]; then
     echo "$headers"
     echo "header on the core data path: carry the field in the typed payload instead"
+    exit 1
+fi
+
+echo "== state transitions are function calls =="
+# A component's sync batch is applied on its own thread under the workflow
+# lock (DESIGN.md §1, arrows 6–7): the run queues are not durable, and the
+# requester waits for the whole answer, so a queue hop or a thread of the
+# Synchronizer's own would add a layer and do no work. A `broker`
+# reference, `thread::spawn` or `Builder::new()` in non-test, non-comment
+# code of crates/core/src/synchronizer.rs fails the check.
+hopped=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests/ { in_tests = 1 }
+    !in_tests && !/^[ \t]*\/\// && /broker|thread::spawn|Builder::new\(\)/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' crates/core/src/synchronizer.rs)
+if [ -n "$hopped" ]; then
+    echo "$hopped"
+    echo "queue hop or thread in the Synchronizer: apply the batch on the requesting thread"
     exit 1
 fi
 

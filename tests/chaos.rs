@@ -25,7 +25,6 @@ use entk::prelude::*;
 use entk_fail::{InjectedAction, Trigger};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -556,66 +555,6 @@ fn heartbeat_sweep_over_half_settled_batch_loses_no_tasks() {
 }
 
 // ---------------------------------------------------------------------------
-// core.sync.abandon_ack_drain — exactly-once under abandoned sync replies.
-// ---------------------------------------------------------------------------
-
-/// The Synchronizer's client publishes sync batches and then abandons
-/// their replies unread, repeatedly. Reconciliation must converge without
-/// re-driving anything: every task executes exactly once (counters on a
-/// local backend), with exactly one recorded attempt.
-#[test]
-fn abandoned_sync_ack_drains_keep_execution_exactly_once() {
-    let _g = entk_fail::scenario();
-    let counters: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..TASKS).map(|_| AtomicUsize::new(0)).collect());
-    let mut stage = Stage::new("once");
-    for i in 0..TASKS {
-        let c = Arc::clone(&counters);
-        stage.add_task(Task::new(
-            format!("t{i}"),
-            Executable::compute(0.01, move || {
-                c[i].fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }),
-        ));
-    }
-    let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(stage));
-
-    entk_fail::arm(
-        "core.sync.abandon_ack_drain",
-        Trigger::EveryNth(2),
-        InjectedAction::Fail,
-        Some(3),
-    );
-    let report = AppManager::new(
-        AppManagerConfig::new(ResourceDescription::local(4)).with_run_timeout(timeout()),
-    )
-    .run(wf)
-    .expect("run completes");
-    assert!(report.succeeded);
-    assert_eq!(report.overheads.tasks_done, TASKS as u64);
-    assert!(
-        entk_fail::fires("core.sync.abandon_ack_drain") >= 1,
-        "at least one sync must have abandoned its ack drain"
-    );
-    for (i, c) in counters.iter().enumerate() {
-        assert_eq!(
-            c.load(Ordering::SeqCst),
-            1,
-            "task t{i} must execute exactly once"
-        );
-    }
-    for p in report.workflow.pipelines() {
-        for s in p.stages() {
-            for t in s.tasks() {
-                assert_eq!(t.state(), TaskState::Done);
-                assert_eq!(t.attempts(), 1, "no re-drive for {}", t.name());
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // rts.pool.dead_lease_return — the service survives corpses at pool return.
 // ---------------------------------------------------------------------------
 
@@ -671,7 +610,7 @@ fn service_discards_dead_lease_returns_and_completes_everything() {
 
     let fires = entk_fail::fires("rts.pool.dead_lease_return");
     assert_eq!(fires, 2, "both injected corpse returns fired");
-    let stats = client.stats().expect("service alive");
+    let stats = client.stats();
     assert_eq!(stats.completed, 6);
     assert!(
         stats.pool.discarded >= fires,
@@ -850,7 +789,7 @@ fn gateway_journal_submitted_crash_rejects_then_recovers_exactly_once() {
 
     let recovered = recover_service(&dir).expect("recovery succeeds");
     let rc = recovered.client();
-    let sessions = rc.list().expect("listing");
+    let sessions = rc.list();
     assert_eq!(
         sessions.len(),
         1,

@@ -68,15 +68,14 @@ fn run_traced_with(tag: &str, fail_first: bool, exec: ExecManagerConfig) -> (Run
     (report, recorder)
 }
 
-/// Sync messages the Synchronizer drained over a run: the sum of its
-/// `sync.apply` spans' payloads, one per drain.
-fn sync_messages_drained(recorder: &Recorder) -> u64 {
+/// Sync batches the Synchronizer applied over a run: its `sync.apply`
+/// spans, one per `sync_tasks` call.
+fn sync_batches_applied(recorder: &Recorder) -> u64 {
     recorder
         .snapshot()
         .iter()
         .filter(|e| e.component == components::SYNC && e.kind == "apply")
-        .map(|e| e.payload.parse::<u64>().expect("a message count"))
-        .sum()
+        .count() as u64
 }
 
 #[test]
@@ -171,18 +170,16 @@ fn mq_latency_histograms_are_populated_by_a_full_run() {
         assert!(h.p50_ns > 0 && h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
     }
     // On this retry-free run every task is one Pending and one Done
-    // delivery, and every sync batch — however many tasks it names — one
-    // more. Each task takes six synchronized transitions, so a batch per
-    // transition would make six per task; Enqueue's first pass tags both
-    // pipelines' first stages, six tasks, in one batch, so there are fewer.
-    // The Synchronizer answers in process; an ack queue would add one more
-    // delivery per batch.
+    // delivery. Each task takes six synchronized transitions, so a batch
+    // per transition would make six applies per task; Enqueue's first pass
+    // tags both pipelines' first stages, six tasks, in one batch, so there
+    // are fewer. A sync batch is a function call, not a message.
     let tasks = 12;
-    let batches = sync_messages_drained(&recorder);
+    let batches = sync_batches_applied(&recorder);
     assert!((1..6 * tasks).contains(&batches), "{batches} sync batches");
     assert_eq!(
         m.histogram("mq.publish_to_deliver").snapshot().count,
-        2 * tasks + batches
+        2 * tasks
     );
     // The synchronizer's transition-latency histogram is the paper's
     // management-overhead microscope.
@@ -190,22 +187,23 @@ fn mq_latency_histograms_are_populated_by_a_full_run() {
 }
 
 #[test]
-fn a_batch_limit_of_one_delivers_eight_messages_per_task() {
-    // The per-task path: Pending, Done and six sync batches of one task.
+fn a_batch_limit_of_one_delivers_two_messages_per_task() {
+    // The per-task path: Pending and Done, and six sync batches of one task
+    // applied in process.
     let exec = ExecManagerConfig {
         max_batch: 1,
         ..Default::default()
     };
     let (_report, recorder) = run_traced_with("mq-hist-1", false, exec);
     let tasks = 12;
-    assert_eq!(sync_messages_drained(&recorder), 6 * tasks);
+    assert_eq!(sync_batches_applied(&recorder), 6 * tasks);
     assert_eq!(
         recorder
             .metrics()
             .histogram("mq.publish_to_deliver")
             .snapshot()
             .count,
-        8 * tasks
+        2 * tasks
     );
 }
 
