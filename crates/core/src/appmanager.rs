@@ -407,6 +407,10 @@ pub(crate) struct Ctx {
     pub management_ns: AtomicU64,
     /// Transitions the Synchronizer applied (the `transition` events).
     pub transitions: AtomicU64,
+    /// The live per-state transition counters (`task.state.<state>`),
+    /// indexed by `TaskState as usize`, resolved once per run; `None` when
+    /// untraced.
+    pub state_counters: Option<[Arc<entk_observe::Counter>; TaskState::ALL.len()]>,
     /// Successful task attempts (the `attempt_done` events).
     pub attempts_done: AtomicU64,
     /// Failed, canceled and lost task attempts (the `attempt_failed`
@@ -478,6 +482,10 @@ impl Ctx {
             workflow: Mutex::new(workflow),
             management_ns: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
+            state_counters: recorder.is_enabled().then(|| {
+                let metrics = recorder.metrics();
+                TaskState::ALL.map(|s| metrics.counter(&format!("task.state.{}", s.name())))
+            }),
             attempts_done: AtomicU64::new(0),
             attempts_failed: AtomicU64::new(0),
             recorder,

@@ -461,19 +461,15 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
         let rts = slot.slot.read().0.clone();
         match rts.callbacks().try_recv() {
             Ok(cb) => {
-                // Coalesce whatever other completions are already waiting,
-                // then sync the whole batch with one round-trip and notify
-                // Dequeue with one batched publish.
+                // Every callback is a completion. Coalesce whatever others
+                // are already waiting, then sync the whole batch with one
+                // round-trip and notify Dequeue with one batched publish.
                 let mut cbs = vec![cb];
                 while cbs.len() < ctx.exec.max_batch {
                     match rts.callbacks().try_recv() {
                         Ok(c) => cbs.push(c),
                         Err(_) => break,
                     }
-                }
-                cbs.retain(|c| c.state.is_terminal());
-                if cbs.is_empty() {
-                    continue;
                 }
                 let span = ctx
                     .recorder

@@ -85,14 +85,11 @@ fn apply_all(ctx: &Ctx, uids: &[impl AsRef<str>], state: TaskState) -> Vec<bool>
     if wake {
         ctx.wake();
     }
-    // Per-state transition counters (`task.state.<state>`) for the live
-    // exposition plane; skipped when untraced to keep the hot path lean.
-    let count = applied.iter().filter(|a| **a).count();
-    if ctx.recorder.is_enabled() && count > 0 {
-        ctx.recorder
-            .metrics()
-            .counter(&format!("task.state.{}", state.name()))
-            .add(count as u64);
+    // Per-state transition counters for the live exposition plane; there
+    // are none when untraced.
+    if let Some(counters) = &ctx.state_counters {
+        let count = applied.iter().filter(|a| **a).count();
+        counters[state as usize].add(count as u64);
     }
     applied
 }

@@ -191,17 +191,19 @@ pub enum UnitOutcome {
     Canceled,
 }
 
-/// A state-change notification pushed to the client (EnTK's "RTS Callback"
-/// subcomponent consumes these and feeds the Done queue).
+/// A unit's terminal state-change notification, pushed to the client
+/// (EnTK's "RTS Callback" subcomponent consumes these and feeds the Done
+/// queue). Non-terminal transitions are recorded in the unit's document
+/// and trace, and are not called back.
 #[derive(Debug, Clone)]
 pub struct UnitCallback {
     /// The unit.
     pub unit: UnitId,
     /// Client correlation tag (EnTK task uid).
     pub tag: String,
-    /// New state.
+    /// The terminal state.
     pub state: UnitState,
-    /// Terminal outcome; only present when `state.is_terminal()`.
+    /// Terminal outcome, matching `state`.
     pub outcome: Option<UnitOutcome>,
     /// Timestamp of the transition, in seconds on the backend's timeline
     /// (virtual seconds for the simulated backend, wall seconds since RTS
@@ -209,12 +211,12 @@ pub struct UnitCallback {
     pub timestamp_secs: f64,
     /// Causal trace handed back with terminal callbacks: the unit's
     /// upstream hops plus the agent's `agent_start`/`agent_end` hops.
-    /// `None` on non-terminal callbacks and for untraced units.
+    /// `None` for untraced units.
     pub trace: Option<entk_observe::TraceCtx>,
     /// The simulator's reaction credit of the event behind a terminal
     /// callback: the virtual clock stays at its instant until whoever
     /// reacts to the callback lets it go (DESIGN.md, hpc-sim). Inert on
-    /// non-terminal callbacks and on the local backend.
+    /// the local backend.
     pub credit: hpc_sim::Credit,
 }
 

@@ -106,7 +106,7 @@ impl LocalRuntime {
         self.alive.load(Ordering::Acquire)
     }
 
-    /// Callback stream.
+    /// Callback stream: one terminal callback per unit.
     pub fn callbacks(&self) -> &Receiver<UnitCallback> {
         &self.callbacks_rx
     }
@@ -226,15 +226,6 @@ fn worker_loop(
         }
         recorder.record(components::RTS, "unit_started", desc.tag.as_str(), "");
         counters.started.incr();
-        let _ = cb_tx.send(UnitCallback {
-            unit: id,
-            tag: desc.tag.clone(),
-            state: UnitState::Executing,
-            outcome: None,
-            timestamp_secs: started,
-            trace: None,
-            credit: Default::default(),
-        });
 
         let result: Result<(), String> = match &desc.executable {
             Executable::Compute { func, .. } => func(),

@@ -203,7 +203,7 @@ impl RuntimeSystem {
         }
     }
 
-    /// Unit state-transition callbacks.
+    /// Terminal unit callbacks, one per unit.
     pub fn callbacks(&self) -> &Receiver<UnitCallback> {
         match &self.backend {
             Backend::Sim(rt) => rt.callbacks(),

@@ -12,6 +12,15 @@
 //!   default is one), places and spawns tasks through the simulated
 //!   launcher, and on completion performs output staging and emits
 //!   callbacks.
+//!
+//! The Agent works in bulk, as RP's does against MongoDB. The dispatcher
+//! takes whatever engine events are queued as one batch and applies it
+//! under one state lock; every unit transition of the batch reaches the
+//! [`DocDb`] in one `update_states` round trip. Only terminal transitions
+//! are called back, and only after that write, so whoever receives a
+//! callback finds the unit's document terminal. Non-terminal transitions
+//! (`AgentQueued`, `Executing`, `StagingOutput`) update the unit, its
+//! document and its trace, and send nothing.
 
 use crate::api::{
     PilotDescription, PilotId, PilotState, RtsDown, UnitCallback, UnitDescription, UnitId,
@@ -161,7 +170,7 @@ impl SimRuntime {
         self.alive.load(Ordering::Acquire)
     }
 
-    /// Callback stream (unit state transitions).
+    /// Callback stream: one terminal callback per unit.
     pub fn callbacks(&self) -> &Receiver<UnitCallback> {
         &self.callbacks_rx
     }
@@ -328,27 +337,23 @@ impl SimRuntime {
             self.db.insert_units(pilot.0, inserts);
             // Pass 2: route each unit. Submit-path state transitions are
             // collected and persisted with one bulk update below, launches
-            // sent to the engine as one command.
-            let mut state_updates: Vec<(UnitId, UnitState)> = Vec::new();
+            // sent to the engine as one command. Nothing is called back.
+            let mut batch = Batch::default();
             let mut launch_units: Vec<UnitId> = Vec::new();
             let mut launch_tasks: Vec<TaskDesc> = Vec::new();
             for (id, stage_in) in routes {
                 match (job, stage_in) {
                     (None, _) => {
                         // Unknown pilot: the unit is immediately lost.
-                        fail_unit_locked(&mut st, &self.db, id, UnitOutcome::Canceled, now, None);
+                        end_unit_locked(&mut st, &mut batch, id, UnitOutcome::Canceled, now);
                     }
                     (Some(_), Some(su)) if !su.is_empty() => {
-                        if set_state_mem_locked(&mut st, id, UnitState::StagingInput, None) {
-                            state_updates.push((id, UnitState::StagingInput));
-                        }
+                        set_state_locked(&mut st, &mut batch, id, UnitState::StagingInput);
                         st.stage_queue.push_back((id, su, StagePhase::In));
                     }
                     (Some(_), _) => {
                         launch_tasks.push(make_task_desc(&st.units[&id].desc));
-                        if set_state_mem_locked(&mut st, id, UnitState::AgentQueued, None) {
-                            state_updates.push((id, UnitState::AgentQueued));
-                        }
+                        set_state_locked(&mut st, &mut batch, id, UnitState::AgentQueued);
                         launch_units.push(id);
                     }
                 }
@@ -357,13 +362,13 @@ impl SimRuntime {
             // update — every document was inserted but only a prefix
             // records its submit-path transition, and nothing launches.
             if let Some(action) = entk_fail::hit_sleep("rts.db.update_states") {
-                let keep = injected_prefix(&action, state_updates.len());
-                self.db.update_states(&state_updates[..keep]);
+                let keep = injected_prefix(&action, batch.updates.len());
+                self.db.update_states(&batch.updates[..keep]);
                 drop(st);
                 self.kill();
                 return Err(RtsDown);
             }
-            self.db.update_states(&state_updates);
+            self.db.update_states(&batch.updates);
             if die_after_submit {
                 drop(st);
                 self.kill();
@@ -398,15 +403,6 @@ impl SimRuntime {
         }
         drop(span);
         Ok(ids)
-    }
-
-    /// Cancel one unit.
-    pub fn cancel_unit(&self, unit: UnitId) {
-        let st = self.state.lock();
-        if let Some((tid, _)) = st.task_index.iter().find(|(_, u)| **u == unit) {
-            self.commander.cancel_task(*tid);
-        }
-        // Units still in staging will be canceled when their stage finishes.
     }
 
     /// Cancel a pilot (tears down its units via JobEnded).
@@ -525,83 +521,62 @@ fn make_task_desc(desc: &UnitDescription) -> TaskDesc {
     }
 }
 
-/// Apply a unit state transition in memory only (entry state, recorder,
-/// callback). Returns whether the transition applied (unit known and not
-/// already terminal); the caller is responsible for persisting applied
-/// transitions to the DB — individually or via one bulk `update_states`.
-fn set_state_mem_locked(
-    st: &mut State,
-    unit: UnitId,
-    state: UnitState,
-    cb: Option<(&Sender<UnitCallback>, f64)>,
-) -> bool {
-    let rec = st.recorder.clone();
-    if let Some(u) = st.units.get_mut(&unit) {
-        if u.state.is_terminal() {
-            return false;
-        }
-        u.state = state;
-        if state == UnitState::Executing {
-            // The agent_start hop is stamped adjacent to the unit_started
-            // event so the aggregated hop timeline stays cross-checkable
-            // against `OverheadReport::from_trace`.
-            if let Some(trace) = u.desc.trace.as_mut() {
-                trace.hop(
-                    components::RTS,
-                    entk_observe::hops::AGENT_START,
-                    rec.now_ns(),
-                );
-            }
-            rec.record(components::RTS, "unit_started", u.desc.tag.as_str(), "");
-            st.counters.started.incr();
-        } else if rec.is_enabled() {
-            rec.record(
+/// The work a batch of unit transitions leaves for after its bookkeeping
+/// under the state lock: the DocDb writes, made as one bulk
+/// `update_states`, then the terminal callbacks.
+#[derive(Default)]
+struct Batch {
+    updates: Vec<(UnitId, UnitState)>,
+    callbacks: Vec<UnitCallback>,
+}
+
+/// Move a unit to a non-terminal `state` (entry, trace, recorder) and queue
+/// its document write. A unit that is unknown or already terminal is left
+/// alone. Nothing is called back.
+fn set_state_locked(st: &mut State, batch: &mut Batch, unit: UnitId, state: UnitState) {
+    let rec = &st.recorder;
+    let Some(u) = st.units.get_mut(&unit) else {
+        return;
+    };
+    if u.state.is_terminal() {
+        return;
+    }
+    u.state = state;
+    if state == UnitState::Executing {
+        // The agent_start hop is stamped adjacent to the unit_started
+        // event so the aggregated hop timeline stays cross-checkable
+        // against `OverheadReport::from_trace`.
+        if let Some(trace) = u.desc.trace.as_mut() {
+            trace.hop(
                 components::RTS,
-                "unit_state",
-                u.desc.tag.as_str(),
-                format!("{state:?}"),
+                entk_observe::hops::AGENT_START,
+                rec.now_ns(),
             );
         }
-        if let Some((tx, ts)) = cb {
-            let _ = tx.send(UnitCallback {
-                unit,
-                tag: u.desc.tag.clone(),
-                state,
-                outcome: None,
-                timestamp_secs: ts,
-                trace: None,
-                credit: Credit::default(),
-            });
-        }
-        true
-    } else {
-        false
+        rec.record(components::RTS, "unit_started", u.desc.tag.as_str(), "");
+        st.counters.started.incr();
+    } else if rec.is_enabled() {
+        rec.record(
+            components::RTS,
+            "unit_state",
+            u.desc.tag.as_str(),
+            format!("{state:?}"),
+        );
     }
+    batch.updates.push((unit, state));
 }
 
-fn set_state_locked(
+/// End a unit: queue its document write and its terminal callback, which
+/// carries the unit's whole trace. The callback's credit is the sender's
+/// to fill in.
+fn end_unit_locked(
     st: &mut State,
-    db: &DocDb,
-    unit: UnitId,
-    state: UnitState,
-    cb: Option<(&Sender<UnitCallback>, f64)>,
-) {
-    if set_state_mem_locked(st, unit, state, cb) {
-        db.update_state(unit, state);
-    }
-}
-
-/// End a unit. With `cb`, the terminal callback carries a clone of the
-/// credit of the event that ended it, to whoever reacts.
-fn fail_unit_locked(
-    st: &mut State,
-    db: &DocDb,
+    batch: &mut Batch,
     unit: UnitId,
     outcome: UnitOutcome,
     at_secs: f64,
-    cb: Option<(&Sender<UnitCallback>, &Credit)>,
 ) {
-    let rec = st.recorder.clone();
+    let rec = &st.recorder;
     let Some(u) = st.units.get_mut(&unit) else {
         return;
     };
@@ -621,7 +596,6 @@ fn fail_unit_locked(
     if let Some(trace) = u.desc.trace.as_mut() {
         trace.hop(components::RTS, entk_observe::hops::AGENT_END, rec.now_ns());
     }
-    db.update_state(unit, state);
     if rec.is_enabled() {
         rec.record(
             components::RTS,
@@ -631,17 +605,16 @@ fn fail_unit_locked(
         );
     }
     st.counters.ended.incr();
-    if let Some((tx, credit)) = cb {
-        let _ = tx.send(UnitCallback {
-            unit,
-            tag: u.desc.tag.clone(),
-            state,
-            outcome: Some(outcome),
-            timestamp_secs: at_secs,
-            trace: u.desc.trace.clone(),
-            credit: credit.clone(),
-        });
-    }
+    batch.updates.push((unit, state));
+    batch.callbacks.push(UnitCallback {
+        unit,
+        tag: u.desc.tag.clone(),
+        state,
+        outcome: Some(outcome),
+        timestamp_secs: at_secs,
+        trace: u.desc.trace.clone(),
+        credit: Credit::default(),
+    });
 }
 
 /// Hand queued staging operations to free stagers. Returns the instant
@@ -680,192 +653,187 @@ fn dispatcher_loop(
     commander: SimCommander,
     stagers: usize,
 ) {
-    // Each event's credit lives until the end of its iteration: a launch or
-    // staging command sent while handling it lands at its instant, and a
-    // terminal callback carries a clone on to whoever reacts.
-    while let Ok(mut ev) = events.recv() {
+    let mut batch = Batch::default();
+    while let Ok(mut first) = events.recv() {
         if !alive.load(Ordering::Acquire) {
             break;
         }
-        let credit = std::mem::take(ev.credit_mut());
-        let cb = Some((&cb_tx, &credit));
+        // The first event's credit holds the clock for the whole batch (the
+        // engine sends the next instant's events only once every credit is
+        // gone): a launch or staging command sent while handling the batch
+        // lands at its instant, and each terminal callback carries a clone
+        // on to whoever reacts. It goes after the callbacks are sent.
+        let credit = std::mem::take(first.credit_mut());
         let mut st = state.lock();
-        match ev {
-            SimEvent::JobActive { job, .. } => {
-                if let Some(pid) = st.job_index.get(&job).copied() {
-                    if let Some(p) = st.pilots.get_mut(&pid) {
-                        if p.state == PilotState::Queued {
-                            p.state = PilotState::Active;
-                        }
+        // Whatever else is queued once the lock is ours joins the batch.
+        let queued = std::iter::from_fn(|| events.try_recv().ok());
+        for ev in std::iter::once(first).chain(queued) {
+            handle_locked(&mut st, &mut batch, ev, &db, &cond, &commander, stagers);
+        }
+        db.update_states(&batch.updates);
+        batch.updates.clear();
+        drop(st);
+        for mut cb in batch.callbacks.drain(..) {
+            cb.credit = credit.clone();
+            let _ = cb_tx.send(cb);
+        }
+    }
+}
+
+/// Apply one engine event under the state lock; its unit transitions and
+/// callbacks join `batch`.
+fn handle_locked(
+    st: &mut State,
+    batch: &mut Batch,
+    ev: SimEvent,
+    db: &DocDb,
+    cond: &Condvar,
+    commander: &SimCommander,
+    stagers: usize,
+) {
+    match ev {
+        SimEvent::JobActive { job, .. } => {
+            if let Some(pid) = st.job_index.get(&job).copied() {
+                if let Some(p) = st.pilots.get_mut(&pid) {
+                    if p.state == PilotState::Queued {
+                        p.state = PilotState::Active;
                     }
-                    st.recorder.record(
-                        components::RTS,
-                        "pilot_state",
-                        format!("pilot.{}", pid.0),
-                        "Active",
-                    );
-                    db.update_pilot_state(pid.0, "Active");
-                    cond.notify_all();
                 }
+                st.recorder.record(
+                    components::RTS,
+                    "pilot_state",
+                    format!("pilot.{}", pid.0),
+                    "Active",
+                );
+                db.update_pilot_state(pid.0, "Active");
+                cond.notify_all();
             }
-            SimEvent::JobReady { job, .. } => {
-                if let Some(pid) = st.job_index.get(&job).copied() {
-                    if let Some(p) = st.pilots.get_mut(&pid) {
-                        p.state = PilotState::Ready;
-                    }
-                    st.recorder.record(
-                        components::RTS,
-                        "pilot_state",
-                        format!("pilot.{}", pid.0),
-                        "Ready",
-                    );
-                    db.update_pilot_state(pid.0, "Ready");
-                    cond.notify_all();
+        }
+        SimEvent::JobReady { job, .. } => {
+            if let Some(pid) = st.job_index.get(&job).copied() {
+                if let Some(p) = st.pilots.get_mut(&pid) {
+                    p.state = PilotState::Ready;
                 }
+                st.recorder.record(
+                    components::RTS,
+                    "pilot_state",
+                    format!("pilot.{}", pid.0),
+                    "Ready",
+                );
+                db.update_pilot_state(pid.0, "Ready");
+                cond.notify_all();
             }
-            SimEvent::JobEnded { job, time, .. } => {
-                if let Some(pid) = st.job_index.get(&job).copied() {
-                    if let Some(p) = st.pilots.get_mut(&pid) {
-                        p.state = PilotState::Done;
-                    }
-                    st.recorder.record(
-                        components::RTS,
-                        "pilot_state",
-                        format!("pilot.{}", pid.0),
-                        "Done",
-                    );
-                    db.update_pilot_state(pid.0, "Done");
-                    // Any unit of this pilot not yet terminal is lost. The
-                    // sim also emits per-task Canceled events; this sweep
-                    // catches units still in staging.
-                    let lost: Vec<UnitId> = st
-                        .units
-                        .iter()
-                        .filter(|(_, u)| u.pilot == pid && !u.state.is_terminal())
-                        .map(|(id, _)| *id)
-                        .collect();
-                    for id in lost {
-                        fail_unit_locked(
-                            &mut st,
-                            &db,
-                            id,
-                            UnitOutcome::Canceled,
-                            time.as_secs_f64(),
-                            cb,
-                        );
-                    }
-                    cond.notify_all();
+        }
+        SimEvent::JobEnded { job, time, .. } => {
+            if let Some(pid) = st.job_index.get(&job).copied() {
+                if let Some(p) = st.pilots.get_mut(&pid) {
+                    p.state = PilotState::Done;
                 }
-            }
-            SimEvent::TaskStarted { task, time, .. } => {
-                if let Some(unit) = st.task_index.get(&task).copied() {
-                    if let Some(u) = st.units.get_mut(&unit) {
-                        u.record.started_secs = Some(time.as_secs_f64());
-                    }
-                    set_state_locked(
-                        &mut st,
-                        &db,
-                        unit,
-                        UnitState::Executing,
-                        Some((&cb_tx, time.as_secs_f64())),
-                    );
+                st.recorder.record(
+                    components::RTS,
+                    "pilot_state",
+                    format!("pilot.{}", pid.0),
+                    "Done",
+                );
+                db.update_pilot_state(pid.0, "Done");
+                // Any unit of this pilot not yet terminal is lost. The
+                // sim also emits per-task Canceled events; this sweep
+                // catches units still in staging.
+                let lost: Vec<UnitId> = st
+                    .units
+                    .iter()
+                    .filter(|(_, u)| u.pilot == pid && !u.state.is_terminal())
+                    .map(|(id, _)| *id)
+                    .collect();
+                for id in lost {
+                    end_unit_locked(st, batch, id, UnitOutcome::Canceled, time.as_secs_f64());
                 }
+                cond.notify_all();
             }
-            SimEvent::TaskEnded {
-                task,
-                time,
-                outcome,
-                ..
-            } => {
-                if let Some(unit) = st.task_index.remove(&task) {
-                    let ts = time.as_secs_f64();
-                    match outcome {
-                        TaskOutcome::Completed => {
-                            let stage_out = st
-                                .units
-                                .get(&unit)
-                                .and_then(|u| u.desc.staging.stage_out.clone());
-                            match stage_out {
-                                Some(su) if !su.is_empty() => {
-                                    set_state_locked(
-                                        &mut st,
-                                        &db,
-                                        unit,
-                                        UnitState::StagingOutput,
-                                        Some((&cb_tx, ts)),
-                                    );
-                                    st.stage_queue.push_back((unit, su, StagePhase::Out));
-                                    dispatch_stagers_locked(&mut st, &commander, stagers);
-                                }
-                                _ => {
-                                    fail_unit_locked(&mut st, &db, unit, UnitOutcome::Done, ts, cb);
-                                }
+        }
+        SimEvent::TaskStarted { task, time, .. } => {
+            if let Some(unit) = st.task_index.get(&task).copied() {
+                if let Some(u) = st.units.get_mut(&unit) {
+                    u.record.started_secs = Some(time.as_secs_f64());
+                }
+                set_state_locked(st, batch, unit, UnitState::Executing);
+            }
+        }
+        SimEvent::TaskEnded {
+            task,
+            time,
+            outcome,
+            ..
+        } => {
+            if let Some(unit) = st.task_index.remove(&task) {
+                let ts = time.as_secs_f64();
+                match outcome {
+                    TaskOutcome::Completed => {
+                        let stage_out = st
+                            .units
+                            .get(&unit)
+                            .and_then(|u| u.desc.staging.stage_out.clone());
+                        match stage_out {
+                            Some(su) if !su.is_empty() => {
+                                set_state_locked(st, batch, unit, UnitState::StagingOutput);
+                                st.stage_queue.push_back((unit, su, StagePhase::Out));
+                                dispatch_stagers_locked(st, commander, stagers);
+                            }
+                            _ => {
+                                end_unit_locked(st, batch, unit, UnitOutcome::Done, ts);
                             }
                         }
-                        TaskOutcome::Failed(reason) => {
-                            fail_unit_locked(
-                                &mut st,
-                                &db,
-                                unit,
-                                UnitOutcome::Failed(reason),
-                                ts,
-                                cb,
-                            );
-                        }
-                        TaskOutcome::Canceled => {
-                            fail_unit_locked(&mut st, &db, unit, UnitOutcome::Canceled, ts, cb);
-                        }
+                    }
+                    TaskOutcome::Failed(reason) => {
+                        end_unit_locked(st, batch, unit, UnitOutcome::Failed(reason), ts);
+                    }
+                    TaskOutcome::Canceled => {
+                        end_unit_locked(st, batch, unit, UnitOutcome::Canceled, ts);
                     }
                 }
             }
-            SimEvent::StageEnded {
-                stage,
-                time,
-                submitted_at,
-                ..
-            } => {
-                if let Some((unit, phase, _)) = st.stage_index.remove(&stage) {
-                    st.stage_in_flight = st.stage_in_flight.saturating_sub(1);
-                    let ts = time.as_secs_f64();
-                    let dur = (time - submitted_at).as_secs_f64();
-                    match phase {
-                        StagePhase::In => {
-                            let (job, task_desc, dead) = {
-                                match st.units.get_mut(&unit) {
-                                    Some(u) if !u.state.is_terminal() => {
-                                        u.record.stage_in_done_secs = Some(ts);
-                                        u.record.stage_in_duration_secs = dur;
-                                        let pid = u.pilot;
-                                        let td = make_task_desc(&u.desc);
-                                        let job = st.pilots.get(&pid).and_then(|p| {
-                                            (p.state != PilotState::Done).then_some(p.job)
-                                        });
-                                        (job, Some(td), false)
-                                    }
-                                    _ => (None, None, true),
+        }
+        SimEvent::StageEnded {
+            stage,
+            time,
+            submitted_at,
+            ..
+        } => {
+            if let Some((unit, phase, _)) = st.stage_index.remove(&stage) {
+                st.stage_in_flight = st.stage_in_flight.saturating_sub(1);
+                let ts = time.as_secs_f64();
+                let dur = (time - submitted_at).as_secs_f64();
+                match phase {
+                    StagePhase::In => {
+                        let (job, task_desc, dead) = {
+                            match st.units.get_mut(&unit) {
+                                Some(u) if !u.state.is_terminal() => {
+                                    u.record.stage_in_done_secs = Some(ts);
+                                    u.record.stage_in_duration_secs = dur;
+                                    let pid = u.pilot;
+                                    let td = make_task_desc(&u.desc);
+                                    let job = st.pilots.get(&pid).and_then(|p| {
+                                        (p.state != PilotState::Done).then_some(p.job)
+                                    });
+                                    (job, Some(td), false)
                                 }
-                            };
-                            if dead {
-                                // unit already terminal; nothing to do
-                            } else if let (Some(job), Some(td)) = (job, task_desc) {
-                                set_state_locked(
-                                    &mut st,
-                                    &db,
-                                    unit,
-                                    UnitState::AgentQueued,
-                                    Some((&cb_tx, ts)),
-                                );
-                                let tid = commander.launch_task(job, td);
-                                st.task_index.insert(tid, unit);
-                            } else {
-                                fail_unit_locked(&mut st, &db, unit, UnitOutcome::Canceled, ts, cb);
+                                _ => (None, None, true),
                             }
-                            dispatch_stagers_locked(&mut st, &commander, stagers);
+                        };
+                        if dead {
+                            // unit already terminal; nothing to do
+                        } else if let (Some(job), Some(td)) = (job, task_desc) {
+                            set_state_locked(st, batch, unit, UnitState::AgentQueued);
+                            let tid = commander.launch_task(job, td);
+                            st.task_index.insert(tid, unit);
+                        } else {
+                            end_unit_locked(st, batch, unit, UnitOutcome::Canceled, ts);
                         }
-                        StagePhase::Out => {
-                            fail_unit_locked(&mut st, &db, unit, UnitOutcome::Done, ts, cb);
-                            dispatch_stagers_locked(&mut st, &commander, stagers);
-                        }
+                        dispatch_stagers_locked(st, commander, stagers);
+                    }
+                    StagePhase::Out => {
+                        end_unit_locked(st, batch, unit, UnitOutcome::Done, ts);
+                        dispatch_stagers_locked(st, commander, stagers);
                     }
                 }
             }
@@ -1176,6 +1144,79 @@ mod tests {
         let doc = rt.db().get(ids[0]).unwrap();
         assert_eq!(doc.state, UnitState::Done);
         assert!(doc.history.contains(&UnitState::Executing));
+    }
+
+    /// A plain unit is called back once, when it is terminal; its document
+    /// is terminal by then and still records that it executed.
+    #[test]
+    fn a_plain_unit_is_called_back_once_when_terminal() {
+        let rt = runtime();
+        let p = ready_pilot(&rt);
+        let id = rt
+            .submit_units(
+                p,
+                vec![UnitDescription::new("u1", Executable::Sleep { secs: 5.0 })],
+            )
+            .unwrap()[0];
+        let cb = rt
+            .callbacks()
+            .recv_timeout(Duration::from_secs(10))
+            .expect("callback");
+        assert_eq!((cb.unit, cb.state), (id, UnitState::Done));
+        assert_eq!(cb.outcome, Some(UnitOutcome::Done));
+        let doc = rt.db().get(id).unwrap();
+        assert_eq!(doc.state, UnitState::Done);
+        assert!(doc.history.contains(&UnitState::Executing));
+        // Tear-down joins the dispatcher, so nothing more can be sent.
+        rt.teardown();
+        assert!(rt.callbacks().try_recv().is_err(), "a second callback");
+    }
+
+    /// Units that end at one instant are one batch for the dispatcher: it
+    /// records all their ends in one DocDb round trip.
+    #[test]
+    fn units_ending_at_one_instant_cost_one_db_round_trip() {
+        const UNITS: usize = 16;
+        let rt = runtime();
+        let p = ready_pilot(&rt);
+        let descs = (0..UNITS)
+            .map(|i| UnitDescription::new(format!("u{i}"), Executable::Sleep { secs: 10.0 }))
+            .collect();
+        let ids = rt.submit_units(p, descs).unwrap();
+        let executing = || {
+            ids.iter().all(|id| {
+                let doc = rt.db().get(*id).unwrap();
+                doc.history.contains(&UnitState::Executing)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !executing() {
+            assert!(Instant::now() < deadline, "units never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // With the state lock held, the dispatcher cannot start on the ends
+        // before the engine has sent every one of them: a `sync` that
+        // returns their instant was applied after the step that sent them.
+        let st = rt.state.lock();
+        let before = rt.db().op_count();
+        // Less a millisecond for rounding: no later instant can come while
+        // the ends' credits are alive.
+        let end = st.units[&ids[0]].record.started_secs.unwrap() + 10.0 - 1e-3;
+        while rt.commander.sync().as_secs_f64() < end {
+            assert!(
+                Instant::now() < deadline,
+                "the clock never reached the ends"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(st);
+        let out = drain_until_terminal(&rt, UNITS);
+        assert!(out.values().all(|o| *o == UnitOutcome::Done));
+        assert_eq!(
+            rt.db().op_count() - before,
+            1,
+            "one bulk write for the ends"
+        );
     }
 
     fn noop_units(n: usize) -> Vec<UnitDescription> {

@@ -6,7 +6,8 @@
 //! The clock advances on quiescence, not on a timer: every event the engine
 //! sends carries a [`Credit`], and the engine steps to its next instant only
 //! when no credit is alive, no command is queued, and at least `gap / PACE`
-//! of real time has passed since its previous step. A
+//! of real time has passed since the instant its previous step was allowed
+//! (see [`Pacer`]). A
 //! reaction to an event — the middleware's launch of the next stage, say —
 //! sent while that event's credit is alive is therefore applied at the
 //! event's instant, however long the reaction took in real time, and the
@@ -38,10 +39,58 @@ use std::time::{Duration, Instant};
 
 /// Virtual time runs at most this many times faster than real time: the
 /// engine steps to an event `gap` ahead no sooner than `gap / PACE` of real
-/// time after its previous step (5 virtual seconds per 500 µs). A step at
-/// the current instant counts: a pilot that turns Ready gets the pace of
-/// its walltime from then, however long the clock sat still before.
+/// time after the instant its previous step was allowed (5 virtual seconds
+/// per 500 µs). A step at the current instant counts: a pilot that turns
+/// Ready gets the pace of its walltime from then, however long the clock
+/// sat still before.
 const PACE: u64 = 10_000;
+
+/// The pace rule. A paced step is allowed once it is due and no credit is
+/// alive; the next pace counts from that instant, `max(due, the moment the
+/// engine found no credit alive)`, not from when the engine got round to
+/// the step. So the engine's late wake-up and its own event sends overlap
+/// the next pace instead of adding to it, and a reaction shorter than the
+/// pace costs no real time at all. Virtual time still runs at most `PACE`
+/// times faster than real time between allowed instants.
+struct Pacer {
+    /// The instant the previous step was allowed at.
+    anchor: Instant,
+    /// When the engine first found no credit alive since that step.
+    free_since: Option<Instant>,
+}
+
+impl Pacer {
+    fn new(now: Instant) -> Self {
+        Pacer {
+            anchor: now,
+            free_since: None,
+        }
+    }
+
+    /// A credit is alive: the next step waits for its release.
+    fn held(&mut self) {
+        self.free_since = None;
+    }
+
+    /// No credit is alive at `now`: when the step `gap` ahead is due.
+    fn due(&mut self, gap: SimDuration, now: Instant) -> Instant {
+        self.free_since.get_or_insert(now);
+        self.anchor + pace(gap)
+    }
+
+    /// The step `due` returned was taken: the next pace counts from the
+    /// instant it became allowed.
+    fn stepped(&mut self, due: Instant) {
+        let free = self.free_since.take().unwrap_or(due);
+        self.anchor = due.max(free);
+    }
+
+    /// A step at the current instant: the pace restarts from `now`.
+    fn restart(&mut self, now: Instant) {
+        self.anchor = now;
+        self.free_since = None;
+    }
+}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -488,8 +537,7 @@ impl Engine {
     fn run(self, config: SimConfig, cmd_rx: Receiver<Command>) {
         let obs = self.obs.as_ref();
         let mut world = World::new(config.platform, config.seed);
-        // The pace counts from the previous step.
-        let mut last_step = Instant::now();
+        let mut pacer = Pacer::new(Instant::now());
         'outer: loop {
             // 1. Apply every queued command at the current virtual instant.
             loop {
@@ -513,14 +561,15 @@ impl Engine {
             let deadline = match world.next_event_time() {
                 Some(next) if next == world.now => {
                     self.step_to(&mut world, next);
-                    last_step = Instant::now();
+                    pacer.restart(Instant::now());
                     continue;
                 }
                 Some(next) if !self.credits.any_alive() => {
-                    let due = last_step + pace(next.saturating_since(world.now));
-                    if Instant::now() >= due {
+                    let now = Instant::now();
+                    let due = pacer.due(next.saturating_since(world.now), now);
+                    if now >= due {
+                        pacer.stepped(due);
                         self.step_to(&mut world, next);
-                        last_step = Instant::now();
                         if let Some(obs) = obs {
                             obs.checkpoint(world.now);
                         }
@@ -528,7 +577,10 @@ impl Engine {
                     }
                     Some(due)
                 }
-                _ => None,
+                _ => {
+                    pacer.held();
+                    None
+                }
             };
             let arrived = match deadline {
                 None => cmd_rx.recv().ok(),
@@ -606,6 +658,51 @@ mod tests {
         collect_task_ends(h, 1)
             .remove(&task)
             .expect("requested task is the only outstanding one")
+    }
+
+    /// Microseconds after `t0`.
+    fn at(t0: Instant, us: u64) -> Instant {
+        t0 + Duration::from_micros(us)
+    }
+
+    /// Two virtual seconds: 200 µs of pace.
+    fn two_secs() -> SimDuration {
+        SimDuration::from_secs(2)
+    }
+
+    #[test]
+    fn a_late_step_leaves_the_next_due_one_pace_after_the_last() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(t0);
+        // The credits are back before the step is due.
+        assert_eq!(pacer.due(two_secs(), at(t0, 50)), at(t0, 200));
+        // The engine's timed wait overshoots by 200 µs.
+        let due = pacer.due(two_secs(), at(t0, 400));
+        assert_eq!(due, at(t0, 200));
+        pacer.stepped(due);
+        assert_eq!(pacer.due(two_secs(), at(t0, 600)), at(t0, 400));
+    }
+
+    #[test]
+    fn credits_back_after_due_start_the_next_pace_from_their_return() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(t0);
+        pacer.held();
+        // The last credit returns 300 µs after the step was due.
+        let due = pacer.due(two_secs(), at(t0, 500));
+        assert_eq!(due, at(t0, 200));
+        pacer.stepped(due);
+        pacer.held();
+        assert_eq!(pacer.due(two_secs(), at(t0, 900)), at(t0, 700));
+    }
+
+    #[test]
+    fn a_step_at_the_current_instant_restarts_the_pace_from_now() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(t0);
+        assert_eq!(pacer.due(two_secs(), at(t0, 50)), at(t0, 200));
+        pacer.restart(at(t0, 1_000));
+        assert_eq!(pacer.due(two_secs(), at(t0, 1_100)), at(t0, 1_200));
     }
 
     #[test]

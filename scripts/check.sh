@@ -167,6 +167,23 @@ if [ -n "$journaled" ]; then
     exit 1
 fi
 
+echo "== the agent writes in bulk =="
+# The RTS agent applies each drained batch of engine events under one state
+# lock and records every unit transition of the batch with one
+# `DocDb::update_states` round trip (DESIGN.md §3e), as RP's agent works
+# against MongoDB in bulk. A single-document `.update_state(` call in
+# non-test code of crates/rts/src/sim_runtime.rs fails the check.
+single=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests/ { in_tests = 1 }
+    !in_tests && /\.update_state\(/ { print FILENAME ":" FNR ": " $0 }
+' crates/rts/src/sim_runtime.rs)
+if [ -n "$single" ]; then
+    echo "$single"
+    echo "single-document write in the agent: queue it on the batch's bulk update_states instead"
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 # Every crate's unit tests and proptests, not only the facade package and
 # the root tests/ that a plain `cargo test` runs.
