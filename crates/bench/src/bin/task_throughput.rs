@@ -129,10 +129,7 @@ fn run_e2e(tasks: usize, max_batch: usize, traces: Option<TraceStoreConfig>) -> 
     let wf = entk_apps::synthetic::sleep_workflow(1, 1, tasks, 1.0);
     let start = Instant::now();
     let mut cfg = AppManagerConfig::new(ResourceDescription::sim(PlatformId::TestRig, 4, 4 * 3600))
-        .with_exec_manager(ExecManagerConfig {
-            max_batch,
-            ..Default::default()
-        })
+        .with_exec_manager(ExecManagerConfig { max_batch })
         .with_recorder(Recorder::new())
         .with_run_timeout(TIMEOUT);
     if let Some(traces) = traces {

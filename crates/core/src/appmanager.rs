@@ -236,8 +236,6 @@ pub struct AppManagerConfig {
     /// How many times the RTS/pilot may be restarted (§II-B4: "users can
     /// configure the number of times a RTS is restarted").
     pub max_rts_restarts: u32,
-    /// Heartbeat check interval.
-    pub heartbeat_interval: Duration,
     /// State journal path (enables recovery across runs).
     pub journal_path: Option<PathBuf>,
     /// Wall-clock limit for one `run` call.
@@ -285,7 +283,6 @@ impl AppManagerConfig {
             resource,
             default_task_retries: Some(3),
             max_rts_restarts: 3,
-            heartbeat_interval: Duration::from_millis(25),
             journal_path: None,
             run_timeout: Duration::from_secs(600),
             python_emulation: None,
@@ -425,9 +422,9 @@ pub(crate) struct Ctx {
     /// The stop channel's only sender; nothing is ever sent. [`Ctx::stop`]
     /// drops it, which disconnects `stopped`.
     stop_tx: Mutex<Option<Sender<()>>>,
-    /// Disconnects when the run stops: what the Heartbeat's interval, the
-    /// chaos timer and (through `Select`, next to the RTS callback channel)
-    /// the RTS Callback block on.
+    /// Disconnects when the run stops: what the chaos timer and (through
+    /// `Select`, next to the RTS's callback and pilot-end streams) the RTS
+    /// Callback block on.
     pub stopped: Receiver<()>,
     /// Default task retry budget.
     pub default_retries: Option<u32>,
@@ -500,7 +497,6 @@ impl Ctx {
             strategy,
             exec: ExecManagerConfig {
                 max_batch: exec.max_batch.max(1),
-                ..exec
             },
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),
             base_trace,
@@ -914,11 +910,6 @@ impl AppManager {
             Arc::clone(&pools),
         ));
         handles.extend(execmanager::spawn_callbacks(&ctx, &pools));
-        handles.extend(execmanager::spawn_heartbeats(
-            &ctx,
-            &pools,
-            self.config.heartbeat_interval,
-        ));
 
         // Fault injection: one abrupt RTS death (the primary pool's),
         // §II-B4's failure scenario.
@@ -1327,10 +1318,7 @@ mod tests {
         let workflow = wf(&["a", "b", "c", "d"]);
         let mut amgr = AppManager::new(
             AppManagerConfig::new(ResourceDescription::local(2))
-                .with_exec_manager(ExecManagerConfig {
-                    max_batch: 1,
-                    ..Default::default()
-                })
+                .with_exec_manager(ExecManagerConfig { max_batch: 1 })
                 .with_run_timeout(Duration::from_secs(30)),
         );
         let report = amgr.run(workflow).expect("run succeeds");
@@ -1342,7 +1330,6 @@ mod tests {
     fn batched_path_is_the_default() {
         let cfg = AppManagerConfig::new(ResourceDescription::local(1)).exec_manager;
         assert_eq!(cfg.max_batch, 256);
-        assert_eq!(cfg.reconnect_sleep, Duration::from_millis(10));
     }
 
     #[test]

@@ -9,22 +9,26 @@
 //!   them using a RTS (arrow 3)", routing each task to its resource pool.
 //! * **RTS Callback** "pushes tasks that have completed execution to the
 //!   Done queue (arrow 4)" — one callback thread per pool.
-//! * **Heartbeat** watches each black-box RTS; "when the RTS fails or
+//! * **Heartbeat** recovers each black-box RTS; "when the RTS fails or
 //!   becomes unresponsive, EnTK can tear it down and bring it back, loosing
 //!   only those tasks that were in execution at the time of the RTS failure"
 //!   (§II-B2). It also re-acquires a pilot when the CI ends it (walltime,
-//!   CI failure) while work remains.
+//!   CI failure) while work remains. The RTS announces both events on the
+//!   streams the pool's RTS Callback thread already waits on, so that
+//!   thread runs the recovery: the Heartbeat is a role, not a thread.
 
 use crate::appmanager::Ctx;
 use crate::messages::{self, AttemptOutcome, Reaction, UNTIL_CLOSED};
 use crate::states::TaskState;
-use crossbeam::channel::{RecvTimeoutError, Select, TryRecvError};
+use crate::task::Task;
+use crate::workflow::Workflow;
+use crossbeam::channel::{Select, TryRecvError};
 use entk_mq::Message;
 use entk_observe::{components as obs, hops};
 use parking_lot::{Mutex, RwLock};
 use rp_rts::{
-    PilotDescription, PilotId, PilotLease, PilotState, RtsConfig, RuntimeSystem, UnitCallback,
-    UnitDescription, UnitOutcome, UnitRecord,
+    Credit, PilotDescription, PilotId, PilotLease, PilotState, RtsConfig, RuntimeSystem,
+    UnitCallback, UnitDescription, UnitOutcome, UnitRecord,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -32,14 +36,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// ExecManager tuning: the maximum batch size used by every component loop
-/// (Enqueue, Emgr, Callback, Dequeue, Synchronizer) and the one interval
-/// left — no loop polls; each blocks on its queue, its channel or the run's
-/// stop signal (DESIGN.md §3k).
+/// (Enqueue, Emgr, Callback, Dequeue, Synchronizer). No loop polls; each
+/// blocks on its queue, its channels or the run's stop signal (DESIGN.md
+/// §3k).
 #[derive(Debug, Clone)]
 pub struct ExecManagerConfig {
-    /// How long the RTS Callback waits when its channel is disconnected
-    /// (RTS died) before looking for the incarnation the Heartbeat installs.
-    pub reconnect_sleep: Duration,
     /// Maximum tasks moved per batched operation (0 is read as 1). `1` is
     /// the paper's per-task data path: every hop moves one task through the
     /// same code.
@@ -48,10 +49,7 @@ pub struct ExecManagerConfig {
 
 impl Default for ExecManagerConfig {
     fn default() -> Self {
-        ExecManagerConfig {
-            reconnect_sleep: Duration::from_millis(10),
-            max_batch: 256,
-        }
+        ExecManagerConfig { max_batch: 256 }
     }
 }
 
@@ -107,8 +105,8 @@ impl RtsSlot {
 
     /// Back the slot with an already-bootstrapped warm pilot leased from a
     /// [`rp_rts::PilotPool`]. `rts_config`/`pilot_desc` are still kept: the
-    /// Heartbeat uses them to build an owned replacement if the leased RTS
-    /// dies mid-run.
+    /// Heartbeat's recovery uses them to build an owned replacement if the
+    /// leased RTS dies mid-run.
     pub(crate) fn leased(
         name: String,
         rts_config: RtsConfig,
@@ -197,30 +195,11 @@ pub(crate) fn spawn_emgr(ctx: Arc<Ctx>, pools: Arc<RtsPools>) -> std::thread::Jo
         .expect("spawn emgr")
 }
 
-/// Spawn one RTS Callback thread per pool.
+/// Spawn one RTS Callback thread per pool; it also runs the pool's
+/// Heartbeat recovery.
 pub(crate) fn spawn_callbacks(
     ctx: &Arc<Ctx>,
     pools: &Arc<RtsPools>,
-) -> Vec<std::thread::JoinHandle<()>> {
-    pools
-        .pools
-        .iter()
-        .map(|slot| {
-            let ctx = Arc::clone(ctx);
-            let slot = Arc::clone(slot);
-            std::thread::Builder::new()
-                .name(format!("entk-rts-callback-{}", slot.name))
-                .spawn(move || callback_loop(ctx, slot))
-                .expect("spawn rts callback")
-        })
-        .collect()
-}
-
-/// Spawn one Heartbeat thread per pool.
-pub(crate) fn spawn_heartbeats(
-    ctx: &Arc<Ctx>,
-    pools: &Arc<RtsPools>,
-    interval: Duration,
 ) -> Vec<std::thread::JoinHandle<()>> {
     pools
         .pools
@@ -231,9 +210,9 @@ pub(crate) fn spawn_heartbeats(
             let slot = Arc::clone(slot);
             let is_primary = idx == 0;
             std::thread::Builder::new()
-                .name(format!("entk-heartbeat-{}", slot.name))
-                .spawn(move || heartbeat_loop(ctx, slot, is_primary, interval))
-                .expect("spawn heartbeat")
+                .name(format!("entk-rts-callback-{}", slot.name))
+                .spawn(move || callback_loop(ctx, slot, is_primary))
+                .expect("spawn rts callback")
         })
         .collect()
 }
@@ -456,64 +435,116 @@ fn traced_done_message(ctx: &Ctx, cb: &UnitCallback) -> Message {
     }
 }
 
-fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
+/// Why a pool needs the Heartbeat's recovery.
+enum Fault {
+    /// The RTS announced the end of the slot's current pilot. The credit
+    /// holds the simulator at the end's instant until the replacement
+    /// pilot has been submitted.
+    PilotEnded(Credit),
+    /// The RTS's pilot-end stream disconnected: the RTS died.
+    RtsDied,
+}
+
+fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool) {
     while ctx.running.load(Ordering::Acquire) {
-        let rts = slot.slot.read().0.clone();
-        match rts.callbacks().try_recv() {
+        let (rts, pilot) = {
+            let guard = slot.slot.read();
+            (Arc::clone(&guard.0), guard.1)
+        };
+        // Callbacks first: the RTS calls back the units that ended with a
+        // pilot before it announces the end, so they settle (and use up
+        // retry budget) before the recovery sweeps what is left.
+        let callbacks_open = match rts.callbacks().try_recv() {
             Ok(cb) => {
-                // Every callback is a completion. Coalesce whatever others
-                // are already waiting, then sync the whole batch with one
-                // round-trip and notify Dequeue with one batched publish.
-                let mut cbs = vec![cb];
-                while cbs.len() < ctx.exec.max_batch {
-                    match rts.callbacks().try_recv() {
-                        Ok(c) => cbs.push(c),
-                        Err(_) => break,
-                    }
-                }
-                let span = ctx
-                    .recorder
-                    .span(obs::EMGR, "callback")
-                    .with_payload(cbs.len());
-                let uids: Vec<String> = cbs.iter().map(|c| c.tag.clone()).collect();
-                let applied = ctx.sync_tasks(&uids, TaskState::Executed);
-                let mut done = Vec::with_capacity(cbs.len());
-                let mut credits = Vec::with_capacity(cbs.len());
-                for (c, ok) in cbs.iter().zip(applied) {
-                    if ok {
-                        done.push(traced_done_message(&ctx, c));
-                        credits.push(c.credit.clone());
-                    }
-                }
-                if !done.is_empty() {
-                    // The simulator credits ride on to Dequeue; a refused
-                    // sync publishes nothing, and its reaction ends here.
-                    let hold = Reaction::holding(credits).attachment();
-                    let done = done
-                        .into_iter()
-                        .map(|m| messages::attached(m, &hold))
-                        .collect();
-                    let _ = ctx.broker.publish_batch(ctx.ns.done(), done);
-                }
-                ctx.charge_management(span);
+                settle_callbacks(&ctx, &rts, cb);
+                continue;
             }
+            Err(TryRecvError::Empty) => true,
+            Err(TryRecvError::Disconnected) => false,
+        };
+        let fault = match rts.pilot_ends().try_recv() {
+            Ok(end) if end.pilot == pilot => Fault::PilotEnded(end.credit),
+            // A pooled runtime outlives the sessions that lease it: the end
+            // of any other pilot is not this run's to recover.
+            Ok(_) => continue,
+            Err(TryRecvError::Disconnected) => Fault::RtsDied,
             Err(TryRecvError::Empty) => {
-                // Block until a callback is queued, the RTS died (its channel
-                // disconnects; the Heartbeat tears the corpse down before it
-                // swaps in a replacement) or the run stopped (`stopped`
-                // disconnects), then look again.
+                // Block until a callback or a pilot end is queued, the RTS
+                // died (its pilot-end stream disconnects) or the run stopped
+                // (`stopped` disconnects), then look again.
                 let mut sel = Select::new();
-                sel.recv(rts.callbacks());
+                if callbacks_open {
+                    sel.recv(rts.callbacks());
+                }
+                sel.recv(rts.pilot_ends());
                 sel.recv(&ctx.stopped);
                 sel.ready();
+                continue;
             }
-            Err(TryRecvError::Disconnected) => {
-                // The RTS died; give the Heartbeat time to install a new one
-                // (cut short when the run stops).
-                let _ = ctx.stopped.recv_timeout(ctx.exec.reconnect_sleep);
-            }
+        };
+        // Recover once the run needs the pool again. The units that ended
+        // with the pilot are `Executed` until Dequeue settles them: only
+        // then is it known whether one is retried (it rejoins the pool as
+        // `Described`, which wakes the signal) or the run completes. The
+        // wait needs no virtual progress, so the end's credit may be held.
+        let pool_needed = || {
+            let wf = ctx.workflow.lock();
+            !wf.is_complete()
+                && pool_tasks(&wf, &slot.name, is_primary)
+                    .any(|t| !t.state().is_terminal() && t.state() != TaskState::Executed)
+        };
+        let running = || ctx.running.load(Ordering::Acquire);
+        ctx.cancel
+            .signal()
+            .wait_until(None, || !running() || pool_needed());
+        if running() && pool_needed() {
+            recover(&ctx, &slot, is_primary, fault);
+        } else {
+            // Nothing of the run needs the pool again: it is ending. A dead
+            // RTS stays disconnected, so wait for the stop instead.
+            drop(fault);
+            let _ = ctx.stopped.recv();
         }
     }
+}
+
+/// Settle a batch of terminal callbacks, starting with `first`: every
+/// callback is a completion. Coalesce whatever others are already waiting,
+/// then sync the whole batch with one round-trip and notify Dequeue with
+/// one batched publish.
+fn settle_callbacks(ctx: &Ctx, rts: &RuntimeSystem, first: UnitCallback) {
+    let mut cbs = vec![first];
+    while cbs.len() < ctx.exec.max_batch {
+        match rts.callbacks().try_recv() {
+            Ok(c) => cbs.push(c),
+            Err(_) => break,
+        }
+    }
+    let span = ctx
+        .recorder
+        .span(obs::EMGR, "callback")
+        .with_payload(cbs.len());
+    let uids: Vec<String> = cbs.iter().map(|c| c.tag.clone()).collect();
+    let applied = ctx.sync_tasks(&uids, TaskState::Executed);
+    let mut done = Vec::with_capacity(cbs.len());
+    let mut credits = Vec::with_capacity(cbs.len());
+    for (c, ok) in cbs.iter().zip(applied) {
+        if ok {
+            done.push(traced_done_message(ctx, c));
+            credits.push(c.credit.clone());
+        }
+    }
+    if !done.is_empty() {
+        // The simulator credits ride on to Dequeue; a refused sync
+        // publishes nothing, and its reaction ends here.
+        let hold = Reaction::holding(credits).attachment();
+        let done = done
+            .into_iter()
+            .map(|m| messages::attached(m, &hold))
+            .collect();
+        let _ = ctx.broker.publish_batch(ctx.ns.done(), done);
+    }
+    ctx.charge_management(span);
 }
 
 /// Uids of tasks lost with a dead RTS incarnation of pool `pool_name`:
@@ -526,97 +557,74 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>) {
 /// redelivers them to the next incarnation on its own — sweeping them too
 /// would re-describe a task that the queue also re-drives, executing it
 /// twice.
-pub(crate) fn collect_sweep_uids(
-    wf: &crate::workflow::Workflow,
-    pool_name: &str,
-    is_primary: bool,
-) -> Vec<String> {
-    let mut lost = Vec::new();
-    for p in wf.pipelines() {
-        for s in p.stages() {
-            for t in s.tasks() {
-                let owned = match &t.resource_pool {
-                    Some(pool) => pool == pool_name,
-                    None => is_primary,
-                };
-                if owned && t.state() == TaskState::Submitted {
-                    lost.push(t.uid().to_string());
-                }
-            }
-        }
-    }
-    lost
+pub(crate) fn collect_sweep_uids(wf: &Workflow, pool_name: &str, is_primary: bool) -> Vec<String> {
+    pool_tasks(wf, pool_name, is_primary)
+        .filter(|t| t.state() == TaskState::Submitted)
+        .map(|t| t.uid().to_string())
+        .collect()
 }
 
-fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval: Duration) {
-    // Liveness signal: a checks counter plus a last-seen gauge (milliseconds
-    // on the trace clock) per pool — cheap enough to update every interval
-    // without flooding the event stream.
-    let metrics = ctx.recorder.metrics_arc();
-    let checks = metrics.counter(&format!("heartbeat.checks.{}", slot.name));
-    let last_check = metrics.gauge(&format!("heartbeat.last_check_ms.{}", slot.name));
-    // One check per interval for as long as the stop channel stays connected.
-    while ctx.stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
-        checks.incr();
-        last_check.set((ctx.recorder.now_ns() / 1_000_000) as i64);
-        if ctx.workflow.lock().is_complete() {
-            continue;
-        }
-        let needs_recovery = {
-            let guard = slot.slot.read();
-            let (rts, pilot) = (&guard.0, guard.1);
-            !rts.is_alive() || matches!(rts.pilot_state(pilot), Some(PilotState::Done) | None)
-        };
-        if !needs_recovery {
-            continue;
-        }
+/// The tasks pool `pool_name` runs: those routed to it by name, plus the
+/// untagged ones if it is the primary pool.
+fn pool_tasks<'a>(
+    wf: &'a Workflow,
+    pool_name: &'a str,
+    is_primary: bool,
+) -> impl Iterator<Item = &'a Task> {
+    wf.pipelines()
+        .iter()
+        .flat_map(|p| p.stages())
+        .flat_map(|s| s.tasks())
+        .filter(move |t| match &t.resource_pool {
+            Some(pool) => pool == pool_name,
+            None => is_primary,
+        })
+}
 
-        // --- Recovery: exclusive access to decide on it, and again to swap
-        // incarnations and sweep lost tasks, so the Emgr cannot submit
-        // meanwhile. ---
-        let guard = slot.slot.write();
-        let (rts, pilot) = (&guard.0, guard.1);
-        let still_broken =
-            !rts.is_alive() || matches!(rts.pilot_state(pilot), Some(PilotState::Done) | None);
-        if !still_broken {
-            continue;
-        }
-        let restarts = slot.restarts.fetch_add(1, Ordering::SeqCst) + 1;
+/// The Heartbeat's recovery of one pool (§II-B4): re-acquire a pilot on
+/// the same RTS when its pilot ended, or tear a dead RTS down and start a
+/// new one, then sweep the tasks lost with the old incarnation.
+fn recover(ctx: &Ctx, slot: &RtsSlot, is_primary: bool, fault: Fault) {
+    let restarts = slot.restarts.fetch_add(1, Ordering::SeqCst) + 1;
+    ctx.recorder.record(
+        obs::HEARTBEAT,
+        "recovery_start",
+        slot.name.clone(),
+        format!("restart {restarts}/{}", slot.max_restarts),
+    );
+    if restarts > slot.max_restarts {
         ctx.recorder.record(
             obs::HEARTBEAT,
-            "recovery_start",
+            "restart_budget_exhausted",
             slot.name.clone(),
-            format!("restart {restarts}/{}", slot.max_restarts),
+            "",
         );
-        if restarts > slot.max_restarts {
-            ctx.recorder.record(
-                obs::HEARTBEAT,
-                "restart_budget_exhausted",
-                slot.name.clone(),
-                "",
-            );
-            ctx.fail_fatal(format!(
-                "RTS for pool '{}' failed and restart budget ({}) is exhausted",
-                slot.name, slot.max_restarts
-            ));
-            return;
-        }
+        ctx.fail_fatal(format!(
+            "RTS for pool '{}' failed and restart budget ({}) is exhausted",
+            slot.name, slot.max_restarts
+        ));
+        return;
+    }
 
-        // Re-acquire with the slot unlocked. Waiting for a pilot to turn
-        // Ready is waiting for the simulator to step, and an Emgr holding a
-        // batch's credits may be blocked on the read lock meanwhile; it
-        // finds the broken incarnation and requeues.
-        let (rts, pilot) = (Arc::clone(rts), pilot);
-        drop(guard);
-        let replacement = if rts.is_alive() && rts.pilot_state(pilot).is_some() {
-            // RTS alive but pilot gone (walltime/CI failure): re-acquire a
-            // pilot on the same RTS incarnation.
+    // Re-acquire with the slot unlocked. Waiting for a pilot to turn Ready
+    // is waiting for the simulator to step, and an Emgr holding a batch's
+    // credits may be blocked on the read lock meanwhile; it finds the
+    // broken incarnation and requeues.
+    let rts = Arc::clone(&slot.slot.read().0);
+    let replacement = match fault {
+        Fault::PilotEnded(credit) if rts.is_alive() => {
+            // Pilot gone (walltime/CI failure), RTS alive: re-acquire a
+            // pilot on the same incarnation. The end's credit makes the
+            // submission land at the instant the pilot ended; no wait may
+            // hold it.
             let new_pilot = rts.submit_pilot(&slot.pilot_desc);
+            drop(credit);
             rts.wait_pilot_ready(new_pilot, Duration::from_secs(30));
             ctx.recorder
                 .record(obs::HEARTBEAT, "pilot_reacquired", slot.name.clone(), "");
             (rts, new_pilot)
-        } else {
+        }
+        _ => {
             // Full RTS failure: purge the dead incarnation and start a new
             // one (§II-B4).
             slot.archived.lock().extend(rts.records());
@@ -635,38 +643,36 @@ fn heartbeat_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool, interval:
             ctx.recorder
                 .record(obs::HEARTBEAT, "rts_restarted", slot.name.clone(), "");
             (new_rts, new_pilot)
-        };
-        // The lost tasks are re-driven at the new pilot's Ready instant:
-        // this credit rides on the sweep's Done messages.
-        let hold = Reaction::holding(vec![replacement.0.hold()]).attachment();
-        let mut guard = slot.slot.write();
-        *guard = replacement;
-
-        // Sweep: every task that was in flight on the dead incarnation is
-        // lost; notify Dequeue so they are re-executed without consuming
-        // retry budget. Only tasks routed to *this* pool are swept — other
-        // pools' RTS instances are healthy.
-        let lost: Vec<String> = {
-            let wf = ctx.workflow.lock();
-            collect_sweep_uids(&wf, &slot.name, is_primary)
-        };
-        ctx.recorder.record(
-            obs::HEARTBEAT,
-            "lost_swept",
-            slot.name.clone(),
-            lost.len().to_string(),
-        );
-        let sweep: Vec<Message> = lost
-            .iter()
-            .map(|uid| {
-                messages::attached(messages::done_message(uid, &AttemptOutcome::Lost), &hold)
-            })
-            .collect();
-        if !sweep.is_empty() {
-            let _ = ctx.broker.publish_batch(ctx.ns.done(), sweep);
         }
-        drop(guard);
+    };
+    // The lost tasks are re-driven at the new pilot's Ready instant: this
+    // credit rides on the sweep's Done messages.
+    let hold = Reaction::holding(vec![replacement.0.hold()]).attachment();
+    let mut guard = slot.slot.write();
+    *guard = replacement;
+
+    // Sweep: every task that was in flight on the dead incarnation is lost;
+    // notify Dequeue so they are re-executed without consuming retry
+    // budget. Only tasks routed to *this* pool are swept — other pools'
+    // RTS instances are healthy.
+    let lost: Vec<String> = {
+        let wf = ctx.workflow.lock();
+        collect_sweep_uids(&wf, &slot.name, is_primary)
+    };
+    ctx.recorder.record(
+        obs::HEARTBEAT,
+        "lost_swept",
+        slot.name.clone(),
+        lost.len().to_string(),
+    );
+    let sweep: Vec<Message> = lost
+        .iter()
+        .map(|uid| messages::attached(messages::done_message(uid, &AttemptOutcome::Lost), &hold))
+        .collect();
+    if !sweep.is_empty() {
+        let _ = ctx.broker.publish_batch(ctx.ns.done(), sweep);
     }
+    drop(guard);
 }
 
 #[cfg(test)]
@@ -674,8 +680,6 @@ mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
     use crate::stage::Stage;
-    use crate::task::Task;
-    use crate::workflow::Workflow;
     use rp_rts::Executable;
 
     fn task(name: &str, pool: Option<&str>, state: TaskState) -> Task {

@@ -34,7 +34,8 @@
 //! * the **ExecManager** with its *Rmgr* (acquires resources via the RTS),
 //!   *Emgr* (pulls Pending, translates tasks to RTS units, submits), *RTS
 //!   Callback* (pushes completed units to the Done queue) and *Heartbeat*
-//!   (watches the RTS, tears it down and restarts it on failure)
+//!   (re-acquires a pilot the CI ended, tears a dead RTS down and restarts
+//!   it; it runs on the RTS Callback thread, which receives both events)
 //!   subcomponents.
 //!
 //! The runtime system ([`rp_rts`]) is a black box behind the ExecManager;

@@ -676,11 +676,6 @@ impl Broker {
     pub fn is_closed(&self) -> bool {
         self.inner.closed.load(Ordering::Acquire)
     }
-
-    /// Create a consumer over `queue` with an AMQP-style prefetch window.
-    pub fn consumer(&self, queue: &str, prefetch: usize) -> crate::consumer::Consumer {
-        crate::consumer::Consumer::new(self.clone(), queue.to_string(), prefetch)
-    }
 }
 
 impl Default for Broker {
@@ -1421,10 +1416,9 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Satellite: no-duplicate/no-loss delivery under concurrent `get_batch`
-    /// consumers with prefetch windows. Each consumer drains batches through
-    /// a [`crate::consumer::Consumer`] and acks per tag (cumulative acks are
-    /// single-consumer-only by contract).
+    /// No-duplicate/no-loss delivery under concurrent `get_batch` consumers.
+    /// Each consumer drains batches of at most `BATCH` and acks per tag
+    /// (cumulative acks are single-consumer-only by contract).
     #[test]
     fn concurrent_get_batch_consumers_no_loss_no_duplication() {
         use std::collections::HashSet;
@@ -1456,18 +1450,17 @@ mod tests {
         for _ in 0..CONSUMERS {
             let b = b.clone();
             let seen = Arc::clone(&seen);
-            consumers.push(std::thread::spawn(move || {
-                let mut c = b.consumer("work", BATCH);
-                loop {
-                    let batch = c.next_batch(Duration::from_millis(200)).unwrap();
-                    if batch.is_empty() {
-                        break;
-                    }
-                    for d in batch {
-                        let id: usize = d.message.payload_str().parse().unwrap();
-                        assert!(seen.lock().unwrap().insert(id), "duplicate {id}");
-                        c.ack(d.tag).unwrap();
-                    }
+            consumers.push(std::thread::spawn(move || loop {
+                let batch = b
+                    .get_batch("work", BATCH, Duration::from_millis(200))
+                    .unwrap();
+                if batch.is_empty() {
+                    break;
+                }
+                for d in batch {
+                    let id: usize = d.message.payload_str().parse().unwrap();
+                    assert!(seen.lock().unwrap().insert(id), "duplicate {id}");
+                    b.ack("work", d.tag).unwrap();
                 }
             }));
         }

@@ -22,11 +22,6 @@ pub enum MqError {
     /// The queue reached its configured capacity and the publish policy is
     /// to reject.
     QueueFull(String),
-    /// The consumer's prefetch window is full; acknowledge before fetching.
-    PrefetchExceeded {
-        /// The configured prefetch limit.
-        prefetch: usize,
-    },
     /// Underlying I/O failure (journal).
     Io(std::io::Error),
     /// The journal on disk is corrupt or truncated mid-record.
@@ -45,9 +40,6 @@ impl fmt::Display for MqError {
             MqError::Timeout => write!(f, "operation timed out"),
             MqError::BrokerClosed => write!(f, "broker is closed"),
             MqError::QueueFull(q) => write!(f, "queue full: {q}"),
-            MqError::PrefetchExceeded { prefetch } => {
-                write!(f, "prefetch window full ({prefetch} unacked)")
-            }
             MqError::Io(e) => write!(f, "journal I/O error: {e}"),
             MqError::CorruptJournal(m) => write!(f, "corrupt journal: {m}"),
             MqError::FaultInjected(name) => write!(f, "injected fault: {name}"),

@@ -9,7 +9,6 @@
 //! * `publish` / `get` / blocking consume with delivery tags;
 //! * explicit `ack` and `nack` (with re-queueing) so unacknowledged messages
 //!   are redelivered — the basis of EnTK's transactional state updates;
-//! * per-consumer prefetch limits;
 //! * optional durability: an append-only journal that can be replayed after a
 //!   crash, mirroring RabbitMQ's durable queues ("messages are stored in the
 //!   server and can be recovered upon failure of EnTK components");
@@ -24,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod broker;
-pub mod consumer;
 pub mod error;
 pub mod journal;
 pub mod message;
@@ -33,7 +31,6 @@ pub mod queue;
 pub mod stats;
 
 pub use broker::{Broker, BrokerConfig};
-pub use consumer::Consumer;
 pub use error::{MqError, MqResult};
 pub use journal::{Journal, JournalRecord};
 pub use message::{Attachment, Delivery, Message};

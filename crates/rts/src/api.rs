@@ -220,6 +220,20 @@ pub struct UnitCallback {
     pub credit: hpc_sim::Credit,
 }
 
+/// A pilot's end (walltime expiry, CI failure, cancellation), announced to
+/// the client once, after the terminal callbacks of the units that ended
+/// with it. RP reports pilot state changes to its client as it does unit
+/// ones; EnTK's Heartbeat re-acquires a pilot when it receives this.
+#[derive(Debug, Clone)]
+pub struct PilotEnd {
+    /// The pilot that ended.
+    pub pilot: PilotId,
+    /// The simulator's reaction credit of the `JobEnded` event: the virtual
+    /// clock stays at the end's instant until the receiver lets it go.
+    /// Inert on the local backend.
+    pub credit: hpc_sim::Credit,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

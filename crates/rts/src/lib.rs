@@ -9,9 +9,10 @@
 //! This crate reimplements that contract in Rust:
 //!
 //! * [`RuntimeSystem`] is the client-side facade: submit pilots, submit
-//!   units, receive completion callbacks, tear down. It is deliberately
-//!   opaque to the toolkit above (EnTK's black-box assumption), and can be
-//!   killed abruptly to exercise EnTK's RTS-restart fault tolerance.
+//!   units, receive completion callbacks and pilot ends, tear down. It is
+//!   deliberately opaque to the toolkit above (EnTK's black-box
+//!   assumption), and can be killed abruptly to exercise EnTK's RTS-restart
+//!   fault tolerance.
 //! * The **DB module** ([`db`]) is a small document store standing in for
 //!   RP's MongoDB instance: the UnitManager schedules each unit to an agent
 //!   via a queue held in the store, and a configurable per-operation latency
@@ -38,8 +39,8 @@ pub mod rts;
 pub mod sim_runtime;
 
 pub use api::{
-    PilotDescription, PilotId, PilotState, RtsDown, StagingSpec, UnitCallback, UnitDescription,
-    UnitId, UnitOutcome, UnitState,
+    PilotDescription, PilotEnd, PilotId, PilotState, RtsDown, StagingSpec, UnitCallback,
+    UnitDescription, UnitId, UnitOutcome, UnitState,
 };
 pub use executable::Executable;
 pub use hpc_sim::Credit;

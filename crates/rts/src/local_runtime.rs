@@ -6,7 +6,9 @@
 //! for end-to-end integration tests. Sleep-style executables sleep in real
 //! time scaled by `time_scale` so tests stay fast.
 
-use crate::api::{RtsDown, UnitCallback, UnitDescription, UnitId, UnitOutcome, UnitState};
+use crate::api::{
+    PilotEnd, RtsDown, UnitCallback, UnitDescription, UnitId, UnitOutcome, UnitState,
+};
 use crate::executable::Executable;
 use crate::profile::{UnitCounters, UnitRecord};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -48,6 +50,10 @@ struct State {
 pub struct LocalRuntime {
     work_tx: Mutex<Option<Sender<(UnitId, UnitDescription)>>>,
     callbacks_rx: Receiver<UnitCallback>,
+    /// The local "pilot" is the machine and never ends, so nothing is ever
+    /// sent; dropping the sender on `kill`/`teardown` announces the death.
+    pilot_end_tx: Mutex<Option<Sender<PilotEnd>>>,
+    pilot_ends_rx: Receiver<PilotEnd>,
     state: Arc<Mutex<State>>,
     alive: Arc<AtomicBool>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -61,6 +67,7 @@ impl LocalRuntime {
     pub fn start(config: LocalRuntimeConfig) -> Self {
         let (work_tx, work_rx) = unbounded::<(UnitId, UnitDescription)>();
         let (cb_tx, cb_rx) = unbounded();
+        let (end_tx, end_rx) = unbounded();
         let state = Arc::new(Mutex::new(State {
             records: HashMap::new(),
             next_unit: 1,
@@ -92,6 +99,8 @@ impl LocalRuntime {
         LocalRuntime {
             work_tx: Mutex::new(Some(work_tx)),
             callbacks_rx: cb_rx,
+            pilot_end_tx: Mutex::new(Some(end_tx)),
+            pilot_ends_rx: end_rx,
             state,
             alive,
             workers: Mutex::new(handles),
@@ -109,6 +118,13 @@ impl LocalRuntime {
     /// Callback stream: one terminal callback per unit.
     pub fn callbacks(&self) -> &Receiver<UnitCallback> {
         &self.callbacks_rx
+    }
+
+    /// Pilot ends: none is ever sent, and the stream disconnects when the
+    /// runtime is killed or torn down. The workers hold the callback
+    /// senders, so the callback stream stays connected after a kill.
+    pub fn pilot_ends(&self) -> &Receiver<PilotEnd> {
+        &self.pilot_ends_rx
     }
 
     /// Seconds since the runtime started (the local timeline).
@@ -153,6 +169,7 @@ impl LocalRuntime {
     /// discarded.
     pub fn kill(&self) {
         self.alive.store(false, Ordering::Release);
+        self.pilot_end_tx.lock().take();
     }
 
     /// Graceful teardown: close the queue, join workers. Returns wall time.
@@ -163,6 +180,7 @@ impl LocalRuntime {
             let _ = h.join();
         }
         self.alive.store(false, Ordering::Release);
+        self.pilot_end_tx.lock().take();
         t0.elapsed()
     }
 

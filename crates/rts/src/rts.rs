@@ -6,7 +6,7 @@
 //! backend — simulated CI vs local thread pool — requires no change above.
 
 use crate::api::{
-    PilotDescription, PilotId, PilotState, RtsDown, UnitCallback, UnitDescription, UnitId,
+    PilotDescription, PilotEnd, PilotId, PilotState, RtsDown, UnitCallback, UnitDescription, UnitId,
 };
 use crate::db::DbConfig;
 use crate::local_runtime::{LocalRuntime, LocalRuntimeConfig};
@@ -211,6 +211,16 @@ impl RuntimeSystem {
         }
     }
 
+    /// Pilot ends, one per pilot, each sent after the terminal callbacks of
+    /// the units that ended with it. Disconnects when the RTS dies (`kill`,
+    /// `teardown`): the client learns of an RTS failure as an event.
+    pub fn pilot_ends(&self) -> &Receiver<PilotEnd> {
+        match &self.backend {
+            Backend::Sim(rt) => rt.pilot_ends(),
+            Backend::Local(rt) => rt.pilot_ends(),
+        }
+    }
+
     /// Whether the RTS is responsive.
     pub fn is_alive(&self) -> bool {
         match &self.backend {
@@ -353,6 +363,27 @@ mod tests {
             assert!(rts.is_alive());
             rts.kill();
             assert!(!rts.is_alive());
+        }
+    }
+
+    /// An RTS death is an event: after `kill`, the pilot-end stream is
+    /// disconnected on both backends, with no pilot end announced.
+    #[test]
+    fn kill_disconnects_the_pilot_end_stream_on_both_backends() {
+        use crossbeam::channel::TryRecvError;
+        for cfg in [RtsConfig::sim(PlatformId::TestRig), RtsConfig::local(1)] {
+            let rts = RuntimeSystem::start(cfg);
+            let pilot = rts.submit_pilot(&PilotDescription::test_rig());
+            assert!(rts.wait_pilot_ready(pilot, Duration::from_secs(5)));
+            assert!(matches!(
+                rts.pilot_ends().try_recv(),
+                Err(TryRecvError::Empty)
+            ));
+            rts.kill();
+            assert!(matches!(
+                rts.pilot_ends().try_recv(),
+                Err(TryRecvError::Disconnected)
+            ));
         }
     }
 

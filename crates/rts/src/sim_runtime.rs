@@ -20,11 +20,13 @@
 //! are called back, and only after that write, so whoever receives a
 //! callback finds the unit's document terminal. Non-terminal transitions
 //! (`AgentQueued`, `Executing`, `StagingOutput`) update the unit, its
-//! document and its trace, and send nothing.
+//! document and its trace, and send nothing. A pilot's end is announced
+//! on its own stream after the batch's callbacks, so whoever receives it
+//! can already receive those of the units that ended with the pilot.
 
 use crate::api::{
-    PilotDescription, PilotId, PilotState, RtsDown, UnitCallback, UnitDescription, UnitId,
-    UnitOutcome, UnitState,
+    PilotDescription, PilotEnd, PilotId, PilotState, RtsDown, UnitCallback, UnitDescription,
+    UnitId, UnitOutcome, UnitState,
 };
 use crate::db::{DbConfig, DocDb};
 use crate::profile::{UnitCounters, UnitRecord};
@@ -94,6 +96,7 @@ pub struct SimRuntime {
     state: Arc<Mutex<State>>,
     pilot_cond: Arc<Condvar>,
     callbacks_rx: Receiver<UnitCallback>,
+    pilot_ends_rx: Receiver<PilotEnd>,
     db: Arc<DocDb>,
     alive: Arc<AtomicBool>,
     stagers: usize,
@@ -114,6 +117,7 @@ impl SimRuntime {
         let commander = sim.commander();
         let events = sim.events().clone();
         let (cb_tx, cb_rx) = unbounded();
+        let (end_tx, end_rx) = unbounded();
         let state = Arc::new(Mutex::new(State {
             pilots: HashMap::new(),
             job_index: HashMap::new(),
@@ -141,7 +145,9 @@ impl SimRuntime {
             std::thread::Builder::new()
                 .name("rp-agent".into())
                 .spawn(move || {
-                    dispatcher_loop(events, state, db, cb_tx, alive, cond, commander, stagers)
+                    dispatcher_loop(
+                        events, state, db, cb_tx, end_tx, alive, cond, commander, stagers,
+                    )
                 })
                 .expect("spawn agent dispatcher")
         };
@@ -152,6 +158,7 @@ impl SimRuntime {
             state,
             pilot_cond,
             callbacks_rx: cb_rx,
+            pilot_ends_rx: end_rx,
             db,
             alive,
             stagers: config.stagers.max(1),
@@ -173,6 +180,13 @@ impl SimRuntime {
     /// Callback stream: one terminal callback per unit.
     pub fn callbacks(&self) -> &Receiver<UnitCallback> {
         &self.callbacks_rx
+    }
+
+    /// Pilot ends, each sent after the callbacks of the units that ended
+    /// with the pilot. The dispatcher holds the sender, so the stream
+    /// disconnects when `kill` or `teardown` joins it.
+    pub fn pilot_ends(&self) -> &Receiver<PilotEnd> {
+        &self.pilot_ends_rx
     }
 
     /// Current virtual time in seconds.
@@ -414,8 +428,9 @@ impl SimRuntime {
     }
 
     /// Abrupt failure: the whole RTS dies, in-flight tasks are lost, no
-    /// further callbacks are emitted. EnTK's Heartbeat observes
-    /// `is_alive() == false` and restarts the RTS.
+    /// further callbacks are emitted. Joining the dispatcher disconnects
+    /// the callback and pilot-end streams; EnTK's Heartbeat restarts the
+    /// RTS when it sees the latter.
     pub fn kill(&self) {
         self.alive.store(false, Ordering::Release);
         if let Some(mut sim) = self.sim.lock().take() {
@@ -523,11 +538,12 @@ fn make_task_desc(desc: &UnitDescription) -> TaskDesc {
 
 /// The work a batch of unit transitions leaves for after its bookkeeping
 /// under the state lock: the DocDb writes, made as one bulk
-/// `update_states`, then the terminal callbacks.
+/// `update_states`, then the terminal callbacks, then the pilot ends.
 #[derive(Default)]
 struct Batch {
     updates: Vec<(UnitId, UnitState)>,
     callbacks: Vec<UnitCallback>,
+    pilot_ends: Vec<PilotId>,
 }
 
 /// Move a unit to a non-terminal `state` (entry, trace, recorder) and queue
@@ -648,6 +664,7 @@ fn dispatcher_loop(
     state: Arc<Mutex<State>>,
     db: Arc<DocDb>,
     cb_tx: Sender<UnitCallback>,
+    end_tx: Sender<PilotEnd>,
     alive: Arc<AtomicBool>,
     cond: Arc<Condvar>,
     commander: SimCommander,
@@ -661,8 +678,8 @@ fn dispatcher_loop(
         // The first event's credit holds the clock for the whole batch (the
         // engine sends the next instant's events only once every credit is
         // gone): a launch or staging command sent while handling the batch
-        // lands at its instant, and each terminal callback carries a clone
-        // on to whoever reacts. It goes after the callbacks are sent.
+        // lands at its instant, and each terminal callback and pilot end
+        // carries a clone on to whoever reacts. It goes after they are sent.
         let credit = std::mem::take(first.credit_mut());
         let mut st = state.lock();
         // Whatever else is queued once the lock is ours joins the batch.
@@ -676,6 +693,12 @@ fn dispatcher_loop(
         for mut cb in batch.callbacks.drain(..) {
             cb.credit = credit.clone();
             let _ = cb_tx.send(cb);
+        }
+        // A pilot's end follows its units' callbacks: whoever reacts to it
+        // finds them settled (or receivable) first.
+        for pilot in batch.pilot_ends.drain(..) {
+            let credit = credit.clone();
+            let _ = end_tx.send(PilotEnd { pilot, credit });
         }
     }
 }
@@ -748,6 +771,7 @@ fn handle_locked(
                 for id in lost {
                     end_unit_locked(st, batch, id, UnitOutcome::Canceled, time.as_secs_f64());
                 }
+                batch.pilot_ends.push(pid);
                 cond.notify_all();
             }
         }
@@ -788,6 +812,17 @@ fn handle_locked(
                         end_unit_locked(st, batch, unit, UnitOutcome::Failed(reason), ts);
                     }
                     TaskOutcome::Canceled => {
+                        // The agent cancels no task: only the end of the
+                        // pilot's job does. The job's `JobEnded` follows
+                        // at this instant but may reach a later batch, so
+                        // the pilot is Done from here on; a submission that
+                        // reacts to this callback must not be launched into
+                        // the ended job. `JobEnded` records and announces
+                        // the end.
+                        let pilot = st.units.get(&unit).map(|u| u.pilot);
+                        if let Some(p) = pilot.and_then(|pid| st.pilots.get_mut(&pid)) {
+                            p.state = PilotState::Done;
+                        }
                         end_unit_locked(st, batch, unit, UnitOutcome::Canceled, ts);
                     }
                 }
@@ -1071,9 +1106,9 @@ mod tests {
         assert!(prof.exec_makespan_secs < 110.0);
     }
 
-    #[test]
-    fn pilot_walltime_cancels_units() {
-        let rt = runtime();
+    /// A 60 s pilot running the 600 s unit "long", which its walltime
+    /// ends.
+    fn short_pilot_running_a_long_unit(rt: &SimRuntime) -> PilotId {
         let p = rt.submit_pilot(&PilotDescription {
             platform: PlatformId::TestRig,
             nodes: 1,
@@ -1089,14 +1124,49 @@ mod tests {
             )],
         )
         .unwrap();
+        p
+    }
+
+    #[test]
+    fn pilot_walltime_cancels_units() {
+        let rt = runtime();
+        let p = short_pilot_running_a_long_unit(&rt);
         let out = drain_until_terminal(&rt, 1);
         assert_eq!(out["long"], UnitOutcome::Canceled);
-        // The JobEnded event may trail the task's Canceled callback briefly.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while rt.pilot_state(p) != Some(PilotState::Done) {
-            assert!(Instant::now() < deadline, "pilot never reached Done");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The pilot is Done by the time its canceled unit is called back,
+        // even when the engine's `JobEnded` reaches a later batch than the
+        // unit's `TaskEnded`: a retry that reacts to the callback finds the
+        // pilot ended instead of being launched into it.
+        assert_eq!(rt.pilot_state(p), Some(PilotState::Done));
+    }
+
+    /// A pilot's end is announced once, after the callbacks of the units
+    /// that ended with it: whoever receives the notice can already receive
+    /// those callbacks.
+    #[test]
+    fn pilot_end_is_announced_once_after_its_units_callbacks() {
+        let rt = runtime();
+        let p = short_pilot_running_a_long_unit(&rt);
+        let end = rt
+            .pilot_ends()
+            .recv_timeout(Duration::from_secs(10))
+            .expect("pilot end");
+        assert_eq!(end.pilot, p);
+        assert_eq!(rt.pilot_state(p), Some(PilotState::Done));
+        let cb = rt
+            .callbacks()
+            .try_recv()
+            .expect("the unit's callback precedes the pilot's end");
+        assert_eq!(cb.tag, "long");
+        assert_eq!(cb.outcome, Some(UnitOutcome::Canceled));
+        drop((end, cb));
+        // Tear-down cancels every pilot and joins the dispatcher: the ended
+        // pilot is not announced again.
+        rt.teardown();
+        assert!(matches!(
+            rt.pilot_ends().try_recv(),
+            Err(crossbeam::channel::TryRecvError::Disconnected)
+        ));
     }
 
     #[test]

@@ -22,8 +22,7 @@ echo "== no polling sleeps =="
 #   sampler         the telemetry Sampler's own period
 #   accept-backoff  pause after a failed accept(2), so a descriptor shortage
 #                   cannot spin
-# (`reconnect_sleep` and the chaos-kill timer wait on the run's stop channel
-# and need no sleep.)
+# (The chaos-kill timer waits on the run's stop channel and needs no sleep.)
 polling=$(awk '
     FNR == 1 { in_tests = 0 }
     /^mod tests/ { in_tests = 1 }
@@ -71,6 +70,23 @@ timed=$(awk '
 if [ -n "$timed" ]; then
     echo "$timed"
     echo "timed broker fetch on the per-workflow path: wait UNTIL_CLOSED instead"
+    exit 1
+fi
+
+echo "== no timed waits in the ExecManager =="
+# An RTS announces a pilot's end on its pilot-end stream and its own death
+# by disconnecting it, so the RTS Callback thread that runs the Heartbeat's
+# recovery blocks on those streams and the run's stop channel: nothing in
+# the ExecManager wakes on a timer to look. A `recv_timeout(` call in
+# non-test code of crates/core/src/execmanager.rs fails the check.
+ticking=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests/ { in_tests = 1 }
+    !in_tests && /recv_timeout\(/ { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/execmanager.rs)
+if [ -n "$ticking" ]; then
+    echo "$ticking"
+    echo "timed wait in the ExecManager: block on the RTS's streams instead"
     exit 1
 fi
 

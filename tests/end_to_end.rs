@@ -452,10 +452,9 @@ fn run_report_exports_task_timeline_csv() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Tear-down wakes its components instead of outwaiting them: with a
-/// Heartbeat interval far longer than the test, a run that had to sleep
-/// through one interval — or through any other component's poll timeout —
-/// could not return in time, and tear-down itself costs next to nothing.
+/// Tear-down wakes its components instead of outwaiting them: a run that
+/// had to sleep through any component's poll timeout could not return in
+/// time, and tear-down itself costs next to nothing.
 #[test]
 fn teardown_wakes_every_component_instead_of_outwaiting_it() {
     let mut teardown_secs: Vec<f64> = (0..20)
@@ -463,9 +462,8 @@ fn teardown_wakes_every_component_instead_of_outwaiting_it() {
             let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(
                 Stage::new("s").with_task(Task::new(format!("wake-{i}"), Executable::Noop)),
             ));
-            let mut cfg =
+            let cfg =
                 AppManagerConfig::new(ResourceDescription::local(1)).with_run_timeout(timeout());
-            cfg.heartbeat_interval = Duration::from_secs(10);
             let t0 = std::time::Instant::now();
             let report = AppManager::new(cfg).run(wf).expect("run completes");
             let wall = t0.elapsed();

@@ -26,10 +26,7 @@ macro_rules! both_batch_limits {
                 }
                 #[test]
                 fn per_task() {
-                    super::$name(ExecManagerConfig {
-                        max_batch: 1,
-                        ..Default::default()
-                    });
+                    super::$name(ExecManagerConfig { max_batch: 1 });
                 }
             }
         )+

@@ -190,10 +190,7 @@ fn mq_latency_histograms_are_populated_by_a_full_run() {
 fn a_batch_limit_of_one_delivers_two_messages_per_task() {
     // The per-task path: Pending and Done, and six sync batches of one task
     // applied in process.
-    let exec = ExecManagerConfig {
-        max_batch: 1,
-        ..Default::default()
-    };
+    let exec = ExecManagerConfig { max_batch: 1 };
     let (_report, recorder) = run_traced_with("mq-hist-1", false, exec);
     let tasks = 12;
     assert_eq!(sync_batches_applied(&recorder), 6 * tasks);
