@@ -662,7 +662,7 @@ pub struct RunReport {
     /// Per-unit timelines across all pools and incarnations — the raw data
     /// behind the profile, kept for postmortem analysis (§II-B4: "failures
     /// are logged and reported to the user ... for live or postmortem
-    /// analysis").
+    /// analysis"). Ordered by submission instant, then unit id.
     pub unit_records: Vec<UnitRecord>,
     /// RTS/pilot restarts performed.
     pub rts_restarts: u32,
@@ -1026,7 +1026,13 @@ impl AppManager {
             return Err(EntkError::Timeout);
         }
 
-        records.sort_by(|a, b| a.submitted_secs.total_cmp(&b.submitted_secs));
+        // A wide stage is submitted at one instant: the unit id breaks the
+        // tie, so the order does not depend on how the RTS stored them.
+        records.sort_by(|a, b| {
+            a.submitted_secs
+                .total_cmp(&b.submitted_secs)
+                .then(a.unit.cmp(&b.unit))
+        });
         let rts_profile = RtsProfile::from_records(&records);
         let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         // Seconds from whole nanoseconds, the way `OverheadReport::from_trace`
@@ -1052,7 +1058,9 @@ impl AppManager {
             em.emulate(&overheads, total_tasks, concurrent)
         });
 
-        let final_workflow = ctx.workflow.lock().clone();
+        // Every component is joined: the run's workflow is moved out, not
+        // copied.
+        let final_workflow = std::mem::take(&mut *ctx.workflow.lock());
         let succeeded = final_workflow
             .pipelines()
             .iter()

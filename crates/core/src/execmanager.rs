@@ -30,7 +30,6 @@ use rp_rts::{
     Credit, PilotDescription, PilotId, PilotLease, PilotState, RtsConfig, RuntimeSystem,
     UnitCallback, UnitDescription, UnitOutcome, UnitRecord,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -172,18 +171,13 @@ pub(crate) struct RtsPools {
 }
 
 impl RtsPools {
-    /// The slot a task's pool tag routes to; `None` ⇒ the primary pool.
-    /// Unknown names also fall back to the primary pool (validation rejects
-    /// them before the run starts, so this is belt-and-braces).
-    pub(crate) fn slot_for(&self, pool: Option<&str>) -> &Arc<RtsSlot> {
-        match pool {
-            Some(name) => self
-                .pools
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or(&self.pools[0]),
-            None => &self.pools[0],
-        }
+    /// The index in `pools` of the slot a task's pool tag routes to;
+    /// `None` ⇒ the primary pool. Unknown names also fall back to the
+    /// primary pool (validation rejects them before the run starts, so this
+    /// is belt-and-braces).
+    pub(crate) fn index_for(&self, pool: Option<&str>) -> usize {
+        pool.and_then(|name| self.pools.iter().position(|s| s.name == name))
+            .unwrap_or(0)
     }
 }
 
@@ -217,6 +211,7 @@ pub(crate) fn spawn_callbacks(
         .collect()
 }
 
+#[derive(Default)]
 struct PoolBatch {
     units: Vec<UnitDescription>,
     submitted: Vec<(u64, String)>,
@@ -228,7 +223,8 @@ struct PendingItem {
     uid: String,
     state: Option<TaskState>,
     unit: Option<UnitDescription>,
-    pool: Option<String>,
+    /// Index of the task's slot in [`RtsPools::pools`].
+    pool: usize,
 }
 
 fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
@@ -278,7 +274,7 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
                                 uid,
                                 state: Some(t.state()),
                                 unit: Some(unit),
-                                pool: t.resource_pool.clone(),
+                                pool: pools.index_for(t.resource_pool.as_deref()),
                             }
                         }
                         None => PendingItem {
@@ -286,7 +282,7 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
                             uid,
                             state: None,
                             unit: None,
-                            pool: None,
+                            pool: 0,
                         },
                     }
                 })
@@ -313,22 +309,20 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         // Translate tasks to units, grouped by resource pool. `Submitting`
         // covers both freshly tagged tasks and redeliveries after a failed
         // submit.
-        let mut groups: HashMap<String, PoolBatch> = HashMap::new();
+        let mut groups: Vec<PoolBatch> = pools.pools.iter().map(|_| PoolBatch::default()).collect();
         for item in items {
             if let Some(TaskState::Scheduled | TaskState::Submitting) = item.state {
-                let slot_name = pools.slot_for(item.pool.as_deref()).name.clone();
-                let entry = groups.entry(slot_name).or_insert_with(|| PoolBatch {
-                    units: Vec::new(),
-                    submitted: Vec::new(),
-                });
-                entry.units.push(item.unit.expect("task found above"));
-                entry.submitted.push((item.tag, item.uid));
+                let group = &mut groups[item.pool];
+                group.units.push(item.unit.expect("task found above"));
+                group.submitted.push((item.tag, item.uid));
             }
         }
 
         let mut nacked = 0usize;
-        for (pool_name, group) in groups {
-            let slot = pools.slot_for(Some(&pool_name));
+        for (slot, group) in pools.pools.iter().zip(groups) {
+            if group.submitted.is_empty() {
+                continue;
+            }
             let guard = slot.slot.read();
             let (rts, pilot) = (&guard.0, guard.1);
 

@@ -88,7 +88,7 @@ impl Workflow {
         if self.pipelines.is_empty() {
             return Err(InvalidWorkflow("workflow has no pipelines".into()));
         }
-        let mut names = HashMap::new();
+        let mut names: HashMap<&str, &str> = HashMap::with_capacity(self.index.len());
         for p in &self.pipelines {
             if p.stages().is_empty() {
                 return Err(InvalidWorkflow(format!(
@@ -101,7 +101,7 @@ impl Workflow {
                     return Err(InvalidWorkflow(format!("stage {} has no tasks", s.uid())));
                 }
                 for t in s.tasks() {
-                    if let Some(prev) = names.insert(t.name.clone(), t.uid().to_string()) {
+                    if let Some(prev) = names.insert(&t.name, t.uid()) {
                         return Err(InvalidWorkflow(format!(
                             "duplicate task name '{}' ({} and {})",
                             t.name,

@@ -8,6 +8,7 @@
 //! configurable latency per operation.
 
 use crate::api::{UnitId, UnitState};
+use hpc_sim::IdMap;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -60,7 +61,7 @@ pub struct UnitDoc {
 }
 
 struct Store {
-    docs: HashMap<UnitId, UnitDoc>,
+    docs: IdMap<UnitId, UnitDoc>,
     /// Per-agent unit queues (keyed by pilot index).
     queues: HashMap<u64, VecDeque<UnitId>>,
     /// Pilot documents: state history keyed by pilot index.
@@ -91,7 +92,7 @@ impl DocDb {
         DocDb {
             config,
             store: Mutex::new(Store {
-                docs: HashMap::new(),
+                docs: IdMap::default(),
                 queues: HashMap::new(),
                 pilots: HashMap::new(),
                 round_trips: 0,

@@ -13,8 +13,8 @@ use crate::executable::Executable;
 use crate::profile::{UnitCounters, UnitRecord};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use entk_observe::{components, Recorder};
+use hpc_sim::IdMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,7 +42,7 @@ impl Default for LocalRuntimeConfig {
 }
 
 struct State {
-    records: HashMap<UnitId, UnitRecord>,
+    records: IdMap<UnitId, UnitRecord>,
     next_unit: u64,
 }
 
@@ -69,7 +69,7 @@ impl LocalRuntime {
         let (cb_tx, cb_rx) = unbounded();
         let (end_tx, end_rx) = unbounded();
         let state = Arc::new(Mutex::new(State {
-            records: HashMap::new(),
+            records: IdMap::default(),
             next_unit: 1,
         }));
         let alive = Arc::new(AtomicBool::new(true));
@@ -308,6 +308,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
 
     fn drain_terminal(rt: &LocalRuntime, n: usize) -> HashMap<String, UnitOutcome> {

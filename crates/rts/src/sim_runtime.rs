@@ -33,11 +33,11 @@ use crate::profile::{UnitCounters, UnitRecord};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use entk_observe::{components, Recorder};
 use hpc_sim::{
-    Credit, JobDescription, JobId, Platform, SimCommander, SimConfig, SimEvent, SimHandle, SimTime,
-    Simulation, StageId, StageUnit, TaskDesc, TaskId, TaskOutcome,
+    Credit, IdMap, JobDescription, JobId, Platform, SimCommander, SimConfig, SimEvent, SimHandle,
+    SimTime, Simulation, StageId, StageUnit, TaskDesc, TaskId, TaskOutcome,
 };
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,11 +76,11 @@ struct UnitEntry {
 }
 
 struct State {
-    pilots: HashMap<PilotId, PilotEntry>,
-    job_index: HashMap<JobId, PilotId>,
-    units: HashMap<UnitId, UnitEntry>,
-    task_index: HashMap<TaskId, UnitId>,
-    stage_index: HashMap<StageId, (UnitId, StagePhase, f64)>,
+    pilots: IdMap<PilotId, PilotEntry>,
+    job_index: IdMap<JobId, PilotId>,
+    units: IdMap<UnitId, UnitEntry>,
+    task_index: IdMap<TaskId, UnitId>,
+    stage_index: IdMap<StageId, (UnitId, StagePhase, f64)>,
     stage_queue: VecDeque<(UnitId, StageUnit, StagePhase)>,
     stage_in_flight: usize,
     next_pilot: u64,
@@ -119,11 +119,11 @@ impl SimRuntime {
         let (cb_tx, cb_rx) = unbounded();
         let (end_tx, end_rx) = unbounded();
         let state = Arc::new(Mutex::new(State {
-            pilots: HashMap::new(),
-            job_index: HashMap::new(),
-            units: HashMap::new(),
-            task_index: HashMap::new(),
-            stage_index: HashMap::new(),
+            pilots: IdMap::default(),
+            job_index: IdMap::default(),
+            units: IdMap::default(),
+            task_index: IdMap::default(),
+            stage_index: IdMap::default(),
             stage_queue: VecDeque::new(),
             stage_in_flight: 0,
             next_pilot: 1,
@@ -881,6 +881,7 @@ mod tests {
     use super::*;
     use crate::executable::Executable;
     use hpc_sim::PlatformId;
+    use std::collections::HashMap;
 
     fn runtime() -> SimRuntime {
         SimRuntime::start(SimRuntimeConfig {

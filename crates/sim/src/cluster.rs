@@ -9,6 +9,7 @@
 use crate::engine::Credit;
 use crate::events::SimEvent;
 use crate::fs::{FsModel, StageUnit};
+use crate::ids::IdMap;
 use crate::platform::Platform;
 use crate::spec::{
     FailureModel, JobDescription, JobEndReason, JobId, StageId, TaskDesc, TaskId, TaskOutcome,
@@ -17,7 +18,7 @@ use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Internal events on the virtual-time heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,14 +99,14 @@ pub(crate) struct World {
 
     free_nodes: u32,
     batch_queue: VecDeque<JobId>,
-    jobs: HashMap<JobId, Job>,
-    tasks: HashMap<TaskId, Task>,
+    jobs: IdMap<JobId, Job>,
+    tasks: IdMap<TaskId, Task>,
     fs: FsModel,
 
     next_job: u64,
     next_task: u64,
     next_stage: u64,
-    stage_submitted: HashMap<StageId, SimTime>,
+    stage_submitted: IdMap<StageId, SimTime>,
 }
 
 /// Wrapper to give `Ev` a total order for the heap (order among same-time
@@ -137,13 +138,13 @@ impl World {
             outbox: Vec::new(),
             free_nodes,
             batch_queue: VecDeque::new(),
-            jobs: HashMap::new(),
-            tasks: HashMap::new(),
+            jobs: IdMap::default(),
+            tasks: IdMap::default(),
             fs,
             next_job: 1,
             next_task: 1,
             next_stage: 1,
-            stage_submitted: HashMap::new(),
+            stage_submitted: IdMap::default(),
         }
     }
 
@@ -605,8 +606,9 @@ impl World {
             .filter(|(_, t)| t.phase == TaskPhase::Running && t.io_registered && !t.doomed)
             .map(|(id, _)| *id)
             .collect();
-        // Draw in id order: `tasks` is a HashMap, whose iteration order
-        // differs from map to map, and the draws must not.
+        // Draw in id order: `tasks` iterates in bucket order, which wraps
+        // around the table and depends on its capacity, and the draws must
+        // not.
         candidates.sort_unstable();
         for id in candidates {
             let eval_p = self.tasks[&id].eval_p;

@@ -38,6 +38,7 @@ pub mod cluster;
 pub mod engine;
 pub mod events;
 pub mod fs;
+pub mod ids;
 pub mod platform;
 pub mod spec;
 pub mod time;
@@ -45,6 +46,7 @@ pub mod time;
 pub use engine::{Credit, SimCommander, SimConfig, SimHandle, Simulation};
 pub use events::SimEvent;
 pub use fs::{FsModel, StageUnit};
+pub use ids::{IdHasher, IdMap};
 pub use platform::{FsProfile, HostProfile, LauncherProfile, Platform, PlatformId};
 pub use spec::{
     DurationModel, FailureModel, JobDescription, JobEndReason, JobId, JobState, StageId, TaskDesc,

@@ -200,6 +200,26 @@ if [ -n "$single" ]; then
     exit 1
 fi
 
+echo "== id maps keep id order =="
+# Units, tasks, jobs, stages and pilots are numbered 0, 1, 2, … and a wide
+# stage handles them together: keyed by `hpc_sim::IdMap`, consecutive ids
+# sit in consecutive buckets (DESIGN.md §3e), where the default SipHash
+# scatters them over the whole table. A `HashMap<UnitId|TaskId|JobId|
+# StageId|PilotId, …>` in non-test code of crates/{rts,sim}/src fails the
+# check.
+scattered=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests/ { in_tests = 1 }
+    !in_tests && /HashMap<[ ]*([A-Za-z_]+::)*(UnitId|TaskId|JobId|StageId|PilotId)[ ]*,/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' crates/rts/src/*.rs crates/sim/src/*.rs)
+if [ -n "$scattered" ]; then
+    echo "$scattered"
+    echo "default-hasher map keyed by a sequential id: use hpc_sim::IdMap instead"
+    exit 1
+fi
+
 echo "== cargo test (workspace) =="
 # Every crate's unit tests and proptests, not only the facade package and
 # the root tests/ that a plain `cargo test` runs.

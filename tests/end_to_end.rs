@@ -104,6 +104,45 @@ fn seeded_unreliable_run() -> Timeline {
     timeline
 }
 
+/// One wide stage of 256 tasks on a 32-core node: every unit is submitted
+/// at one instant and runs in one of 8 waves. Returns each unit record's
+/// `(unit, submitted, started, ended)` in the report's order.
+fn wide_stage_records() -> Vec<(u64, f64, Option<f64>, Option<f64>)> {
+    let mut stage = Stage::new("wide");
+    for t in 0..256 {
+        stage.add_task(Task::new(format!("t{t}"), Executable::Sleep { secs: 60.0 }));
+    }
+    let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(stage));
+    let mut amgr = AppManager::new(
+        AppManagerConfig::new(ResourceDescription::sim(PlatformId::TestRig, 1, 7200).with_seed(5))
+            .with_run_timeout(timeout()),
+    );
+    let report = amgr.run(wf).expect("run completes");
+    assert!(report.succeeded);
+    assert_eq!(report.unit_records.len(), 256);
+    report
+        .unit_records
+        .iter()
+        .map(|r| (r.unit.0, r.submitted_secs, r.started_secs, r.ended_secs))
+        .collect()
+}
+
+/// The report lists unit records by submission instant, ties broken by
+/// unit id, so the order does not depend on how the RTS stores its units:
+/// two runs with one seed give the same sequence.
+#[test]
+fn unit_records_come_in_submission_then_unit_order() {
+    let first = wide_stage_records();
+    for pair in first.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        assert!(
+            a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)).is_lt(),
+            "{a:?} before {b:?}"
+        );
+    }
+    assert_eq!(first, wide_stage_records());
+}
+
 /// Virtual time advances only when every reaction to the last instant has
 /// reached the simulator, so a starved host slows the run down without
 /// moving a single virtual timestamp.
