@@ -449,10 +449,8 @@ pub(crate) struct Ctx {
     /// Settled-timeline sink (tail sampling; see
     /// [`AppManagerConfig::trace_store`]).
     pub trace_store: Option<Arc<entk_observe::TraceStore>>,
-    /// The simulator credits of the Done batch Dequeue is settling
-    /// (DESIGN.md, hpc-sim), for the transition that wakes Enqueue to park.
-    pub reaction: Mutex<Reaction>,
-    /// Credits parked for Enqueue's next pass; see [`Ctx::park_reaction`].
+    /// Simulator credits (DESIGN.md, hpc-sim) parked for Enqueue's next
+    /// pass by the transitions that wake it; see [`Ctx::park`].
     parked: Mutex<Reaction>,
 }
 
@@ -501,7 +499,6 @@ impl Ctx {
             critical_path: Mutex::new(entk_observe::CriticalPath::new()),
             base_trace,
             trace_store,
-            reaction: Mutex::default(),
             parked: Mutex::default(),
         })
     }
@@ -550,12 +547,13 @@ impl Ctx {
     /// Request the same transition for a batch of tasks through the
     /// Synchronizer (arrows 6–7): the batch is applied under one workflow
     /// lock on the calling thread, and the i-th flag reports the i-th uid.
-    /// Returns one applied-flag per task.
+    /// Returns one applied-flag per task. It parks no credits: only
+    /// Dequeue's verdicts (and the cancel sweep) wake Enqueue.
     pub(crate) fn sync_tasks(&self, uids: &[String], state: TaskState) -> Vec<bool> {
         if uids.is_empty() {
             return Vec::new();
         }
-        synchronizer::apply_batch(self, uids, state)
+        synchronizer::apply_batch(self, uids, state, &Reaction::default())
     }
 
     /// Wake whoever parks on the run's signal (the AppManager's wait loop,
@@ -565,16 +563,9 @@ impl Ctx {
         self.cancel.signal().notify();
     }
 
-    /// Hand Enqueue the credits of the reaction being settled. The
-    /// transition that wakes Enqueue calls this under the workflow lock, in
-    /// its own critical section: an Enqueue that sees the tasks it made
-    /// schedulable (under that lock) also finds their credits.
-    pub(crate) fn park_reaction(&self) {
-        let reaction = self.reaction.lock().clone();
-        self.park(reaction);
-    }
-
-    /// Park credits for Enqueue's next pass.
+    /// Park credits for Enqueue's next pass. The transition that wakes
+    /// Enqueue parks what it reacts to under the workflow lock, in its own
+    /// critical section.
     pub(crate) fn park(&self, reaction: Reaction) {
         self.parked.lock().absorb(reaction);
     }
@@ -862,8 +853,6 @@ impl AppManager {
             self.config.trace_store.clone(),
         );
 
-        // Spawn Dequeue; Enqueue follows once the pilots are ready.
-        let mut handles = vec![wfprocessor::spawn_dequeue(Arc::clone(&ctx))];
         let setup = setup_span.finish();
 
         // ---- Rmgr: acquire resources (one RTS + pilot per pool) ---------
@@ -903,12 +892,10 @@ impl AppManager {
         ctx.park(Reaction::holding(
             pools.pools.iter().map(|slot| slot.hold()).collect(),
         ));
-        handles.push(wfprocessor::spawn_enqueue(Arc::clone(&ctx)));
-
-        handles.push(execmanager::spawn_emgr(
-            Arc::clone(&ctx),
-            Arc::clone(&pools),
-        ));
+        let mut handles = vec![
+            wfprocessor::spawn_enqueue(Arc::clone(&ctx)),
+            execmanager::spawn_emgr(Arc::clone(&ctx), Arc::clone(&pools)),
+        ];
         handles.extend(execmanager::spawn_callbacks(&ctx, &pools));
 
         // Fault injection: one abrupt RTS death (the primary pool's),
@@ -1263,7 +1250,7 @@ mod tests {
     }
 
     /// A `post_exec` hook runs on the thread whose sync settles its stage
-    /// (here Dequeue's). One that panics fails the run at once: the run
+    /// (here the RTS Callback's, which applies Dequeue's verdicts). One that panics fails the run at once: the run
     /// returns an error well inside its timeout instead of waiting for a
     /// stage that can no longer advance.
     #[test]

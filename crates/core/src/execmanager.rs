@@ -7,8 +7,10 @@
 //!   moderately sized clusters" (§III-A).
 //! * **Emgr** "pulls tasks from the Pending queue (arrow 2) and executes
 //!   them using a RTS (arrow 3)", routing each task to its resource pool.
-//! * **RTS Callback** "pushes tasks that have completed execution to the
-//!   Done queue (arrow 4)" — one callback thread per pool.
+//! * **RTS Callback** receives the tasks that have completed execution —
+//!   one callback thread per pool. In the paper it pushes them to the Done
+//!   queue (arrow 4) for Dequeue to pull (arrow 5); here the thread applies
+//!   Dequeue's verdicts itself ([`crate::wfprocessor::handle_outcomes`]).
 //! * **Heartbeat** recovers each black-box RTS; "when the RTS fails or
 //!   becomes unresponsive, EnTK can tear it down and bring it back, loosing
 //!   only those tasks that were in execution at the time of the RTS failure"
@@ -21,9 +23,9 @@ use crate::appmanager::Ctx;
 use crate::messages::{self, AttemptOutcome, Reaction, UNTIL_CLOSED};
 use crate::states::TaskState;
 use crate::task::Task;
+use crate::wfprocessor;
 use crate::workflow::Workflow;
 use crossbeam::channel::{Select, TryRecvError};
-use entk_mq::Message;
 use entk_observe::{components as obs, hops};
 use parking_lot::{Mutex, RwLock};
 use rp_rts::{
@@ -35,9 +37,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// ExecManager tuning: the maximum batch size used by every component loop
-/// (Enqueue, Emgr, Callback, Dequeue, Synchronizer). No loop polls; each
-/// blocks on its queue, its channels or the run's stop signal (DESIGN.md
-/// §3k).
+/// (Enqueue, Emgr, RTS Callback). No loop polls; each blocks on its queue,
+/// its channels or the run's signal (DESIGN.md §3k).
 #[derive(Debug, Clone)]
 pub struct ExecManagerConfig {
     /// Maximum tasks moved per batched operation (0 is read as 1). `1` is
@@ -128,6 +129,13 @@ impl RtsSlot {
         }
     }
 
+    /// Whether the current incarnation can take units: its RTS is alive and
+    /// its pilot is queued, booting or ready.
+    pub(crate) fn serves(&self) -> bool {
+        let guard = self.slot.read();
+        serves(&guard.0, guard.1)
+    }
+
     /// A reaction credit of the current incarnation's simulator.
     pub(crate) fn hold(&self) -> rp_rts::Credit {
         self.slot.read().0.hold()
@@ -163,6 +171,15 @@ impl RtsSlot {
         *self.teardown_wall.lock() += d;
         *self.teardown_wall.lock()
     }
+}
+
+/// Whether `pilot` on `rts` can take units.
+fn serves(rts: &RuntimeSystem, pilot: PilotId) -> bool {
+    rts.is_alive()
+        && matches!(
+            rts.pilot_state(pilot),
+            Some(PilotState::Ready | PilotState::Queued | PilotState::Active)
+        )
 }
 
 /// The full set of resource pools; index 0 is the primary (default) pool.
@@ -319,7 +336,9 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
         }
 
         let mut nacked = 0usize;
-        for (slot, group) in pools.pools.iter().zip(groups) {
+        // Pools whose pilot is not serving: their tasks were requeued.
+        let mut recovering = Vec::new();
+        for (idx, (slot, group)) in pools.pools.iter().zip(groups).enumerate() {
             if group.submitted.is_empty() {
                 continue;
             }
@@ -328,12 +347,8 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
 
             // If the pool's pilot is not serving, requeue its tasks and let
             // the Heartbeat re-acquire resources.
-            let pilot_ready = rts.is_alive()
-                && matches!(
-                    rts.pilot_state(pilot),
-                    Some(PilotState::Ready | PilotState::Queued | PilotState::Active)
-                );
-            if !pilot_ready {
+            if !serves(rts, pilot) {
+                recovering.push(idx);
                 nacked += group.submitted.len();
                 // Nack highest tag first: each nack requeues at the ready
                 // front, so descending-order nacks leave the front in
@@ -402,30 +417,29 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             let _ = ctx.broker.ack_multiple(ctx.ns.pending(), boundary);
         }
         ctx.charge_management(span);
-    }
-}
-
-/// Translate an RTS unit callback into the attempt outcome Dequeue acts on.
-fn attempt_outcome(cb: &UnitCallback) -> AttemptOutcome {
-    match &cb.outcome {
-        Some(UnitOutcome::Done) => AttemptOutcome::Done,
-        Some(UnitOutcome::Failed(r)) => AttemptOutcome::Failed(r.clone()),
-        Some(UnitOutcome::Canceled) | None => AttemptOutcome::Canceled,
-    }
-}
-
-/// Done-queue message for a terminal callback, carrying the unit's causal
-/// trace (stamped with the callback hop) back toward Dequeue when tracing
-/// is on.
-fn traced_done_message(ctx: &Ctx, cb: &UnitCallback) -> Message {
-    let msg = messages::done_message(&cb.tag, &attempt_outcome(cb));
-    match &cb.trace {
-        Some(trace) if ctx.recorder.is_enabled() => {
-            let mut trace = trace.clone();
-            trace.hop(obs::EMGR, hops::CALLBACK, ctx.recorder.now_ns());
-            msg.with_trace(&trace)
+        if !recovering.is_empty() {
+            // The queue would hand the requeued tasks straight back: wait
+            // until every such pool serves again (`recover` wakes the
+            // signal once it installs the replacement), or the run stands
+            // down. The batch holds the Pending messages' simulator
+            // credits, and recovery needs the clock to move, so it goes
+            // first.
+            drop(batch);
+            ctx.cancel.signal().wait_until(None, || {
+                !ctx.running.load(Ordering::Acquire)
+                    || ctx.cancel.is_canceled()
+                    || recovering.iter().all(|&idx| pools.pools[idx].serves())
+            });
         }
-        _ => msg,
+    }
+}
+
+/// Translate an RTS unit outcome into the attempt outcome Dequeue acts on.
+fn attempt_outcome(outcome: Option<UnitOutcome>) -> AttemptOutcome {
+    match outcome {
+        Some(UnitOutcome::Done) => AttemptOutcome::Done,
+        Some(UnitOutcome::Failed(r)) => AttemptOutcome::Failed(r),
+        Some(UnitOutcome::Canceled) | None => AttemptOutcome::Canceled,
     }
 }
 
@@ -476,16 +490,18 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool) {
                 continue;
             }
         };
-        // Recover once the run needs the pool again. The units that ended
-        // with the pilot are `Executed` until Dequeue settles them: only
-        // then is it known whether one is retried (it rejoins the pool as
-        // `Described`, which wakes the signal) or the run completes. The
-        // wait needs no virtual progress, so the end's credit may be held.
+        // The callbacks queued after the first look and before the end (or
+        // the death) settle first: the recovery must see their verdicts.
+        while let Ok(cb) = rts.callbacks().try_recv() {
+            settle_callbacks(&ctx, &rts, cb);
+        }
+        // Recover once the run needs the pool again: a task that is retried
+        // rejoins the pool as `Described`, which wakes the signal. The wait
+        // needs no virtual progress, so the end's credit may be held.
         let pool_needed = || {
             let wf = ctx.workflow.lock();
             !wf.is_complete()
-                && pool_tasks(&wf, &slot.name, is_primary)
-                    .any(|t| !t.state().is_terminal() && t.state() != TaskState::Executed)
+                && pool_tasks(&wf, &slot.name, is_primary).any(|t| !t.state().is_terminal())
         };
         let running = || ctx.running.load(Ordering::Acquire);
         ctx.cancel
@@ -504,8 +520,9 @@ fn callback_loop(ctx: Arc<Ctx>, slot: Arc<RtsSlot>, is_primary: bool) {
 
 /// Settle a batch of terminal callbacks, starting with `first`: every
 /// callback is a completion. Coalesce whatever others are already waiting,
-/// then sync the whole batch with one round-trip and notify Dequeue with
-/// one batched publish.
+/// sync the whole batch `Executed` with one round-trip, then settle the
+/// applied ones on this thread: Dequeue's verdicts, holding the callbacks'
+/// simulator credits. A refused sync settles nothing.
 fn settle_callbacks(ctx: &Ctx, rts: &RuntimeSystem, first: UnitCallback) {
     let mut cbs = vec![first];
     while cbs.len() < ctx.exec.max_batch {
@@ -520,24 +537,25 @@ fn settle_callbacks(ctx: &Ctx, rts: &RuntimeSystem, first: UnitCallback) {
         .with_payload(cbs.len());
     let uids: Vec<String> = cbs.iter().map(|c| c.tag.clone()).collect();
     let applied = ctx.sync_tasks(&uids, TaskState::Executed);
-    let mut done = Vec::with_capacity(cbs.len());
+    // The callback and dequeue hops, stamped on the typed trace: nothing
+    // lies between them any more.
+    let now = ctx.recorder.is_enabled().then(|| ctx.recorder.now_ns());
     let mut credits = Vec::with_capacity(cbs.len());
-    for (c, ok) in cbs.iter().zip(applied) {
-        if ok {
-            done.push(traced_done_message(ctx, c));
-            credits.push(c.credit.clone());
+    let mut outcomes = Vec::with_capacity(cbs.len());
+    for (c, ok) in cbs.into_iter().zip(applied) {
+        if !ok {
+            continue;
         }
+        let trace = now.and_then(|now| {
+            let mut trace = c.trace?;
+            trace.hop(obs::EMGR, hops::CALLBACK, now);
+            trace.hop(obs::DEQ, hops::DEQUEUE, now);
+            Some(trace)
+        });
+        credits.push(c.credit);
+        outcomes.push((c.tag, attempt_outcome(c.outcome), trace));
     }
-    if !done.is_empty() {
-        // The simulator credits ride on to Dequeue; a refused sync
-        // publishes nothing, and its reaction ends here.
-        let hold = Reaction::holding(credits).attachment();
-        let done = done
-            .into_iter()
-            .map(|m| messages::attached(m, &hold))
-            .collect();
-        let _ = ctx.broker.publish_batch(ctx.ns.done(), done);
-    }
+    wfprocessor::handle_outcomes(ctx, outcomes, &Reaction::holding(credits));
     ctx.charge_management(span);
 }
 
@@ -640,15 +658,16 @@ fn recover(ctx: &Ctx, slot: &RtsSlot, is_primary: bool, fault: Fault) {
         }
     };
     // The lost tasks are re-driven at the new pilot's Ready instant: this
-    // credit rides on the sweep's Done messages.
-    let hold = Reaction::holding(vec![replacement.0.hold()]).attachment();
+    // credit is the sweep's reaction.
+    let hold = Reaction::holding(vec![replacement.0.hold()]);
     let mut guard = slot.slot.write();
     *guard = replacement;
 
-    // Sweep: every task that was in flight on the dead incarnation is lost;
-    // notify Dequeue so they are re-executed without consuming retry
-    // budget. Only tasks routed to *this* pool are swept — other pools'
-    // RTS instances are healthy.
+    // Sweep: every task that was in flight on the dead incarnation is lost
+    // and is re-executed without consuming retry budget. Only tasks routed
+    // to *this* pool are swept — other pools' RTS instances are healthy.
+    // The set is taken under the write lock, so the Emgr submits nothing to
+    // the new incarnation before it is known.
     let lost: Vec<String> = {
         let wf = ctx.workflow.lock();
         collect_sweep_uids(&wf, &slot.name, is_primary)
@@ -659,14 +678,15 @@ fn recover(ctx: &Ctx, slot: &RtsSlot, is_primary: bool, fault: Fault) {
         slot.name.clone(),
         lost.len().to_string(),
     );
-    let sweep: Vec<Message> = lost
-        .iter()
-        .map(|uid| messages::attached(messages::done_message(uid, &AttemptOutcome::Lost), &hold))
-        .collect();
-    if !sweep.is_empty() {
-        let _ = ctx.broker.publish_batch(ctx.ns.done(), sweep);
-    }
     drop(guard);
+    // An Emgr waiting for this pool to serve again may go on.
+    ctx.wake();
+    wfprocessor::handle_outcomes(
+        ctx,
+        lost.into_iter()
+            .map(|uid| (uid, AttemptOutcome::Lost, None)),
+        &hold,
+    );
 }
 
 #[cfg(test)]

@@ -28,15 +28,15 @@
 //! dedicated queues. AppManager spawns:
 //!
 //! * the **WFProcessor** with its *Enqueue* (tags ready tasks, pushes them
-//!   to the Pending queue) and *Dequeue* (pulls the Done queue, advances
+//!   to the Pending queue) and *Dequeue* (settles an attempt: advances
 //!   stages/pipelines, fires `post_exec`, resubmits failed tasks)
 //!   subcomponents;
 //! * the **ExecManager** with its *Rmgr* (acquires resources via the RTS),
 //!   *Emgr* (pulls Pending, translates tasks to RTS units, submits), *RTS
-//!   Callback* (pushes completed units to the Done queue) and *Heartbeat*
-//!   (re-acquires a pilot the CI ended, tears a dead RTS down and restarts
-//!   it; it runs on the RTS Callback thread, which receives both events)
-//!   subcomponents.
+//!   Callback* (receives completed units and applies Dequeue's verdicts on
+//!   them, with no Done queue between the two) and *Heartbeat* (re-acquires
+//!   a pilot the CI ended, tears a dead RTS down and restarts it; it runs on
+//!   the RTS Callback thread, which receives both events) subcomponents.
 //!
 //! The runtime system ([`rp_rts`]) is a black box behind the ExecManager;
 //! EnTK survives its failure by restarting it and re-executing only the

@@ -62,9 +62,9 @@ impl OverheadReport {
     /// * setup / tear-down / RTS-teardown come from the AppManager's phase
     ///   spans;
     /// * management sums the duration of every component processing span
-    ///   (Enqueue batch, Dequeue handle, Emgr submit, RTS-callback
-    ///   handling); the Synchronizer's `apply` spans run inside them and
-    ///   are not counted again;
+    ///   (Enqueue batch, Emgr submit, RTS-callback handling, which
+    ///   encloses Dequeue's verdicts); the Synchronizer's `apply` spans run
+    ///   inside them and are not counted again;
     /// * RTS overhead is the Rmgr acquisition span (the client-side wall
     ///   share; the virtual submission→first-start share lives only in the
     ///   RTS profile and is not wall-clock traceable);
@@ -92,10 +92,9 @@ impl OverheadReport {
                 (c::AMGR, "teardown") => teardown = dur,
                 (c::AMGR, "rts_teardown") => rts_teardown = dur,
                 (c::AMGR, "rmgr_acquire") => rmgr += dur,
-                (c::ENQ, "batch")
-                | (c::DEQ, "handle")
-                | (c::EMGR, "submit_batch")
-                | (c::EMGR, "callback") => management += dur,
+                (c::ENQ, "batch") | (c::EMGR, "submit_batch") | (c::EMGR, "callback") => {
+                    management += dur
+                }
                 (c::SYNC, "transition") => r.transitions += 1,
                 (c::DEQ, "attempt_done") => r.tasks_done += 1,
                 (c::DEQ, "attempt_failed") => r.failed_attempts += 1,

@@ -21,6 +21,7 @@
 //! thread and returns the flags in request order.
 
 use crate::appmanager::Ctx;
+use crate::messages::Reaction;
 use crate::states::{PipelineState, StageState, TaskState};
 use crate::workflow::Workflow;
 use std::panic::{self, AssertUnwindSafe};
@@ -32,12 +33,19 @@ use std::sync::atomic::Ordering;
 /// requesting component's own span encloses it. Counts the applied
 /// transitions in the run's report and, when traced, records each as a
 /// `transition` event. Returns the applied flag of each uid, in order.
-pub(crate) fn apply_batch(ctx: &Ctx, uids: &[String], state: TaskState) -> Vec<bool> {
+/// `reaction` holds the simulator credits of what the batch reacts to; see
+/// [`apply_all`].
+pub(crate) fn apply_batch(
+    ctx: &Ctx,
+    uids: &[String],
+    state: TaskState,
+    reaction: &Reaction,
+) -> Vec<bool> {
     let span = ctx
         .recorder
         .span(entk_observe::components::SYNC, "apply")
         .with_payload(uids.len());
-    let applied = apply_all(ctx, uids, state);
+    let applied = apply_all(ctx, uids, state, reaction);
     let count = applied.iter().filter(|a| **a).count();
     ctx.transitions.fetch_add(count as u64, Ordering::Relaxed);
     if ctx.recorder.is_enabled() {
@@ -58,16 +66,24 @@ pub(crate) fn apply_batch(ctx: &Ctx, uids: &[String], state: TaskState) -> Vec<b
 /// Apply one transition on its own; returns whether it was applied. The
 /// single-request form of [`apply_batch`], for the AppManager's cancel
 /// sweep and unit tests; it leaves the run's transition count alone, which
-/// counts what components request.
+/// counts what components request. It parks no credits.
 pub(crate) fn apply_task(ctx: &Ctx, uid: &str, state: TaskState) -> bool {
-    apply_all(ctx, &[uid], state)[0]
+    apply_all(ctx, &[uid], state, &Reaction::default())[0]
 }
 
 /// Apply the same transition to every uid under one workflow lock;
 /// returns the applied flag of each, in order. Whoever waits on the run's
 /// signal is woken once, after the lock is dropped, if any transition
-/// asked for it.
-fn apply_all(ctx: &Ctx, uids: &[impl AsRef<str>], state: TaskState) -> Vec<bool> {
+/// asked for it; such a transition also parks `reaction` for Enqueue under
+/// that lock, so an Enqueue that sees the tasks it made schedulable also
+/// finds their credits. Each caller passes its own reaction: two pools'
+/// Callback threads may settle at once.
+fn apply_all(
+    ctx: &Ctx,
+    uids: &[impl AsRef<str>],
+    state: TaskState,
+    reaction: &Reaction,
+) -> Vec<bool> {
     let mut wake = false;
     let mut wf = ctx.workflow.lock();
     let applied: Vec<bool> = uids
@@ -79,7 +95,7 @@ fn apply_all(ctx: &Ctx, uids: &[impl AsRef<str>], state: TaskState) -> Vec<bool>
         })
         .collect();
     if wake {
-        ctx.park_reaction();
+        ctx.park(reaction.clone());
     }
     drop(wf);
     if wake {

@@ -5,10 +5,17 @@
 //! completed tasks (arrow 5) and tags them as done, failed or canceled,
 //! depending on the return code from the RTS" — and, per the fault-tolerance
 //! requirements (§II-A), resubmits failed tasks within their retry budget.
+//!
+//! Enqueue is a thread. Dequeue is not: the paper's components are
+//! processes linked by a broker, here they are threads of one process and
+//! the per-run queues are not durable, so the RTS Callback thread that
+//! receives an attempt's end (and the Heartbeat's Lost sweep) hands it to
+//! [`handle_outcomes`] directly, with no Done queue between them.
 
 use crate::appmanager::{Ctx, ExecutionStrategy};
-use crate::messages::{self, AttemptOutcome, Reaction, UNTIL_CLOSED};
+use crate::messages::{self, AttemptOutcome, Reaction};
 use crate::states::TaskState;
+use crate::synchronizer;
 use entk_mq::Message;
 use entk_observe::{components as obs, hops, TraceCtx};
 use std::sync::atomic::Ordering;
@@ -20,14 +27,6 @@ pub(crate) fn spawn_enqueue(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
         .name("entk-enqueue".into())
         .spawn(move || enqueue_loop(ctx))
         .expect("spawn enqueue")
-}
-
-/// Spawn the Dequeue thread.
-pub(crate) fn spawn_dequeue(ctx: Arc<Ctx>) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("entk-dequeue".into())
-        .spawn(move || dequeue_loop(ctx))
-        .expect("spawn dequeue")
 }
 
 /// Whether Enqueue should stop tagging: the run ended or was canceled.
@@ -176,37 +175,6 @@ fn traced_pending_message(ctx: &Ctx, uid: &str) -> Message {
     msg.with_trace(&trace)
 }
 
-fn dequeue_loop(ctx: Arc<Ctx>) {
-    while ctx.running.load(Ordering::Acquire) {
-        let max_batch = ctx.exec.max_batch;
-        let batch = match ctx.broker.get_batch(ctx.ns.done(), max_batch, UNTIL_CLOSED) {
-            Ok(b) if !b.is_empty() => b,
-            Ok(_) => continue,
-            Err(_) => break,
-        };
-        let span = ctx
-            .recorder
-            .span(obs::DEQ, "handle")
-            .with_payload(batch.len());
-        // The batch's simulator credits, for the transition that wakes
-        // Enqueue to park; released with the batch.
-        *ctx.reaction.lock() = Reaction::of(batch.iter().map(|d| &d.message));
-        handle_outcomes(
-            &ctx,
-            batch.iter().map(|d| {
-                let (uid, outcome) = messages::parse_done(&d.message);
-                (uid, outcome, dequeued_trace(&ctx, &d.message))
-            }),
-        );
-        // Dequeue is the Done queue's only consumer, so one cumulative ack
-        // settles the whole batch.
-        let boundary = batch.last().expect("non-empty batch").tag;
-        let _ = ctx.broker.ack_multiple(ctx.ns.done(), boundary);
-        *ctx.reaction.lock() = Reaction::default();
-        ctx.charge_management(span);
-    }
-}
-
 /// AIMD adaptation of the concurrency cap (AdaptiveConcurrency strategy):
 /// halve on failure, add one back per success.
 fn adapt_cap(ctx: &Ctx, success: bool) {
@@ -224,18 +192,6 @@ fn adapt_cap(ctx: &Ctx, success: bool) {
         });
 }
 
-/// Pull the accumulated causal trace off a Done-queue delivery and stamp
-/// the dequeue hop. `None` when tracing is off or the message carries no
-/// trace (e.g. heartbeat Lost sweeps).
-fn dequeued_trace(ctx: &Ctx, message: &Message) -> Option<TraceCtx> {
-    if !ctx.recorder.is_enabled() {
-        return None;
-    }
-    let mut trace = message.trace()?;
-    trace.hop(obs::DEQ, hops::DEQUEUE, ctx.recorder.now_ns());
-    Some(trace)
-}
-
 /// Dequeue's verdict on one attempt: the state to sync the task to, and
 /// the timeline to settle with it (`None` for a retry, whose re-enqueue
 /// starts a fresh timeline).
@@ -245,17 +201,20 @@ struct Verdict {
     trace: Option<TraceCtx>,
 }
 
-/// Settle a batch of Done-queue outcomes: decide each one, then apply the
-/// verdicts.
-fn handle_outcomes(
+/// Dequeue: settle a batch of attempt outcomes on the calling thread —
+/// decide each one, then apply the verdicts. `reaction` holds the
+/// simulator credits of the attempts' ends; a verdict that wakes Enqueue
+/// parks them for it.
+pub(crate) fn handle_outcomes(
     ctx: &Ctx,
     outcomes: impl IntoIterator<Item = (String, AttemptOutcome, Option<TraceCtx>)>,
+    reaction: &Reaction,
 ) {
     let verdicts: Vec<Verdict> = outcomes
         .into_iter()
         .filter_map(|(uid, outcome, trace)| decide(ctx, uid, outcome, trace))
         .collect();
-    apply(ctx, verdicts);
+    apply(ctx, verdicts, reaction);
 }
 
 /// Whether a task's failed attempt may run again. `attempts` counts
@@ -340,7 +299,7 @@ fn decide(
 /// never reached the stages it skipped), and folding it would understate
 /// per-stage residency means — SLO burn rates and stall thresholds derive
 /// from those means, so the aggregate must describe completed work only.
-fn apply(ctx: &Ctx, verdicts: Vec<Verdict>) {
+fn apply(ctx: &Ctx, verdicts: Vec<Verdict>, reaction: &Reaction) {
     let mut rest = verdicts.into_iter().peekable();
     while let Some(first) = rest.next() {
         let state = first.state;
@@ -349,7 +308,7 @@ fn apply(ctx: &Ctx, verdicts: Vec<Verdict>) {
             run.push(v);
         }
         let uids: Vec<String> = run.iter().map(|v| v.uid.clone()).collect();
-        ctx.sync_tasks(&uids, state);
+        synchronizer::apply_batch(ctx, &uids, state, reaction);
         for mut trace in run.into_iter().filter_map(|v| v.trace) {
             trace.hop(obs::SYNC, hops::SYNCED, ctx.recorder.now_ns());
             let outcome = match state {
@@ -404,7 +363,11 @@ mod tests {
     fn done_outcome_completes_task() {
         let (ctx, uid) = single_task_ctx(Some(0));
         to_executed(&ctx, &uid);
-        handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Done, None)]);
+        handle_outcomes(
+            &ctx,
+            [(uid.clone(), AttemptOutcome::Done, None)],
+            &Reaction::default(),
+        );
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
             TaskState::Done
@@ -418,6 +381,7 @@ mod tests {
         handle_outcomes(
             &ctx,
             [(uid.clone(), AttemptOutcome::Failed("crash".into()), None)],
+            &Reaction::default(),
         );
         let wf = ctx.workflow.lock();
         let task = wf.task(&uid).unwrap();
@@ -432,6 +396,7 @@ mod tests {
         handle_outcomes(
             &ctx,
             [(uid.clone(), AttemptOutcome::Failed("crash".into()), None)],
+            &Reaction::default(),
         );
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
@@ -447,6 +412,7 @@ mod tests {
             handle_outcomes(
                 &ctx,
                 [(uid.clone(), AttemptOutcome::Failed("x".into()), None)],
+                &Reaction::default(),
             );
             assert_eq!(
                 ctx.workflow.lock().task(&uid).unwrap().state(),
@@ -467,7 +433,11 @@ mod tests {
         ] {
             assert_eq!(ctx.sync_tasks(std::slice::from_ref(&uid), s), [true]);
         }
-        handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Lost, None)]);
+        handle_outcomes(
+            &ctx,
+            [(uid.clone(), AttemptOutcome::Lost, None)],
+            &Reaction::default(),
+        );
         // Lost does not consume the (zero) retry budget.
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
@@ -479,14 +449,18 @@ mod tests {
     fn canceled_beyond_budget_terminal() {
         let (ctx, uid) = single_task_ctx(Some(0));
         to_executed(&ctx, &uid);
-        handle_outcomes(&ctx, [(uid.clone(), AttemptOutcome::Canceled, None)]);
+        handle_outcomes(
+            &ctx,
+            [(uid.clone(), AttemptOutcome::Canceled, None)],
+            &Reaction::default(),
+        );
         assert_eq!(
             ctx.workflow.lock().task(&uid).unwrap().state(),
             TaskState::Canceled
         );
     }
 
-    /// One Done-queue batch mixing every outcome, with two deliveries for
+    /// One batch of outcomes mixing every kind, with two deliveries for
     /// one uid, settled in one pass must leave the workflow exactly as the
     /// per-task path (a batch of one per delivery) does, in one sync apply
     /// per run of equal target states.
@@ -553,12 +527,12 @@ mod tests {
         let per_task = Ctx::for_tests_with_retries(wf.clone(), Some(1));
         prepare(&per_task);
         for d in deliveries() {
-            handle_outcomes(&per_task, [d]);
+            handle_outcomes(&per_task, [d], &Reaction::default());
         }
 
         let batched = Ctx::for_tests_with_retries(wf.clone(), Some(1));
         prepare(&batched);
-        handle_outcomes(&batched, deliveries());
+        handle_outcomes(&batched, deliveries(), &Reaction::default());
         let applies = batched
             .recorder
             .metrics()
@@ -593,8 +567,47 @@ mod tests {
     #[test]
     fn unknown_uid_is_ignored() {
         let (ctx, _) = single_task_ctx(Some(0));
-        handle_outcomes(&ctx, [("task.424242".into(), AttemptOutcome::Done, None)]);
+        handle_outcomes(
+            &ctx,
+            [("task.424242".into(), AttemptOutcome::Done, None)],
+            &Reaction::default(),
+        );
         // No panic, no state change.
         assert_eq!(ctx.workflow.lock().count_in(TaskState::Described), 1);
+    }
+
+    /// Two pools' Callback threads settle verdicts at once, each with the
+    /// credits of its own callbacks: both sets end up parked for Enqueue,
+    /// neither overwrites the other.
+    #[test]
+    fn concurrent_settles_park_both_reactions() {
+        let tasks = [0, 1].map(|i| Task::new(format!("t{i}"), Executable::Noop));
+        let uids = tasks.each_ref().map(|t| t.uid().to_string());
+        let wf = Workflow::new()
+            .with_pipeline(Pipeline::new("p").with_stage(Stage::new("s").with_tasks(tasks)));
+        let ctx = Ctx::for_tests_with_retries(wf, Some(1));
+        for uid in &uids {
+            to_executed(&ctx, uid);
+        }
+        let reactions = [(); 2].map(|_| Reaction::holding(Vec::new()));
+        let held = reactions
+            .each_ref()
+            .map(|r| Arc::downgrade(&r.attachment().expect("one credit set")));
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (uid, reaction) in uids.iter().zip(reactions) {
+                let (ctx, start) = (&ctx, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Within budget: the task rejoins the pool, which wakes
+                    // Enqueue and parks the credits.
+                    let failed = AttemptOutcome::Failed("x".into());
+                    handle_outcomes(ctx, [(uid.clone(), failed, None)], &reaction);
+                });
+            }
+        });
+        assert!(held.iter().all(|c| c.strong_count() == 1), "both parked");
+        drop(ctx.take_parked());
+        assert!(held.iter().all(|c| c.strong_count() == 0));
     }
 }

@@ -207,13 +207,13 @@ mod tests {
         const N: u64 = 100;
         for _ in 0..N {
             drop(rec.span(components::SYNC, "apply"));
-            let _ = rec.span(components::DEQ, "handle").finish();
+            let _ = rec.span(components::EMGR, "callback").finish();
         }
         let _ = rec.span(components::SYNC, "other").finish();
         assert!(rec.snapshot().is_empty(), "no event is built when disabled");
         let m = rec.metrics();
         assert_eq!(m.histogram("span.sync.apply").count(), N);
-        assert_eq!(m.histogram("span.deq.handle").count(), N);
+        assert_eq!(m.histogram("span.emgr.callback").count(), N);
         assert_eq!(m.histogram("span.sync.other").count(), 1);
     }
 

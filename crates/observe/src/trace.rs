@@ -37,7 +37,8 @@ pub mod hops {
     pub const AGENT_END: &str = "agent_end";
     /// The RTS Callback thread received the terminal callback.
     pub const CALLBACK: &str = "callback";
-    /// Dequeue pulled the task's message off the Done queue.
+    /// Dequeue took up the attempt's outcome (on the RTS Callback thread,
+    /// right after the callback hop).
     pub const DEQUEUE: &str = "dequeue";
     /// The Synchronizer applied the attempt's settling transition.
     pub const SYNCED: &str = "synced";

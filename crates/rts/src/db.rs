@@ -129,14 +129,6 @@ impl DocDb {
         st.documents += 1;
     }
 
-    /// Insert a new unit document and enqueue it for an agent.
-    pub fn insert_unit(&self, agent: u64, unit: UnitId, tag: String) {
-        self.charge();
-        let mut st = self.store.lock();
-        st.round_trips += 1;
-        Self::insert_unit_locked(&mut st, agent, unit, tag, None);
-    }
-
     /// Bulk-insert unit documents for an agent in **one** round trip,
     /// modeling a MongoDB `bulk_write` of N inserts: one `op_latency`
     /// charge, N documents. Each entry is `(unit, tag, encoded trace)`.
@@ -208,18 +200,9 @@ impl DocDb {
         }
     }
 
-    /// Record a state transition for a unit. Unknown units are ignored
-    /// (they may belong to a previous, failed RTS incarnation).
-    pub fn update_state(&self, unit: UnitId, state: UnitState) {
-        self.charge();
-        let mut st = self.store.lock();
-        st.round_trips += 1;
-        Self::update_state_locked(&mut st, unit, state);
-    }
-
     /// Bulk-record state transitions in **one** round trip (MongoDB
-    /// `bulk_write` of N updates). Unknown units are ignored, as in
-    /// [`DocDb::update_state`].
+    /// `bulk_write` of N updates). Unknown units are ignored (they may
+    /// belong to a previous, failed RTS incarnation).
     pub fn update_states(&self, updates: &[(UnitId, UnitState)]) {
         if updates.is_empty() {
             return;
@@ -314,29 +297,28 @@ impl DocDb {
             .get(&agent)
             .map_or(0, VecDeque::len)
     }
-
-    /// All unit documents in a terminal state.
-    pub fn terminal_units(&self) -> Vec<UnitDoc> {
-        self.store
-            .lock()
-            .docs
-            .values()
-            .filter(|d| d.state.is_terminal())
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One unit, as `insert_units` takes it.
+    fn unit(i: u64, tag: &str) -> Vec<(UnitId, String, Option<String>)> {
+        vec![(UnitId(i), tag.into(), None)]
+    }
+
     #[test]
     fn insert_pull_roundtrip() {
         let db = DocDb::new(DbConfig::default());
-        db.insert_unit(0, UnitId(1), "t1".into());
-        db.insert_unit(0, UnitId(2), "t2".into());
-        db.insert_unit(1, UnitId(3), "t3".into());
+        db.insert_units(
+            0,
+            vec![
+                (UnitId(1), "t1".into(), None),
+                (UnitId(2), "t2".into(), None),
+            ],
+        );
+        db.insert_units(1, unit(3, "t3"));
         assert_eq!(db.queued_for(0), 2);
         let pulled = db.pull_units(0, 10);
         assert_eq!(pulled, vec![UnitId(1), UnitId(2)]);
@@ -347,9 +329,10 @@ mod tests {
     #[test]
     fn pull_respects_max() {
         let db = DocDb::new(DbConfig::default());
-        for i in 0..5 {
-            db.insert_unit(0, UnitId(i), format!("t{i}"));
-        }
+        db.insert_units(
+            0,
+            (0..5).map(|i| (UnitId(i), format!("t{i}"), None)).collect(),
+        );
         assert_eq!(db.pull_units(0, 2).len(), 2);
         assert_eq!(db.queued_for(0), 3);
     }
@@ -357,10 +340,14 @@ mod tests {
     #[test]
     fn state_history_accumulates() {
         let db = DocDb::new(DbConfig::default());
-        db.insert_unit(0, UnitId(7), "x".into());
-        db.update_state(UnitId(7), UnitState::StagingInput);
-        db.update_state(UnitId(7), UnitState::Executing);
-        db.update_state(UnitId(7), UnitState::Done);
+        db.insert_units(0, unit(7, "x"));
+        for state in [
+            UnitState::StagingInput,
+            UnitState::Executing,
+            UnitState::Done,
+        ] {
+            db.update_states(&[(UnitId(7), state)]);
+        }
         let doc = db.get(UnitId(7)).unwrap();
         assert_eq!(doc.state, UnitState::Done);
         assert_eq!(
@@ -377,19 +364,8 @@ mod tests {
     #[test]
     fn unknown_unit_update_is_ignored() {
         let db = DocDb::new(DbConfig::default());
-        db.update_state(UnitId(99), UnitState::Done);
+        db.update_states(&[(UnitId(99), UnitState::Done)]);
         assert!(db.get(UnitId(99)).is_none());
-    }
-
-    #[test]
-    fn terminal_units_filtered() {
-        let db = DocDb::new(DbConfig::default());
-        db.insert_unit(0, UnitId(1), "a".into());
-        db.insert_unit(0, UnitId(2), "b".into());
-        db.update_state(UnitId(1), UnitState::Done);
-        let term = db.terminal_units();
-        assert_eq!(term.len(), 1);
-        assert_eq!(term[0].unit, UnitId(1));
     }
 
     #[test]
@@ -487,7 +463,7 @@ mod tests {
             "repeated empty pulls are served from agent-side backoff"
         );
         // New work resets the backoff: the next pull charges and delivers.
-        db.insert_unit(0, UnitId(1), "t".into());
+        db.insert_units(0, unit(1, "t"));
         assert_eq!(db.pull_units(0, 8), vec![UnitId(1)]);
         assert_eq!(db.op_count(), after_first + 2, "insert + productive pull");
         // Draining again re-enters backoff after one charged empty pull.
@@ -523,7 +499,7 @@ mod tests {
         assert!(db.pull_units(0, 8).is_empty());
         assert_eq!(db.op_count(), probes + 1, "expired window re-probes");
         // Work arriving bypasses any open window immediately.
-        db.insert_unit(0, UnitId(1), "t".into());
+        db.insert_units(0, unit(1, "t"));
         assert_eq!(db.pull_units(0, 8), vec![UnitId(1)]);
         // The successful pull reset the backoff: the next empty pull is a
         // fresh charged probe whose window is back to the base interval —
@@ -567,8 +543,8 @@ mod tests {
             ..Default::default()
         });
         let t0 = std::time::Instant::now();
-        db.insert_unit(0, UnitId(1), "a".into());
-        db.update_state(UnitId(1), UnitState::Done);
+        db.insert_units(0, unit(1, "a"));
+        db.update_states(&[(UnitId(1), UnitState::Done)]);
         assert!(t0.elapsed() >= Duration::from_millis(10));
         assert_eq!(db.op_count(), 2);
     }

@@ -110,9 +110,9 @@ if [ -n "$rereads" ]; then
 fi
 
 echo "== no headers on the core data path =="
-# Pending and Done messages are typed payloads (crates/core/src/
-# messages.rs): a header costs a map node and two strings to build and the
-# same again each time the broker clones the message, on every task. A
+# Pending messages are typed payloads (crates/core/src/messages.rs): a
+# header costs a map node and two strings to build and the same again each
+# time the broker clones the message, on every task. A
 # `with_header(` call in non-test code of the core message and loop files
 # fails the check; the trace context rides through `Message::with_trace`.
 headers=$(awk '
@@ -145,6 +145,26 @@ hopped=$(awk '
 if [ -n "$hopped" ]; then
     echo "$hopped"
     echo "queue hop or thread in the Synchronizer: apply the batch on the requesting thread"
+    exit 1
+fi
+
+echo "== attempts settle where they end =="
+# The RTS Callback thread that receives an attempt's end applies Dequeue's
+# verdicts itself, and the Heartbeat's Lost sweep is settled the same way
+# (DESIGN.md §1): the run queues are not durable, so a Done queue between
+# them would add a publish, a fetch, an ack and a thread hand-off per task
+# and do no work. A `get_batch(` in non-test code of
+# crates/core/src/wfprocessor.rs, or a `publish(` / `publish_batch(` in
+# non-test code of crates/core/src/execmanager.rs, fails the check.
+requeued=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^mod tests/ { in_tests = 1 }
+    !in_tests && FILENAME ~ /wfprocessor/ && /get_batch\(/ { print FILENAME ":" FNR ": " $0 }
+    !in_tests && FILENAME ~ /execmanager/ && /publish(_batch)?\(/ { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/wfprocessor.rs crates/core/src/execmanager.rs)
+if [ -n "$requeued" ]; then
+    echo "$requeued"
+    echo "attempt handed to a queue: settle it on the thread that receives it"
     exit 1
 fi
 

@@ -169,27 +169,24 @@ fn mq_latency_histograms_are_populated_by_a_full_run() {
         assert!(h.count > 0, "{name} must see traffic");
         assert!(h.p50_ns > 0 && h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
     }
-    // On this retry-free run every task is one Pending and one Done
-    // delivery. Each task takes six synchronized transitions, so a batch
+    // On this retry-free run every task is one Pending delivery: the RTS
+    // Callback settles an attempt itself, with no Done queue. Each task takes six synchronized transitions, so a batch
     // per transition would make six applies per task; Enqueue's first pass
     // tags both pipelines' first stages, six tasks, in one batch, so there
     // are fewer. A sync batch is a function call, not a message.
     let tasks = 12;
     let batches = sync_batches_applied(&recorder);
     assert!((1..6 * tasks).contains(&batches), "{batches} sync batches");
-    assert_eq!(
-        m.histogram("mq.publish_to_deliver").snapshot().count,
-        2 * tasks
-    );
+    assert_eq!(m.histogram("mq.publish_to_deliver").snapshot().count, tasks);
     // The synchronizer's transition-latency histogram is the paper's
     // management-overhead microscope.
     assert!(m.histogram("span.sync.apply").snapshot().count > 0);
 }
 
 #[test]
-fn a_batch_limit_of_one_delivers_two_messages_per_task() {
-    // The per-task path: Pending and Done, and six sync batches of one task
-    // applied in process.
+fn a_batch_limit_of_one_delivers_one_message_per_task() {
+    // The per-task path: one Pending message, and six sync batches of one
+    // task applied in process.
     let exec = ExecManagerConfig { max_batch: 1 };
     let (_report, recorder) = run_traced_with("mq-hist-1", false, exec);
     let tasks = 12;
@@ -200,8 +197,45 @@ fn a_batch_limit_of_one_delivers_two_messages_per_task() {
             .histogram("mq.publish_to_deliver")
             .snapshot()
             .count,
-        2 * tasks
+        tasks
     );
+}
+
+/// While a pool's pilot is re-acquired the Emgr requeues that pool's
+/// tasks and waits for it to serve again, instead of taking the same
+/// deliveries back from the Pending queue until it does. The walltime
+/// scenario of `tests/fault_tolerance.rs` (a 200 s task on 60 s pilots,
+/// one retry): each incarnation takes at most one submitting batch and one
+/// requeueing batch.
+#[test]
+fn the_emgr_waits_for_a_recovering_pool_instead_of_spinning() {
+    for _ in 0..5 {
+        let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(
+            Stage::new("s").with_task(
+                Task::new("too-long", Executable::Sleep { secs: 200.0 }).with_max_retries(Some(1)),
+            ),
+        ));
+        let recorder = Recorder::new();
+        let cfg = AppManagerConfig::new(
+            ResourceDescription::sim(PlatformId::TestRig, 1, 60).with_seed(8),
+        )
+        .with_max_rts_restarts(5)
+        .with_run_timeout(timeout())
+        .with_recorder(recorder.clone());
+        let report = AppManager::new(cfg).run(wf).expect("run terminates");
+        assert!(!report.succeeded);
+        assert!(report.rts_restarts >= 1, "pilot must have been re-acquired");
+        let batches = recorder
+            .metrics()
+            .histogram("span.emgr.submit_batch")
+            .count();
+        let bound = 2 * (u64::from(report.rts_restarts) + 1);
+        assert!(
+            batches <= bound,
+            "{batches} Emgr batches over {} restarts",
+            report.rts_restarts
+        );
+    }
 }
 
 #[test]
