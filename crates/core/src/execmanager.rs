@@ -537,8 +537,8 @@ fn settle_callbacks(ctx: &Ctx, rts: &RuntimeSystem, first: UnitCallback) {
         .with_payload(cbs.len());
     let uids: Vec<String> = cbs.iter().map(|c| c.tag.clone()).collect();
     let applied = ctx.sync_tasks(&uids, TaskState::Executed);
-    // The callback and dequeue hops, stamped on the typed trace: nothing
-    // lies between them any more.
+    // Dequeue takes the attempts up at the callback's instant: both hops
+    // share one clock read, on the typed trace.
     let now = ctx.recorder.is_enabled().then(|| ctx.recorder.now_ns());
     let mut credits = Vec::with_capacity(cbs.len());
     let mut outcomes = Vec::with_capacity(cbs.len());
