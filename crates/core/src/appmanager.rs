@@ -452,6 +452,10 @@ pub(crate) struct Ctx {
     /// Simulator credits (DESIGN.md, hpc-sim) parked for Enqueue's next
     /// pass by the transitions that wake it; see [`Ctx::park`].
     parked: Mutex<Reaction>,
+    /// Set while the Emgr waits for a pool to serve again; Enqueue then
+    /// wakes the signal after each Pending publish (see
+    /// [`Ctx::published_pending`]).
+    pending_watched: AtomicBool,
 }
 
 impl Ctx {
@@ -500,6 +504,7 @@ impl Ctx {
             base_trace,
             trace_store,
             parked: Mutex::default(),
+            pending_watched: AtomicBool::new(false),
         })
     }
 
@@ -561,6 +566,27 @@ impl Ctx {
     /// they wait for; `CancelToken::cancel` notifies the same signal.
     pub(crate) fn wake(&self) {
         self.cancel.signal().notify();
+    }
+
+    /// Wait on the run's signal until `ready` holds, woken also by every
+    /// Pending publish (the Emgr, while a pool it requeued for does not
+    /// serve). A Pending message holds simulator credits until the Emgr
+    /// takes it, and a pool's replacement pilot boots only while none is
+    /// alive.
+    pub(crate) fn wait_watching_pending(&self, ready: impl FnMut() -> bool) {
+        self.pending_watched.store(true, Ordering::SeqCst);
+        self.cancel.signal().wait_until(None, ready);
+        self.pending_watched.store(false, Ordering::SeqCst);
+    }
+
+    /// Enqueue published to the Pending queue: wake the Emgr if it is
+    /// waiting in [`Ctx::wait_watching_pending`]. The flag is read after
+    /// the publish and set before the Emgr reads the queue's depth, so the
+    /// Emgr either sees the message or is woken.
+    pub(crate) fn published_pending(&self) {
+        if self.pending_watched.load(Ordering::SeqCst) {
+            self.wake();
+        }
     }
 
     /// Park credits for Enqueue's next pass. The transition that wakes
@@ -1250,9 +1276,10 @@ mod tests {
     }
 
     /// A `post_exec` hook runs on the thread whose sync settles its stage
-    /// (here the RTS Callback's, which applies Dequeue's verdicts). One that panics fails the run at once: the run
-    /// returns an error well inside its timeout instead of waiting for a
-    /// stage that can no longer advance.
+    /// (here the RTS Callback's, which applies Dequeue's verdicts). One
+    /// that panics fails the run at once: the run returns an error well
+    /// inside its timeout instead of waiting for a stage that can no longer
+    /// advance.
     #[test]
     fn a_panicking_post_exec_hook_fails_the_run_instead_of_stranding_it() {
         let stage = Stage::new("s0")

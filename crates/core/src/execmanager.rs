@@ -43,7 +43,8 @@ use std::time::{Duration, Instant};
 pub struct ExecManagerConfig {
     /// Maximum tasks moved per batched operation (0 is read as 1). `1` is
     /// the paper's per-task data path: every hop moves one task through the
-    /// same code.
+    /// same code. The one excess: after requeueing tasks for a pool that
+    /// does not serve, the Emgr's next fetch also takes those back.
     pub max_batch: usize,
 }
 
@@ -245,6 +246,11 @@ struct PendingItem {
 }
 
 fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
+    // Messages the last batch requeued at the Pending front for pools that
+    // did not serve. The next fetch takes them back plus up to a batch
+    // limit of newer ones, so a requeued front cannot hide what is behind
+    // it.
+    let mut requeued = 0usize;
     while ctx.running.load(Ordering::Acquire) {
         // Cooperative cancellation: stop submitting; queued messages become
         // stale once the cancel sweep settles their tasks and are dropped on
@@ -253,10 +259,11 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             break;
         }
         // Collect a batch from the Pending queue.
-        let batch = match ctx
-            .broker
-            .get_batch(ctx.ns.pending(), ctx.exec.max_batch, UNTIL_CLOSED)
-        {
+        let batch = match ctx.broker.get_batch(
+            ctx.ns.pending(),
+            ctx.exec.max_batch + requeued,
+            UNTIL_CLOSED,
+        ) {
             Ok(b) => b,
             Err(_) => break,
         };
@@ -417,18 +424,25 @@ fn emgr_loop(ctx: Arc<Ctx>, pools: Arc<RtsPools>) {
             let _ = ctx.broker.ack_multiple(ctx.ns.pending(), boundary);
         }
         ctx.charge_management(span);
+        requeued = nacked;
         if !recovering.is_empty() {
             // The queue would hand the requeued tasks straight back: wait
             // until every such pool serves again (`recover` wakes the
-            // signal once it installs the replacement), or the run stands
-            // down. The batch holds the Pending messages' simulator
-            // credits, and recovery needs the clock to move, so it goes
-            // first.
+            // signal once it installs the replacement), a message other
+            // than the requeued ones is ready, or the run stands down. The
+            // batch holds the Pending messages' simulator credits, and
+            // recovery needs the clock to move, so it goes first. A newer
+            // message holds credits too, and may be for a pool that
+            // serves: it is fetched, and requeued or submitted, at once.
             drop(batch);
-            ctx.cancel.signal().wait_until(None, || {
+            ctx.wait_watching_pending(|| {
                 !ctx.running.load(Ordering::Acquire)
                     || ctx.cancel.is_canceled()
                     || recovering.iter().all(|&idx| pools.pools[idx].serves())
+                    || ctx
+                        .broker
+                        .depth(ctx.ns.pending())
+                        .map_or(true, |ready| ready > nacked)
             });
         }
     }

@@ -151,6 +151,7 @@ fn enqueue(ctx: &Ctx, ready: &[String], reaction: &mut Reaction) -> bool {
             .collect();
         if !pending.is_empty() {
             let _ = ctx.broker.publish_batch(ctx.ns.pending(), pending);
+            ctx.published_pending();
         }
     }
     true

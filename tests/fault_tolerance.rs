@@ -338,3 +338,32 @@ fn cancel_wakes_a_throttled_enqueue_and_an_idle_emgr(exec: ExecManagerConfig) {
         "only two ever reached the RTS"
     );
 }
+
+/// A replacement pilot that boots in virtual time comes up while Enqueue
+/// keeps publishing its pool's retries one at a time. Each Pending message
+/// holds the simulator's clock until the Emgr takes it, so an Emgr that sat
+/// out the re-acquisition would leave the boot stalled until
+/// `wait_pilot_ready` gave up (30 s of wall time per re-acquisition).
+#[test]
+fn a_booting_replacement_pilot_is_not_held_back_by_queued_retries() {
+    let mut stage = Stage::new("s");
+    for i in 0..2 {
+        stage.add_task(
+            Task::new(format!("too-long-{i}"), Executable::Sleep { secs: 200.0 })
+                .with_max_retries(Some(1)),
+        );
+    }
+    let wf = Workflow::new().with_pipeline(Pipeline::new("p").with_stage(stage));
+    let mut resource = ResourceDescription::sim(PlatformId::TestRig, 1, 60).with_seed(8);
+    resource.bootstrap_secs = 5.0;
+    let mut cfg = AppManagerConfig::new(resource)
+        .with_exec_manager(ExecManagerConfig { max_batch: 1 })
+        .with_run_timeout(Duration::from_secs(300));
+    cfg.max_rts_restarts = 5;
+    let started = std::time::Instant::now();
+    let report = AppManager::new(cfg).run(wf).expect("run terminates");
+    let took = started.elapsed();
+    assert!(!report.succeeded);
+    assert!(report.rts_restarts >= 1, "pilot must have been re-acquired");
+    assert!(took < Duration::from_secs(10), "run took {took:?}");
+}

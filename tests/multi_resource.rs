@@ -123,8 +123,10 @@ fn pool_failure_recovery_does_not_disturb_other_pools() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    // The primary (sim) pool's pilot dies of a short walltime and must be
-    // re-acquired; the local pool's tasks keep completing undisturbed.
+    // The primary (sim) pool's 200 s walltime fits its 90 s task, so its
+    // pilot lives through the run; the local pool's tasks complete beside
+    // it. `other_pools_run_while_a_pool_reacquires_its_pilot` covers a
+    // pilot that ends.
     let counter = Arc::new(AtomicUsize::new(0));
     let mut stage = Stage::new("split");
     stage.add_task(Task::new("sim-long", Executable::Sleep { secs: 90.0 }).with_max_retries(None));
@@ -153,4 +155,93 @@ fn pool_failure_recovery_does_not_disturb_other_pools() {
     let report = amgr.run(wf).expect("run completes");
     assert!(report.succeeded);
     assert_eq!(counter.load(Ordering::SeqCst), 3);
+}
+
+/// A pool whose pilot is re-acquired holds up no other pool. The primary
+/// (sim) pool's pilot boots for 5 000 s and ends at 5 070 s: "warm" (40 s)
+/// fits, "long" (50 s) does not and is retried on a replacement that boots
+/// for 5 000 virtual s again, at least 0.5 s of wall time at the
+/// simulator's pace. The local pool's "meanwhile" tasks become ready once
+/// that re-acquisition has started, and all run before it ends.
+#[test]
+fn other_pools_run_while_a_pool_reacquires_its_pilot() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    let recorder = Recorder::new();
+    let heartbeat_saw = {
+        let recorder = recorder.clone();
+        move |kind: &str| {
+            recorder
+                .snapshot()
+                .iter()
+                .any(|e| e.component == "heartbeat" && e.kind == kind)
+        }
+    };
+    let sim = Pipeline::new("sim")
+        .with_stage(
+            Stage::new("warm").with_task(Task::new("warm", Executable::Sleep { secs: 40.0 })),
+        )
+        .with_stage(Stage::new("long").with_task(
+            Task::new("long", Executable::Sleep { secs: 50.0 }).with_max_retries(Some(1)),
+        ));
+    let saw = heartbeat_saw.clone();
+    let wait = Task::new(
+        "wait-for-recovery",
+        Executable::compute(1.0, move || {
+            let give_up = Instant::now() + Duration::from_secs(20);
+            while !saw("recovery_start") {
+                if Instant::now() > give_up {
+                    return Err("the sim pool never started a recovery".into());
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(())
+        }),
+    )
+    .with_resource_pool("workstation");
+    let during = Arc::new(AtomicUsize::new(0));
+    let mut meanwhile = Stage::new("meanwhile");
+    for i in 0..3 {
+        let (saw, during) = (heartbeat_saw.clone(), Arc::clone(&during));
+        meanwhile.add_task(
+            Task::new(
+                format!("local-{i}"),
+                Executable::compute(1.0, move || {
+                    if !saw("pilot_reacquired") {
+                        during.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Ok(())
+                }),
+            )
+            .with_resource_pool("workstation"),
+        );
+    }
+    let local = Pipeline::new("local")
+        .with_stage(Stage::new("wait").with_task(wait))
+        .with_stage(meanwhile);
+    let wf = Workflow::new().with_pipeline(sim).with_pipeline(local);
+
+    let mut primary = ResourceDescription::sim(PlatformId::TestRig, 1, 5_070).with_seed(12);
+    primary.bootstrap_secs = 5_000.0;
+    let report = AppManager::new(
+        AppManagerConfig::new(primary)
+            .with_extra_resource(ResourceDescription::local(2).named("workstation"))
+            .with_max_rts_restarts(2)
+            .with_recorder(recorder.clone())
+            .with_run_timeout(Duration::from_secs(60)),
+    )
+    .run(wf)
+    .expect("run completes");
+    assert!(report.succeeded);
+    assert_eq!(
+        report.rts_restarts, 1,
+        "the sim pool's pilot was re-acquired"
+    );
+    assert_eq!(
+        during.load(Ordering::SeqCst),
+        3,
+        "the local pool's tasks ran while the sim pool re-acquired its pilot"
+    );
 }

@@ -170,10 +170,11 @@ fn mq_latency_histograms_are_populated_by_a_full_run() {
         assert!(h.p50_ns > 0 && h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
     }
     // On this retry-free run every task is one Pending delivery: the RTS
-    // Callback settles an attempt itself, with no Done queue. Each task takes six synchronized transitions, so a batch
-    // per transition would make six applies per task; Enqueue's first pass
-    // tags both pipelines' first stages, six tasks, in one batch, so there
-    // are fewer. A sync batch is a function call, not a message.
+    // Callback settles an attempt itself, with no Done queue. Each task
+    // takes six synchronized transitions, so a batch per transition would
+    // make six applies per task; Enqueue's first pass tags both pipelines'
+    // first stages, six tasks, in one batch, so there are fewer. A sync
+    // batch is a function call, not a message.
     let tasks = 12;
     let batches = sync_batches_applied(&recorder);
     assert!((1..6 * tasks).contains(&batches), "{batches} sync batches");
